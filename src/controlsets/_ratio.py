@@ -11,6 +11,10 @@ from fractions import Fraction
 
 from .errors import InputError
 
+# Most digits, and largest exponent size, a rational token may carry: the
+# exact value of '1e-3000000' alone takes seconds to build.
+RATIONAL_DIGITS_LIMIT = 1000
+
 
 def as_fraction(value) -> Fraction:
     """Coerce an int, Fraction, or numeric string to an exact Fraction."""
@@ -29,9 +33,21 @@ def as_fraction(value) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse '3', '-2/7', or '0.25' into an exact Fraction."""
+    """Parse '3', '-2/7', '0.25' or '5e-3' into an exact Fraction; tokens
+    past ``RATIONAL_DIGITS_LIMIT`` are refused before any big-number work."""
+    text = text.strip()
+    _, marker, exponent = text.lower().partition("e")
     try:
-        return Fraction(text.strip())
+        scale = abs(int(exponent)) if marker else 0
+    except ValueError:
+        scale = 0  # malformed; Fraction reports it below
+    if max(scale, sum(c.isdigit() for c in text)) > RATIONAL_DIGITS_LIMIT:
+        raise InputError(
+            f"rational {text[:40]!r} is too large: it may carry at most "
+            f"{RATIONAL_DIGITS_LIMIT} digits and an exponent of that size"
+        )
+    try:
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"invalid rational {text!r}: {exc}") from None
 

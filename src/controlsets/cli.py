@@ -51,14 +51,18 @@ def _write_out(text: str, out: str | None) -> None:
         raise InputError(f"cannot write {out!r}: {exc}") from None
 
 
+def _parse_ints(spec: str, what: str) -> list[int]:
+    try:
+        return [int(tok) for tok in spec.replace(",", " ").split()]
+    except ValueError:
+        raise InputError(f"bad {what} {spec!r}; expected comma-separated integers") from None
+
+
 def _parse_set(spec: str) -> frozenset[int]:
     spec = spec.strip()
-    if not spec or spec == "none":
+    if spec == "none":
         return frozenset()
-    try:
-        return frozenset(int(tok) for tok in spec.replace(",", " ").split())
-    except ValueError:
-        raise InputError(f"bad player set {spec!r}; expected comma-separated indices") from None
+    return frozenset(_parse_ints(spec, "player set"))
 
 
 def _fmt_set(players) -> str:
@@ -79,8 +83,7 @@ def cmd_generate(args) -> int:
     elif args.family == "tree":
         if not args.parents:
             raise InputError("tree needs --parents, e.g. --parents -1,0,0,1")
-        parents = [int(t) for t in args.parents.replace(",", " ").split()]
-        g = tree(parents)
+        g = tree(_parse_ints(args.parents, "--parents"))
     elif args.family == "er":
         if args.p is None:
             raise InputError("er needs --p (edge probability)")
@@ -209,7 +212,7 @@ def cmd_verify_reduction(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    n_values = tuple(int(t) for t in args.n.replace(",", " ").split())
+    n_values = tuple(_parse_ints(args.n, "--n"))
     spec = ExperimentSpec(
         family=args.family,
         n_values=n_values,

@@ -24,7 +24,7 @@ from ._ratio import as_fraction
 from .errors import BudgetError, InputError, InternalCheckError
 from .graph import complete
 from .coordination import from_thresholds
-from .scs import closure_mask, optimal_oracle
+from .scs import is_sufficient, optimal_oracle
 
 CROSSCHECK_LIMIT = 14
 
@@ -103,11 +103,7 @@ def crosscheck_complete(dist: ThresholdDistribution, limit: int = CROSSCHECK_LIM
     m, chosen = analytic_min_size(dist)
     graph = complete(dist.n)
     game = from_thresholds(graph, dist.thetas)
-    full = (1 << dist.n) - 1
-    seed_mask = 0
-    for p in chosen:
-        seed_mask |= 1 << p
-    set_ok = closure_mask(game, seed_mask) == full
+    set_ok = is_sufficient(game, chosen)
     oracle = optimal_oracle(game)
     if oracle.min_size != m or not set_ok:
         raise InternalCheckError(

@@ -23,9 +23,9 @@ from ._ratio import as_fraction
 from .chain import ChainConfig, run_search
 from .coordination import majority_game
 from .errors import InputError, InternalCheckError
-from .game_core import Game
+from .game_core import Game, Profile
 from .graph import GraphGenerationError, WeightedGraph, erdos_renyi
-from .scs import closure_mask, optimal_oracle
+from .scs import closure_mask, is_sufficient, optimal_oracle
 
 CSV_COLUMNS = ("n", "p", "trial", "chain_size", "oracle_size", "coverage", "runtime_ms")
 
@@ -96,10 +96,7 @@ def degree_heuristic(game: Game, g: WeightedGraph, k: int) -> tuple[frozenset[in
         raise InputError(f"k must lie in [1, {g.n}], got {k}")
     ranked = sorted(range(g.n), key=lambda i: (-g.out_degrees[i], i))
     chosen = frozenset(ranked[:k])
-    mask = 0
-    for v in chosen:
-        mask |= 1 << v
-    final = closure_mask(game, mask)
+    final = closure_mask(game, Profile.from_players(g.n, chosen).mask)
     return chosen, Fraction(final.bit_count(), g.n)
 
 
@@ -137,8 +134,7 @@ def run_row(spec: ExperimentSpec, n: int, trial: int) -> ResultRow:
         if best is None or run.best_size < best.best_size:
             best = run
     chain_set = best.best_profile.players
-    full = (1 << n) - 1
-    if closure_mask(game, best.best_profile.mask) != full:
+    if not is_sufficient(game, best.best_profile):
         raise InternalCheckError(
             f"search returned a non-sufficient set {sorted(chain_set)} "
             f"(n={n}, trial={trial}, seed={seed!r})"
@@ -163,11 +159,18 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list[Res
     """All (n, trial) rows of a sweep, in deterministic order.
 
     ``workers`` defaults to the CONTROLSETS_WORKERS environment variable
-    (1 if unset); rows are independent jobs, and results are identical for
-    any worker count because every row owns its derived seeds.
+    (1 if unset) and must be a positive integer; rows are independent jobs,
+    and results are identical for any worker count because every row owns
+    its derived seeds.
     """
     if workers is None:
-        workers = int(os.environ.get("CONTROLSETS_WORKERS", "1"))
+        text = os.environ.get("CONTROLSETS_WORKERS", "1")
+        try:
+            workers = int(text)
+        except ValueError:
+            raise InputError(f"CONTROLSETS_WORKERS must be an integer, got {text!r}") from None
+    if workers < 1:
+        raise InputError(f"worker count must be >= 1, got {workers}")
     jobs = [(n, trial) for n in spec.n_values for trial in range(spec.trials)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

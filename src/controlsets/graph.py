@@ -279,7 +279,8 @@ _FAMILIES = {
 
 
 def generate(family: str, **params) -> WeightedGraph:
-    """Dispatch to a named generator family (used by the CLI)."""
+    """Build a graph of a named generator family from keyword parameters,
+    e.g. ``generate("grid", k=3, d=2)``."""
     try:
         fn = _FAMILIES[family]
     except KeyError:

@@ -12,21 +12,24 @@ satisfiable.  Node classes:
 - a single ``hub`` tied to every clause node and to ``m + 1`` ``hub_leaf``
   nodes.
 
-:func:`verify_reduction` checks the equivalence on one instance using two
-independent routes: brute-force assignment enumeration on the formula side
-and cascade-backed exact search on the game side.
+:class:`GadgetGraph` is the one object that knows the node layout, and the
+assignment/control-set maps take it first.  :func:`verify_reduction` builds
+it once per formula and checks the equivalence by two independent routes:
+brute-force assignment enumeration on the formula side and cascade-backed
+exact search (through :func:`is_sufficient`) on the game side.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .coordination import majority_game
 from .errors import BudgetError, InputError, InternalCheckError
 from .graph import WeightedGraph
-from .scs import closure_mask, find_sufficient_within
+from .scs import find_sufficient_within, is_sufficient
 
 SAT_VARS_LIMIT = 16
 SEARCH_PLAN_LIMIT = 3_000_000
@@ -176,6 +179,11 @@ class GadgetGraph:
     hub_leaves: tuple[int, ...]
     leaf_owner: dict[int, int]
 
+    @cached_property
+    def game(self):
+        """The majority game on the gadget, built on first use."""
+        return majority_game(self.graph)
+
     def node_class(self, v: int) -> str:
         name = self.names[v]
         return name.rstrip("0123456789")
@@ -252,15 +260,15 @@ def build_gadget(cnf: Cnf3) -> GadgetGraph:
     )
 
 
-def assignment_to_control_set(cnf: Cnf3, assignment: Sequence[int]) -> frozenset[int]:
-    """Seed set encoding an assignment: the hub plus, per variable, the
-    var_true node if assigned 1 else the var_false node.  Always of size
-    ``num_vars + 1``."""
-    if len(assignment) != cnf.num_vars:
+def assignment_to_control_set(gadget: GadgetGraph, assignment: Sequence[int]) -> frozenset[int]:
+    """Seed set encoding an assignment on ``gadget``: the hub plus, per
+    variable, the var_true node if assigned 1 else the var_false node.
+    Always of size ``num_vars + 1``."""
+    num_vars = gadget.cnf.num_vars
+    if len(assignment) != num_vars:
         raise InputError(
-            f"assignment has {len(assignment)} values, expected {cnf.num_vars}"
+            f"assignment has {len(assignment)} values, expected {num_vars}"
         )
-    gadget = build_gadget(cnf)
     chosen = {gadget.hub}
     for i, value in enumerate(assignment):
         if value not in (0, 1, True, False):
@@ -269,15 +277,14 @@ def assignment_to_control_set(cnf: Cnf3, assignment: Sequence[int]) -> frozenset
     return frozenset(chosen)
 
 
-def control_set_to_assignment(cnf: Cnf3, control_set) -> tuple[int, ...]:
-    """Read an assignment off a normalized control set (hub plus exactly one
-    node per var_true/var_false pair)."""
-    gadget = build_gadget(cnf)
+def control_set_to_assignment(gadget: GadgetGraph, control_set) -> tuple[int, ...]:
+    """Read an assignment off a control set on ``gadget`` that is
+    normalized (hub plus exactly one node per var_true/var_false pair)."""
     chosen = frozenset(control_set)
     if gadget.hub not in chosen:
         raise InputError("control set is not normalized: hub missing")
     out = []
-    for i in range(cnf.num_vars):
+    for i in range(gadget.cnf.num_vars):
         t = gadget.true_nodes[i] in chosen
         f = gadget.false_nodes[i] in chosen
         if t == f:
@@ -304,34 +311,24 @@ def _variable_groups(gadget: GadgetGraph) -> list[tuple[int, ...]]:
     return groups
 
 
-def normalize_control_set(cnf: Cnf3, control_set) -> frozenset[int]:
-    """Rewrite a sufficient control set of the target size into the
-    canonical shape (hub plus one var node per variable) by swapping each
-    chosen leaf for its sole neighbor.
+def normalize_control_set(gadget: GadgetGraph, control_set) -> frozenset[int]:
+    """Rewrite a sufficient control set of the target size on ``gadget``
+    into the canonical shape (hub plus one var node per variable) by
+    swapping each chosen leaf for its sole neighbor.
 
     Every swap must preserve sufficiency; a failure means the reduction
     itself is broken and raises :class:`InternalCheckError`.
     """
-    gadget = build_gadget(cnf)
-    game = majority_game(gadget.graph)
+    game = gadget.game
     n = gadget.graph.n
-    full = (1 << n) - 1
     current = set(control_set)
     for v in current:
         if not 0 <= v < n:
             raise InputError(f"node {v} out of range for the gadget ({n} nodes)")
-    if len(current) != cnf.target_size:
-        raise InputError(
-            f"control set has size {len(current)}, expected {cnf.target_size}"
-        )
-
-    def mask_of(nodes) -> int:
-        mask = 0
-        for v in nodes:
-            mask |= 1 << v
-        return mask
-
-    if closure_mask(game, mask_of(current)) != full:
+    target = gadget.cnf.target_size
+    if len(current) != target:
+        raise InputError(f"control set has size {len(current)}, expected {target}")
+    if not is_sufficient(game, current):
         raise InputError("control set is not sufficient; nothing to normalize")
 
     for group in _variable_groups(gadget):
@@ -346,7 +343,7 @@ def normalize_control_set(cnf: Cnf3, control_set) -> frozenset[int]:
             owner = gadget.leaf_owner[chosen]
             current.remove(chosen)
             current.add(owner)
-            if closure_mask(game, mask_of(current)) != full:
+            if not is_sufficient(game, current):
                 raise InternalCheckError(
                     f"normalization broke sufficiency when swapping leaf "
                     f"{gadget.names[chosen]} for {gadget.names[owner]}"
@@ -400,6 +397,11 @@ def _degree_profile_ok(gadget: GadgetGraph) -> bool:
     return True
 
 
+def _assignments(num_vars: int):
+    # Every 0/1 assignment; variable 1 is the lowest bit of the counter.
+    return (tuple((bits >> i) & 1 for i in range(num_vars)) for bits in range(1 << num_vars))
+
+
 def verify_reduction(cnf: Cnf3, search_limit: int = SEARCH_PLAN_LIMIT) -> ReductionReport:
     """Check, on one instance, that satisfiability coincides with the
     existence of a control set of size ``num_vars + 1`` on the gadget.
@@ -416,9 +418,8 @@ def verify_reduction(cnf: Cnf3, search_limit: int = SEARCH_PLAN_LIMIT) -> Reduct
             f"got {cnf.num_vars}"
         )
     gadget = build_gadget(cnf)
-    game = majority_game(gadget.graph)
+    game = gadget.game
     n = gadget.graph.n
-    full = (1 << n) - 1
     s = cnf.target_size
     m = cnf.num_clauses
 
@@ -427,23 +428,10 @@ def verify_reduction(cnf: Cnf3, search_limit: int = SEARCH_PLAN_LIMIT) -> Reduct
     sizes_ok = node_count == 2 * s + 5 * m and edge_count == s + 8 * m
     degrees_ok = _degree_profile_ok(gadget)
 
-    satisfying = None
-    for bits in range(1 << cnf.num_vars):
-        assignment = tuple((bits >> i) & 1 for i in range(cnf.num_vars))
-        if cnf.satisfied_by(assignment):
-            satisfying = assignment
-            break
+    satisfying = next((a for a in _assignments(cnf.num_vars) if cnf.satisfied_by(a)), None)
 
-    sufficient_set = None
-    for bits in range(1 << cnf.num_vars):
-        assignment = tuple((bits >> i) & 1 for i in range(cnf.num_vars))
-        candidate = assignment_to_control_set(cnf, assignment)
-        mask = 0
-        for v in candidate:
-            mask |= 1 << v
-        if closure_mask(game, mask) == full:
-            sufficient_set = candidate
-            break
+    encoded = (assignment_to_control_set(gadget, a) for a in _assignments(cnf.num_vars))
+    sufficient_set = next((c for c in encoded if is_sufficient(game, c)), None)
     if sufficient_set is None:
         planned = math.comb(n, s)
         if planned > search_limit:
@@ -458,15 +446,11 @@ def verify_reduction(cnf: Cnf3, search_limit: int = SEARCH_PLAN_LIMIT) -> Reduct
 
     roundtrip_ok = None
     if satisfying is not None:
-        mapped = assignment_to_control_set(cnf, satisfying)
-        mask = 0
-        for v in mapped:
-            mask |= 1 << v
-        if closure_mask(game, mask) == full:
-            normalized = normalize_control_set(cnf, mapped)
-            roundtrip_ok = control_set_to_assignment(cnf, normalized) == satisfying
-        else:
-            roundtrip_ok = False
+        mapped = assignment_to_control_set(gadget, satisfying)
+        roundtrip_ok = is_sufficient(game, mapped) and (
+            control_set_to_assignment(gadget, normalize_control_set(gadget, mapped))
+            == satisfying
+        )
 
     return ReductionReport(
         satisfiable=satisfying is not None,

@@ -53,12 +53,7 @@ def _seed_mask(game: Game, seed) -> int:
         if seed.n != game.n:
             raise InputError(f"profile has {seed.n} players, game has {game.n}")
         return seed.mask
-    mask = 0
-    for p in seed:
-        if not 0 <= p < game.n:
-            raise InputError(f"player {p} out of range for n={game.n}")
-        mask |= 1 << p
-    return mask
+    return Profile.from_players(game.n, seed).mask
 
 
 def closure_mask(game: Game, mask: int) -> int:
@@ -152,16 +147,14 @@ def optimal_oracle(game: Game, budget: int | None = None, max_checks: int = ORAC
             f"over the limit of {max_checks}"
         )
     full = (1 << n) - 1
+    bits = [1 << p for p in range(n)]
     checked = 0
     for k in range(budget + 1):
         hits = []
-        for combo in itertools.combinations(range(n), k):
-            mask = 0
-            for p in combo:
-                mask |= 1 << p
+        for mask in map(sum, itertools.combinations(bits, k)):
             checked += 1
             if closure_mask(game, mask) == full:
-                hits.append(frozenset(combo))
+                hits.append(Profile(n, mask).players)
         if hits:
             return OracleResult(True, k, tuple(hits), budget, checked)
     return OracleResult(False, None, (), budget, checked)

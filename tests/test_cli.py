@@ -48,6 +48,11 @@ class TestGenerate:
         assert code == 1
         assert "error" in err
 
+    def test_bad_tree_parents_exit_one(self, capsys):
+        code, _, err = run_cli(capsys, "generate", "tree", "--parents=-1,x")
+        assert code == 1
+        assert "error: bad --parents" in err
+
     def test_sink_draw_reports_seed(self, capsys):
         code, _, err = run_cli(capsys, "generate", "er", "2", "--p", "0.01", "--seed", "0")
         assert code == 1
@@ -178,3 +183,19 @@ class TestExperiment:
         assert (tmp_path / "results.csv").exists()
         assert (tmp_path / "plot_results.py").exists()
         assert "wrote" in out
+
+    def test_bad_n_list_exit_one(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "experiment", "--n", "4,x", "--out-dir", str(tmp_path))
+        assert code == 1
+        assert "error: bad --n" in err
+
+    @pytest.mark.parametrize("workers", ["abc", "0", "-2"])
+    def test_bad_worker_count_exit_one(self, capsys, tmp_path, monkeypatch, workers):
+        monkeypatch.setenv("CONTROLSETS_WORKERS", workers)
+        code, _, err = run_cli(
+            capsys, "experiment", "--n", "4", "--trials", "1", "--restarts", "1",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 1
+        assert "error:" in err and "worker" in err.lower()
+        assert not (tmp_path / "results.csv").exists()

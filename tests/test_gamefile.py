@@ -70,6 +70,21 @@ class TestCoordinationFormat:
         with pytest.raises(GameFormatError, match="line 8"):
             parse_game(RING_MAJORITY + "bias 0 abc\n")
 
+    @pytest.mark.parametrize(
+        "token",
+        ["1e-3000000", "1E+1_000_000", "0." + "1" * 2000],
+        ids=["exponent", "underscored-exponent", "digits"],
+    )
+    def test_oversized_rational_rejected(self, token):
+        with pytest.raises(GameFormatError, match="line 8: .*too large"):
+            parse_game(RING_MAJORITY + f"bias 0 {token}\n")
+
+    def test_long_decimal_stays_exact(self):
+        digits = "3" * 400
+        game = parse_game(RING_MAJORITY + f"theta 1 0.{digits}\ntheta 2 {digits}e-403\n")
+        assert game.thresholds[1] == Fraction(int(digits), 10**400)
+        assert game.thresholds[2] == Fraction(int(digits), 10**403)
+
     def test_roundtrip(self):
         game = parse_game(RING_MAJORITY + "bias 0 1\nbias 2 -1/2\n")
         again = parse_game(format_game(game))

@@ -138,7 +138,7 @@ class TestGadget:
 class TestAssignmentMap:
     def test_mapped_set_shape(self):
         gadget = build_gadget(SINGLE_CLAUSE)
-        chosen = assignment_to_control_set(SINGLE_CLAUSE, (1, 0, 1))
+        chosen = assignment_to_control_set(gadget, (1, 0, 1))
         names = {gadget.names[v] for v in chosen}
         assert names == {"hub", "var_true1", "var_false2", "var_true3"}
         assert len(chosen) == SINGLE_CLAUSE.target_size
@@ -146,7 +146,7 @@ class TestAssignmentMap:
     def test_satisfying_assignment_is_sufficient(self):
         gadget = build_gadget(SINGLE_CLAUSE)
         game = majority_game(gadget.graph)
-        chosen = assignment_to_control_set(SINGLE_CLAUSE, (1, 0, 1))
+        chosen = assignment_to_control_set(gadget, (1, 0, 1))
         assert is_sufficient(game, chosen)
 
     def test_falsifying_assignment_stalls_at_clause(self):
@@ -154,58 +154,60 @@ class TestAssignmentMap:
 
         gadget = build_gadget(SINGLE_CLAUSE)
         game = majority_game(gadget.graph)
-        chosen = assignment_to_control_set(SINGLE_CLAUSE, (0, 1, 0))
+        chosen = assignment_to_control_set(gadget, (0, 1, 0))
         res = cascade(game, chosen)
         assert not res.sufficient
         assert gadget.clause_nodes[0] not in res.final_set
 
     def test_length_checked(self):
         with pytest.raises(InputError, match="expected 3"):
-            assignment_to_control_set(SINGLE_CLAUSE, (1, 0))
+            assignment_to_control_set(build_gadget(SINGLE_CLAUSE), (1, 0))
 
 
 class TestNormalize:
     def test_already_normalized_is_unchanged(self):
-        chosen = assignment_to_control_set(SINGLE_CLAUSE, (1, 0, 1))
-        assert normalize_control_set(SINGLE_CLAUSE, chosen) == chosen
+        gadget = build_gadget(SINGLE_CLAUSE)
+        chosen = assignment_to_control_set(gadget, (1, 0, 1))
+        assert normalize_control_set(gadget, chosen) == chosen
 
     def test_var_leaf_swapped_for_its_owner(self):
         gadget = build_gadget(SINGLE_CLAUSE)
         game = majority_game(gadget.graph)
-        chosen = assignment_to_control_set(SINGLE_CLAUSE, (1, 0, 1))
+        chosen = assignment_to_control_set(gadget, (1, 0, 1))
         leaf = next(l for l, o in gadget.leaf_owner.items() if o == gadget.true_nodes[0])
         swapped = (chosen - {gadget.true_nodes[0]}) | {leaf}
         assert is_sufficient(game, swapped)
-        assert normalize_control_set(SINGLE_CLAUSE, swapped) == chosen
+        assert normalize_control_set(gadget, swapped) == chosen
 
     def test_hub_leaf_swapped_for_hub(self):
         gadget = build_gadget(SINGLE_CLAUSE)
         game = majority_game(gadget.graph)
-        chosen = assignment_to_control_set(SINGLE_CLAUSE, (1, 0, 1))
+        chosen = assignment_to_control_set(gadget, (1, 0, 1))
         swapped = (chosen - {gadget.hub}) | {gadget.hub_leaves[0]}
         assert is_sufficient(game, swapped)
-        assert normalize_control_set(SINGLE_CLAUSE, swapped) == chosen
+        assert normalize_control_set(gadget, swapped) == chosen
 
     def test_insufficient_input_rejected(self):
         gadget = build_gadget(SINGLE_CLAUSE)
         bad = frozenset(list(gadget.var_leaves[:3]) + [gadget.hub_leaves[0]])
         with pytest.raises(InputError, match="not sufficient"):
-            normalize_control_set(SINGLE_CLAUSE, bad)
+            normalize_control_set(gadget, bad)
 
     def test_wrong_size_rejected(self):
         with pytest.raises(InputError, match="size"):
-            normalize_control_set(SINGLE_CLAUSE, frozenset({0, 1}))
+            normalize_control_set(build_gadget(SINGLE_CLAUSE), frozenset({0, 1}))
 
     def test_assignment_readback(self):
-        chosen = assignment_to_control_set(SINGLE_CLAUSE, (0, 1, 1))
-        assert control_set_to_assignment(SINGLE_CLAUSE, chosen) == (0, 1, 1)
+        gadget = build_gadget(SINGLE_CLAUSE)
+        chosen = assignment_to_control_set(gadget, (0, 1, 1))
+        assert control_set_to_assignment(gadget, chosen) == (0, 1, 1)
 
     def test_readback_requires_normal_form(self):
         gadget = build_gadget(SINGLE_CLAUSE)
-        chosen = assignment_to_control_set(SINGLE_CLAUSE, (1, 0, 1))
+        chosen = assignment_to_control_set(gadget, (1, 0, 1))
         broken = (chosen - {gadget.hub}) | {gadget.hub_leaves[0]}
         with pytest.raises(InputError, match="hub"):
-            control_set_to_assignment(SINGLE_CLAUSE, broken)
+            control_set_to_assignment(gadget, broken)
 
 
 class TestVerifyReduction:
@@ -232,6 +234,19 @@ class TestVerifyReduction:
             report = verify_reduction(random_cnf3(rng))
             assert report.agree
             assert report.sizes_ok and report.degrees_ok
+
+    @pytest.mark.parametrize("cnf", [SINGLE_CLAUSE, UNSAT_8], ids=["sat", "unsat"])
+    def test_builds_gadget_once(self, cnf, monkeypatch):
+        calls = []
+
+        def counting_build(formula):
+            calls.append(formula)
+            return build_gadget(formula)
+
+        monkeypatch.setattr("controlsets.sat_reduction.build_gadget", counting_build)
+        report = verify_reduction(cnf)
+        assert report.agree
+        assert calls == [cnf]
 
     def test_variable_budget(self):
         clauses = tuple((i + 1, i + 2, i + 3) for i in range(1, 16, 3))
