@@ -10,7 +10,11 @@ shrinks the stationary law piles onto the minimum-cardinality profiles.
 
 Besides the long-run search, this module enumerates the reachable and
 absorbing profile sets and builds the exact rational transition matrix for
-small instances, so the stationary claims can be checked exactly.
+small instances, so the stationary claims can be checked exactly.  The
+stationary vector is solved from detailed balance along a spanning tree
+and certified on every edge (Kolmogorov's criterion); a chain that fails
+the certificate falls back to a dense Gauss-Jordan solve, and only that
+fallback is bounded by ``DENSE_SOLVE_LIMIT``.
 """
 
 from __future__ import annotations
@@ -245,27 +249,36 @@ def transition_matrix(game: Game, epsilon, max_states: int = MATRIX_STATE_LIMIT)
     n = game.n
     down = Fraction(1, n)
     up = eps / n
+    sign = game.delta_sign
+    # Targets are distinct single-bit flips, so each entry is written once;
+    # the self-loop depends only on the row's down and up move counts.
+    self_loops: dict[tuple[int, int], Fraction] = {}
     rows = []
-    for mask in masks:
+    for a, mask in enumerate(masks):
         row: dict[int, Fraction] = {}
-        total = Fraction(0)
+        d = u = 0
         for i in range(n):
-            if game.delta_sign(i, mask) < 0:
+            if sign(i, mask) < 0:
                 continue
             bit = 1 << i
-            target = mask ^ bit
-            prob = down if mask & bit else up
-            if prob == 0:
+            if mask & bit:
+                prob = down
+                d += 1
+            elif up:
+                prob = up
+                u += 1
+            else:
                 continue
-            b = index.get(target)
+            b = index.get(mask ^ bit)
             if b is None:
                 raise InternalCheckError(
-                    f"transition leaves the reachable set: {mask:#x} -> {target:#x}"
+                    f"transition leaves the reachable set: {mask:#x} -> {mask ^ bit:#x}"
                 )
-            row[b] = row.get(b, Fraction(0)) + prob
-            total += prob
-        a = index[mask]
-        row[a] = row.get(a, Fraction(0)) + (1 - total)
+            row[b] = prob
+        loop = self_loops.get((d, u))
+        if loop is None:
+            loop = self_loops[d, u] = 1 - d * down - u * up
+        row[a] = loop
         rows.append(row)
     states = tuple(Profile(n, m) for m in masks)
     return TransitionMatrix(states=states, rows=tuple(rows), epsilon=eps)
@@ -274,14 +287,65 @@ def transition_matrix(game: Game, epsilon, max_states: int = MATRIX_STATE_LIMIT)
 def stationary_distribution(matrix) -> tuple[Fraction, ...]:
     """Left fixed vector of a stochastic matrix, solved exactly.
 
-    Accepts a :class:`TransitionMatrix` or a square list of rationals.
-    Raises if the chain is reducible (more than one independent stationary
-    vector), which signals a bug upstream.
+    Accepts a :class:`TransitionMatrix` or a square list of rationals.  The
+    search walk is reversible, so the vector is first fixed along a BFS
+    spanning tree from state 0 by pi(b) / pi(a) = P(a, b) / P(b, a).  It is
+    returned only with a certificate: rows nonnegative and summing to
+    exactly 1, every state reached, and pi(a) P(a, b) == pi(b) P(b, a) on
+    every nonzero off-diagonal entry.  Such a pi is positive and stationary
+    on an irreducible chain, hence the unique answer.  Any other input goes
+    to a dense Gauss-Jordan solve, which alone is bounded by
+    ``DENSE_SOLVE_LIMIT`` and raises if the chain is reducible (more than one
+    independent stationary vector), which signals a bug upstream.
     """
     if isinstance(matrix, TransitionMatrix):
-        dense = matrix.dense()
-    else:
-        dense = [[as_fraction(v) for v in row] for row in matrix]
+        pi = _detailed_balance_solve(matrix.rows, matrix.size)
+        return pi if pi is not None else _gauss_jordan(matrix.dense())
+    dense = [[as_fraction(v) for v in row] for row in matrix]
+    m = len(dense)
+    if all(len(row) == m for row in dense):
+        rows = [{b: p for b, p in enumerate(row) if p} for row in dense]
+        pi = _detailed_balance_solve(rows, m)
+        if pi is not None:
+            return pi
+    return _gauss_jordan(dense)
+
+
+def _detailed_balance_solve(rows, m: int) -> tuple[Fraction, ...] | None:
+    """Stationary vector of a reversible chain given as ``m`` sparse rows,
+    or None when the detailed-balance certificate fails."""
+    if m == 0 or len(rows) != m:
+        return None
+    for row in rows:
+        if sum(row.values()) != 1 or any(p < 0 or not 0 <= b < m for b, p in row.items()):
+            return None
+    pi: list[Fraction | None] = [None] * m
+    pi[0] = Fraction(1)
+    order = [0]
+    for a in order:
+        for b, p in rows[a].items():
+            if p and pi[b] is None:
+                back = rows[b].get(a)
+                if not back:
+                    return None
+                pi[b] = pi[a] * p / back
+                order.append(b)
+    if len(order) != m:
+        return None
+    # Each pair is compared once, from its lower end; a one-way entry fails
+    # from either end, since pi is positive.
+    for a, row in enumerate(rows):
+        for b, p in row.items():
+            if p and b != a:
+                back = rows[b].get(a)
+                if not back or (a < b and pi[a] * p != pi[b] * back):
+                    return None
+    total = sum(pi)
+    return tuple(v / total for v in pi)
+
+
+def _gauss_jordan(dense: list[list[Fraction]]) -> tuple[Fraction, ...]:
+    """Dense exact solve of pi P = pi for any stochastic matrix."""
     m = len(dense)
     if m == 0 or any(len(row) != m for row in dense):
         raise InputError("transition matrix must be square and nonempty")

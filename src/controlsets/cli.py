@@ -16,15 +16,7 @@ from .complete_graph import ThresholdDistribution, analytic_min_size
 from .errors import InputError, InternalCheckError
 from .experiments import ExperimentSpec, emit_outputs, run_experiment
 from .gamefile import format_game, parse_game
-from .graph import (
-    complete,
-    erdos_renyi,
-    format_graph,
-    grid,
-    path,
-    ring,
-    tree,
-)
+from .graph import format_graph, generate
 from .coordination import from_thresholds
 from .sat_reduction import build_gadget, format_labels, parse_cnf, verify_reduction
 from .scs import cascade, is_sufficient, optimal_oracle
@@ -69,27 +61,31 @@ def _fmt_set(players) -> str:
     return ",".join(str(p) for p in sorted(players))
 
 
+# CLI family -> (graph.generate family, keyword parameters from the parsed
+# arguments, and the option it needs with the message when that is missing).
+_GENERATORS = {
+    "complete": ("complete", lambda a: {"n": a.n}, None),
+    "ring": ("ring", lambda a: {"n": a.n}, None),
+    "path": ("path", lambda a: {"n": a.n}, None),
+    "grid": ("grid", lambda a: {"k": a.n, "d": a.d}, ("d", "grid needs --d (dimension)")),
+    "tree": (
+        "tree",
+        lambda a: {"parents": _parse_ints(a.parents, "--parents")},
+        ("parents", "tree needs --parents, e.g. --parents -1,0,0,1"),
+    ),
+    "er": (
+        "erdos_renyi",
+        lambda a: {"n": a.n, "p": a.p, "seed": a.seed},
+        ("p", "er needs --p (edge probability)"),
+    ),
+}
+
+
 def cmd_generate(args) -> int:
-    if args.family == "complete":
-        g = complete(args.n)
-    elif args.family == "ring":
-        g = ring(args.n)
-    elif args.family == "path":
-        g = path(args.n)
-    elif args.family == "grid":
-        if args.d is None:
-            raise InputError("grid needs --d (dimension)")
-        g = grid(args.n, args.d)
-    elif args.family == "tree":
-        if not args.parents:
-            raise InputError("tree needs --parents, e.g. --parents -1,0,0,1")
-        g = tree(_parse_ints(args.parents, "--parents"))
-    elif args.family == "er":
-        if args.p is None:
-            raise InputError("er needs --p (edge probability)")
-        g = erdos_renyi(args.n, args.p, args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown family {args.family!r}")
+    family, params, needs = _GENERATORS[args.family]
+    if needs and getattr(args, needs[0]) in (None, ""):
+        raise InputError(needs[1])
+    g = generate(family, **params(args))
     if args.as_game:
         theta = parse_rational(args.theta)
         game = from_thresholds(g, [theta] * g.n)
@@ -251,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="emit a graph (or homogeneous game) file")
-    p.add_argument("family", choices=["complete", "ring", "path", "grid", "tree", "er"])
+    p.add_argument("family", choices=list(_GENERATORS))
     p.add_argument("n", type=int, nargs="?", default=0, help="node count (grid: side length)")
     p.add_argument("--d", type=int, default=None, help="grid dimension")
     p.add_argument("--p", type=float, default=None, help="edge probability for er")

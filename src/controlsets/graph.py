@@ -280,7 +280,8 @@ _FAMILIES = {
 
 def generate(family: str, **params) -> WeightedGraph:
     """Build a graph of a named generator family from keyword parameters,
-    e.g. ``generate("grid", k=3, d=2)``."""
+    e.g. ``generate("grid", k=3, d=2)``.  The CLI's ``generate`` command
+    builds through it."""
     try:
         fn = _FAMILIES[family]
     except KeyError:

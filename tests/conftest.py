@@ -91,3 +91,22 @@ def random_cnf3(rng: random.Random, max_vars: int = 6, max_clauses: int = 6) -> 
         vs = rng.sample(range(1, nv + 1), 3)
         clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
     return Cnf3(nv, tuple(clauses))
+
+
+def transition_rows_reference(game, states, epsilon) -> list[dict[int, Fraction]]:
+    """One-step kernel rows over ``states`` built by accumulation: every
+    admissible flip adds its probability, the diagonal takes the remainder."""
+    n = game.n
+    index = {s.mask: a for a, s in enumerate(states)}
+    rows = []
+    for a, s in enumerate(states):
+        row: dict[int, Fraction] = {}
+        for i in range(n):
+            bit = 1 << i
+            prob = Fraction(1, n) if s.mask & bit else Fraction(epsilon) / n
+            if prob and game.delta_sign(i, s.mask) >= 0:
+                b = index[s.mask ^ bit]
+                row[b] = row.get(b, Fraction(0)) + prob
+        row[a] = row.get(a, Fraction(0)) + 1 - sum(row.values())
+        rows.append(row)
+    return rows

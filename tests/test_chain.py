@@ -14,15 +14,19 @@ from controlsets import (
     absorbing_set,
     chain_step,
     complete,
+    erdos_renyi,
     majority_game,
     optimal_oracle,
+    path,
     reachable_set,
     ring,
     run_search,
     stationary_distribution,
     transition_matrix,
 )
-from controlsets.chain import stationary_law
+from controlsets.chain import _detailed_balance_solve, _gauss_jordan, stationary_law
+
+from conftest import transition_rows_reference
 
 
 class FakeRng:
@@ -188,6 +192,15 @@ class TestReachableAndAbsorbing:
 
 
 class TestTransitionMatrix:
+    @pytest.mark.parametrize("eps", [Fraction(0), Fraction(1, 3), Fraction(1)], ids=str)
+    def test_rows_match_accumulating_reference(self, eps):
+        for graph in (ring(5), path(5), complete(6), erdos_renyi(6, 0.4, 4)):
+            game = majority_game(graph)
+            P = transition_matrix(game, eps)
+            rows = transition_rows_reference(game, P.states, eps)
+            assert list(P.rows) == rows
+            assert [list(r) for r in P.rows] == [list(r) for r in rows]
+
     def test_rows_sum_to_one_exactly(self):
         P = transition_matrix(majority_game(ring(4)), Fraction(3, 10))
         for row in P.rows:
@@ -244,6 +257,88 @@ class TestStationaryDistribution:
             )
         assert masses[0] < masses[1] < masses[2]
 
+
+
+DIFFERENTIAL_EPSILONS = (Fraction(1), Fraction(1, 2), Fraction(2, 7), Fraction(1, 10))
+# Seeded Erdos-Renyi draws (p = 0.4) without isolated nodes, n = 4..7.
+ER_SEEDS = {4: 2, 5: 1, 6: 4, 7: 0}
+DIFFERENTIAL_GRAPHS = (
+    [(f"ring{n}", ring, (n,)) for n in range(3, 7)]
+    + [(f"path{n}", path, (n,)) for n in range(2, 7)]
+    + [(f"complete{n}", complete, (n,)) for n in range(2, 7)]
+    + [(f"er{n}", erdos_renyi, (n, 0.4, seed)) for n, seed in ER_SEEDS.items()]
+)
+
+
+class TestDetailedBalanceSolve:
+    @pytest.mark.parametrize("eps", DIFFERENTIAL_EPSILONS, ids=str)
+    @pytest.mark.parametrize(
+        "make, args", [g[1:] for g in DIFFERENTIAL_GRAPHS], ids=[g[0] for g in DIFFERENTIAL_GRAPHS]
+    )
+    def test_tree_solve_matches_gauss_jordan(self, make, args, eps):
+        P = transition_matrix(majority_game(make(*args)), eps)
+        tree = _detailed_balance_solve(P.rows, P.size)
+        assert tree is not None
+        assert tree == _gauss_jordan(P.dense()) == stationary_law(P)
+        assert stationary_distribution(P) == tree
+
+    def test_plain_list_takes_tree_path(self):
+        P = transition_matrix(majority_game(ring(4)), Fraction(1, 3))
+        assert stationary_distribution(P.dense()) == stationary_law(P)
+
+    @pytest.mark.parametrize(
+        "P, expected",
+        [
+            # Flow runs 0 -> 1 -> 2 -> 0 only: no reverse entry on edge 0 -> 1.
+            (
+                [[0, 1, 0], [0, Fraction(1, 2), Fraction(1, 2)], [1, 0, 0]],
+                (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)),
+            ),
+            # Every edge runs both ways, but the cycle 0 -> 1 -> 2 -> 0 is three
+            # times as likely as its reverse, so balance fails off the tree.
+            (
+                [[0, Fraction(3, 4), Fraction(1, 4)], [Fraction(1, 2), 0, Fraction(1, 2)],
+                 [Fraction(1, 2), Fraction(1, 2), 0]],
+                (Fraction(1, 3), Fraction(7, 18), Fraction(5, 18)),
+            ),
+        ],
+        ids=["one-way", "two-way"],
+    )
+    def test_non_reversible_cycle_falls_back(self, P, expected):
+        rows = [{b: Fraction(p) for b, p in enumerate(row) if p} for row in P]
+        assert _detailed_balance_solve(rows, 3) is None
+        assert stationary_distribution(P) == expected
+        assert _gauss_jordan([[Fraction(p) for p in row] for row in P]) == expected
+
+    def test_epsilon_zero_still_reducible(self):
+        P = transition_matrix(majority_game(ring(4)), 0)
+        assert _detailed_balance_solve(P.rows, P.size) is None
+        with pytest.raises(InputError, match="reducible"):
+            stationary_distribution(P)
+
+    def test_negative_entry_not_accepted(self):
+        # Balanced on its one positive edge pair, but row 0 holds -1.
+        P = [[Fraction(-1), Fraction(2)], [Fraction(1), Fraction(0)]]
+        rows = [{b: p for b, p in enumerate(row) if p} for row in P]
+        assert _detailed_balance_solve(rows, 2) is None
+        assert stationary_distribution(P) == _gauss_jordan(P)
+
+    def test_balanced_but_not_stochastic_not_accepted(self):
+        P = [[Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 4), Fraction(1, 2)]]
+        rows = [{b: p for b, p in enumerate(row)} for row in P]
+        assert _detailed_balance_solve(rows, 2) is None
+        with pytest.raises(InputError, match="sum"):
+            stationary_distribution(P)
+
+    def test_non_square_not_accepted(self):
+        P = [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2), Fraction(0)]]
+        with pytest.raises(InputError, match="square and nonempty"):
+            stationary_distribution(P)
+
+    def test_complete_ten_solves_exactly(self):
+        P = transition_matrix(majority_game(complete(10)), Fraction(1, 3))
+        assert P.size == 638
+        assert stationary_distribution(P) == stationary_law(P)
 
 class TestInvariance:
     def test_visited_states_stay_reachable(self):
