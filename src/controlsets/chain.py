@@ -8,6 +8,11 @@ of profiles whose supports are sufficient control sets, it is reversible
 with stationary weight ``epsilon ** (number of ones)``, and as epsilon
 shrinks the stationary law piles onto the minimum-cardinality profiles.
 
+Most steps are self-loops.  ``run_search`` skips them with its outputs
+unchanged: it draws players in blocks on the same random stream, keeps a
+table of the players whose draw can move the walk, and jumps to the next
+such draw, crediting the skipped steps in bulk.
+
 Besides the long-run search, this module enumerates the reachable and
 absorbing profile sets and builds the exact rational transition matrix for
 small instances, so the stationary claims can be checked exactly.  The
@@ -19,18 +24,23 @@ fallback is bounded by ``DENSE_SOLVE_LIMIT``.
 
 from __future__ import annotations
 
+import array
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ._ratio import as_fraction
+from .coordination import CoordinationGame
 from .errors import BudgetError, InputError, InternalCheckError
 from .game_core import Game, Profile
 
 ENUMERATION_NODE_LIMIT = 16
 MATRIX_STATE_LIMIT = 4096
 DENSE_SOLVE_LIMIT = 1024
+_DRAW_BLOCK_WORDS = 4096  # 32-bit words per block of player draws
+_SCAN_WINDOW = 32  # draws translated by the first look for a marked player
 
 
 @dataclass(frozen=True)
@@ -99,11 +109,57 @@ def chain_step(game: Game, x: Profile, rng: random.Random, epsilon) -> Profile:
     return x
 
 
+def _player_draws(rng: random.Random, n: int):
+    """Return ``draw(words)``: the values ``rng.randrange(n)`` would return,
+    in order, while ``words`` fresh 32-bit outputs of ``rng`` are consumed.
+
+    CPython's ``randrange(n)`` takes one 32-bit word per try, keeps its top
+    ``n.bit_length()`` bits and retries while the value is >= n; this does
+    the same to a whole block from one ``getrandbits`` call (n < 2**32).
+    Values come back as ``bytes`` for n <= 255 and as a list otherwise.
+    """
+    shift = 32 - n.bit_length()
+    getrandbits = rng.getrandbits
+    if n <= 255:
+        # The top byte of each little-endian word, mapped to its value or
+        # to the rejection marker 255 (never a valid value here).
+        table = bytes(v if (v := b >> (shift - 24)) < n else 255 for b in range(256))
+
+        def draw(words: int) -> bytes:
+            raw = getrandbits(32 * words).to_bytes(4 * words, "little")
+            return raw[3::4].translate(table).replace(b"\xff", b"")
+
+    else:
+
+        def draw(words: int) -> list[int]:
+            raw = getrandbits(32 * words).to_bytes(4 * words, sys.byteorder)
+            return [v for w in array.array("I", raw) if (v := w >> shift) < n]
+
+    return draw
+
+
 def run_search(game: Game, config: ChainConfig) -> ChainRun:
     """Simulate the walk and keep the minimum-cardinality profile visited.
 
     Deterministic given ``config.seed``.  The trace stores the cardinality
     at step 0 and every ceil(steps / trace_points)-th step thereafter.
+
+    Most steps are self-loops, and the kernel skips them on the same
+    random streams, so every output equals that of a loop drawing
+    ``randrange(n)`` and evaluating ``delta_sign`` at every step.  Player
+    draws come in blocks of at most ``_DRAW_BLOCK_WORDS`` words, equal to
+    successive ``randrange(n)`` calls, so memory does not grow with
+    ``steps``.  A 0/1 table marks the players whose draw does something: a
+    downward flip, or an upward coin when epsilon > 0.  For a
+    :class:`CoordinationGame` the table is kept exact from integer scores,
+    and a move updates only the in-neighbours of the flipped player; for
+    any other game a player is "unknown" until drawn, and its
+    ``delta_sign`` is then cached until the next move, so signs are never
+    evaluated more than once per step.  The next marked draw is found by
+    translating the block through the table (a per-draw scan when
+    n > 255), and the steps skipped on the way enter the trace and the
+    visit counts in bulk.  The coin stream is drawn exactly when the plain
+    loop draws it.
     """
     n = game.n
     steps = config.steps if config.steps is not None else 100 * n * n
@@ -112,11 +168,9 @@ def run_search(game: Game, config: ChainConfig) -> ChainRun:
         raise InputError(f"start profile has {start.n} players, game has {n}")
     num = config.epsilon.numerator
     den = config.epsilon.denominator
-    player_rng = random.Random(f"{config.seed}|player")
-    coin_rng = random.Random(f"{config.seed}|coin")
-    draw_player = player_rng.randrange
-    draw_coin = coin_rng.randrange
-    sign = game.delta_sign
+    up = num > 0
+    draw_players = _player_draws(random.Random(f"{config.seed}|player"), n)
+    draw_coin = random.Random(f"{config.seed}|coin").randrange
 
     mask = start.mask
     card = mask.bit_count()
@@ -126,26 +180,110 @@ def run_search(game: Game, config: ChainConfig) -> ChainRun:
     visits: dict[int, int] | None = {} if config.record_visits else None
     min_states: set[int] | None = {mask} if config.collect_min_states else None
 
-    for t in range(1, steps + 1):
-        i = draw_player(n)
-        if sign(i, mask) >= 0:
-            bit = 1 << i
-            if mask & bit:
-                mask ^= bit
-                card -= 1
-                if card < best_card:
-                    best_mask, best_card, best_step = mask, card, t
-                    if min_states is not None:
-                        min_states = {mask}
-                elif min_states is not None and card == best_card:
-                    min_states.add(mask)
-            elif num and draw_coin(den) < num:
-                mask |= bit
-                card += 1
-        if visits is not None:
-            visits[mask] = visits.get(mask, 0) + 1
-        if t % stride == 0:
-            trace.append((t, card))
+    # marked[i] is 1 when a draw of player i cannot be skipped: it flips i
+    # down, draws the coin to flip i up, or finds i's sign still unknown.
+    small = n <= 255
+    marked = bytearray(256 if small else n)
+    if type(game) is CoordinationGame and "delta_sign" not in vars(game):
+        scores = game._scores(mask)
+        into = game._score_steps()
+        unknown = None
+        for i, s in enumerate(scores):
+            marked[i] = s >= 0 and (up or (mask >> i) & 1)
+    else:
+        sign = game.delta_sign
+        all_marked = b"\x01" * n
+        unknown = bytearray(all_marked)
+        marked[:n] = all_marked
+
+    block: bytes | list[int] = b""
+    base = 0  # steps taken before the first draw in ``block``
+    pos = size = 0  # next unread draw in ``block``, and its length
+    entered = 1  # first step after which the walk sat at ``mask``
+    due = stride  # next step of the trace
+    while True:
+        if pos == size:
+            base += size
+            if base == steps:
+                break
+            # Never more words than steps left, so every draw of a block
+            # falls inside the run.
+            block = draw_players(min(_DRAW_BLOCK_WORDS, steps - base))
+            pos, size = 0, len(block)
+            continue
+        # Find the next marked draw: translate growing windows of the block
+        # through the table, or look draw by draw when n > 255.
+        if small:
+            hit, width = pos, _SCAN_WINDOW
+            while (k := block[hit:hit + width].translate(marked).find(1)) < 0:
+                hit += width
+                width += width
+                if hit >= size:
+                    break
+            else:
+                hit += k
+        else:
+            for hit in range(pos, size):
+                if marked[block[hit]]:
+                    break
+            else:
+                hit = size
+        if hit >= size:
+            pos = size
+            continue
+        i = block[hit]
+        pos = hit + 1
+        bit = 1 << i
+        if unknown is not None and unknown[i]:
+            unknown[i] = 0
+            if sign(i, mask) < 0 or not (up or mask & bit):
+                marked[i] = 0
+                continue
+        if not mask & bit and draw_coin(den) >= num:
+            continue  # the coin said stay at 0
+        # A move at step t: the walk sat at ``mask`` after steps entered..t-1.
+        t = base + pos
+        if visits is not None and t > entered:
+            visits[mask] = visits.get(mask, 0) + t - entered
+        if due < t:
+            trace.extend((s, card) for s in range(due, t, stride))
+            due = -(-t // stride) * stride
+        entered = t
+        mask ^= bit
+        if mask & bit:
+            card += 1
+        else:
+            card -= 1
+            if card < best_card:
+                best_mask, best_card, best_step = mask, card, t
+                if min_states is not None:
+                    min_states = {mask}
+            elif min_states is not None and card == best_card:
+                min_states.add(mask)
+        if unknown is not None:
+            # Any sign may have changed: every player is unknown again.
+            marked[:n] = all_marked
+            unknown[:] = all_marked
+            continue
+        if not up:
+            # Only downward moves: scores fall and off players stay off.
+            for j, step in into[i]:
+                s = scores[j] = scores[j] - step
+                if s < 0:
+                    marked[j] = 0
+            marked[i] = 0
+        elif mask & bit:
+            for j, step in into[i]:
+                s = scores[j] = scores[j] + step
+                marked[j] = s >= 0
+        else:
+            for j, step in into[i]:
+                s = scores[j] = scores[j] - step
+                marked[j] = s >= 0
+    t = steps + 1
+    if visits is not None and t > entered:
+        visits[mask] = visits.get(mask, 0) + t - entered
+    trace.extend((s, card) for s in range(due, t, stride))
 
     return ChainRun(
         best_profile=Profile(n, best_mask),
@@ -293,32 +431,61 @@ def stationary_distribution(matrix) -> tuple[Fraction, ...]:
     returned only with a certificate: rows nonnegative and summing to
     exactly 1, every state reached, and pi(a) P(a, b) == pi(b) P(b, a) on
     every nonzero off-diagonal entry.  Such a pi is positive and stationary
-    on an irreducible chain, hence the unique answer.  Any other input goes
-    to a dense Gauss-Jordan solve, which alone is bounded by
+    on an irreducible chain, hence the unique answer.  A stochastic matrix
+    that fails the certificate and in which state 0 does not reach every
+    state is reducible, and is rejected as such without a solve.  Any other
+    input goes to a dense Gauss-Jordan solve, which alone is bounded by
     ``DENSE_SOLVE_LIMIT`` and raises if the chain is reducible (more than one
     independent stationary vector), which signals a bug upstream.
     """
     if isinstance(matrix, TransitionMatrix):
-        pi = _detailed_balance_solve(matrix.rows, matrix.size)
-        return pi if pi is not None else _gauss_jordan(matrix.dense())
-    dense = [[as_fraction(v) for v in row] for row in matrix]
-    m = len(dense)
-    if all(len(row) == m for row in dense):
+        rows, m = matrix.rows, matrix.size
+    else:
+        dense = [[as_fraction(v) for v in row] for row in matrix]
+        m = len(dense)
+        if any(len(row) != m for row in dense):
+            return _gauss_jordan(dense)
         rows = [{b: p for b, p in enumerate(row) if p} for row in dense]
-        pi = _detailed_balance_solve(rows, m)
-        if pi is not None:
-            return pi
-    return _gauss_jordan(dense)
+    pi = _detailed_balance_solve(rows, m)
+    if pi is not None:
+        return pi
+    if _is_stochastic(rows, m):
+        reached = _reached_from_zero(rows)
+        if reached < m:
+            raise InputError(
+                f"chain is reducible: state 0 reaches {reached} of {m} states"
+            )
+    return _gauss_jordan(matrix.dense() if isinstance(matrix, TransitionMatrix) else dense)
+
+
+def _is_stochastic(rows, m: int) -> bool:
+    """True when ``m`` sparse rows are nonnegative, in range and each sum to 1."""
+    if m == 0 or len(rows) != m:
+        return False
+    return all(
+        sum(row.values()) == 1 and all(p >= 0 and 0 <= b < m for b, p in row.items())
+        for row in rows
+    )
+
+
+def _reached_from_zero(rows) -> int:
+    """Number of states reachable from state 0 over positive entries."""
+    seen = [False] * len(rows)
+    seen[0] = True
+    order = [0]
+    for a in order:
+        for b, p in rows[a].items():
+            if p and not seen[b]:
+                seen[b] = True
+                order.append(b)
+    return len(order)
 
 
 def _detailed_balance_solve(rows, m: int) -> tuple[Fraction, ...] | None:
     """Stationary vector of a reversible chain given as ``m`` sparse rows,
     or None when the detailed-balance certificate fails."""
-    if m == 0 or len(rows) != m:
+    if not _is_stochastic(rows, m):
         return None
-    for row in rows:
-        if sum(row.values()) != 1 or any(p < 0 or not 0 <= b < m for b, p in row.items()):
-            return None
     pi: list[Fraction | None] = [None] * m
     pi[0] = Fraction(1)
     order = [0]

@@ -72,6 +72,20 @@ class CoordinationGame(Game):
             return -1
         return 0
 
+    def _scores(self, mask: int) -> list[int]:
+        """Per-player integer scores whose signs are ``delta_sign`` at ``mask``."""
+        return [self._on_weight(i, mask) * self._mul[i] - self._sub[i] for i in range(self.n)]
+
+    def _score_steps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Reverse adjacency in score units: entry ``j`` lists ``(i, step)``
+        for every arc i -> j, and player i's score rises by ``step`` when j
+        switches to 1 and falls by it when j switches to 0."""
+        into: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for i, row in enumerate(self.graph.rows):
+            for j, w in row:
+                into[j].append((i, w * self._mul[i]))
+        return tuple(map(tuple, into))
+
 
 def coordination_game(graph: WeightedGraph, biases: Sequence) -> CoordinationGame:
     """Coordination game from per-player biases in [-w_i, w_i]."""

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 from controlsets import (
+    ChainConfig,
+    ChainRun,
     Cnf3,
+    Profile,
     erdos_renyi,
     majority_game,
     random_supermodular_table,
@@ -110,3 +114,60 @@ def transition_rows_reference(game, states, epsilon) -> list[dict[int, Fraction]
         row[a] = row.get(a, Fraction(0)) + 1 - sum(row.values())
         rows.append(row)
     return rows
+
+
+def run_search_reference(game, config: ChainConfig) -> ChainRun:
+    """The walk one step at a time: draw a player, evaluate its sign, flip
+    down, or draw the epsilon-coin to flip up; trace and visits per step."""
+    n = game.n
+    steps = config.steps if config.steps is not None else 100 * n * n
+    start = config.start if config.start is not None else Profile.ones(n)
+    num = config.epsilon.numerator
+    den = config.epsilon.denominator
+    player_rng = random.Random(f"{config.seed}|player")
+    coin_rng = random.Random(f"{config.seed}|coin")
+    draw_player = player_rng.randrange
+    draw_coin = coin_rng.randrange
+    sign = game.delta_sign
+
+    mask = start.mask
+    card = mask.bit_count()
+    best_mask, best_card, best_step = mask, card, 0
+    stride = max(1, math.ceil(steps / config.trace_points))
+    trace = [(0, card)]
+    visits: dict[int, int] | None = {} if config.record_visits else None
+    min_states: set[int] | None = {mask} if config.collect_min_states else None
+
+    for t in range(1, steps + 1):
+        i = draw_player(n)
+        if sign(i, mask) >= 0:
+            bit = 1 << i
+            if mask & bit:
+                mask ^= bit
+                card -= 1
+                if card < best_card:
+                    best_mask, best_card, best_step = mask, card, t
+                    if min_states is not None:
+                        min_states = {mask}
+                elif min_states is not None and card == best_card:
+                    min_states.add(mask)
+            elif num and draw_coin(den) < num:
+                mask |= bit
+                card += 1
+        if visits is not None:
+            visits[mask] = visits.get(mask, 0) + 1
+        if t % stride == 0:
+            trace.append((t, card))
+
+    return ChainRun(
+        best_profile=Profile(n, best_mask),
+        best_step=best_step,
+        cardinality_trace=tuple(trace),
+        steps=steps,
+        epsilon=config.epsilon,
+        seed=config.seed,
+        visits=None if visits is None else {Profile(n, m): c for m, c in visits.items()},
+        min_card_profiles=None
+        if min_states is None
+        else tuple(Profile(n, m) for m in sorted(min_states)),
+    )

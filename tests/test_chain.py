@@ -11,9 +11,11 @@ from controlsets import (
     CustomGame,
     InputError,
     Profile,
+    WeightedGraph,
     absorbing_set,
     chain_step,
     complete,
+    coordination_game,
     erdos_renyi,
     majority_game,
     optimal_oracle,
@@ -22,11 +24,18 @@ from controlsets import (
     ring,
     run_search,
     stationary_distribution,
+    random_supermodular_table,
     transition_matrix,
 )
+from controlsets import chain
 from controlsets.chain import _detailed_balance_solve, _gauss_jordan, stationary_law
 
-from conftest import transition_rows_reference
+from conftest import (
+    random_simple_graph,
+    random_weighted_graph,
+    run_search_reference,
+    transition_rows_reference,
+)
 
 
 class FakeRng:
@@ -340,6 +349,16 @@ class TestDetailedBalanceSolve:
         assert P.size == 638
         assert stationary_distribution(P) == stationary_law(P)
 
+    @pytest.mark.parametrize("graph", [ring(6), complete(7), complete(10)], ids=["ring6", "K7", "K10"])
+    def test_reducible_rejected_without_dense_solve(self, graph, monkeypatch):
+        def no_dense_solve(dense):
+            raise AssertionError("dense solve called")
+
+        monkeypatch.setattr(chain, "_gauss_jordan", no_dense_solve)
+        with pytest.raises(InputError, match="reducible"):
+            stationary_distribution(transition_matrix(majority_game(graph), 0))
+
+
 class TestInvariance:
     def test_visited_states_stay_reachable(self):
         game = majority_game(ring(4))
@@ -382,3 +401,169 @@ class TestEmpiricalFrequencies:
             mean = statistics.mean(freqs)
             se = statistics.stdev(freqs) / math.sqrt(batches)
             assert abs(mean - mu) <= 3 * se, f"state {m:04b}: {mean} vs {mu}"
+
+
+def _run_fields(run):
+    return (
+        run.best_profile,
+        run.best_step,
+        run.cardinality_trace,
+        run.steps,
+        run.visits,
+        run.min_card_profiles,
+    )
+
+
+def _random_directed_graph(rng: random.Random, n: int) -> WeightedGraph:
+    edges = []
+    for i in range(n):
+        heads = rng.sample([j for j in range(n) if j != i], rng.randint(1, n - 1))
+        edges += [(i, j, rng.randint(1, 3)) for j in heads]
+    return WeightedGraph.from_edges(n, edges, directed=True)
+
+
+def _biased_game(rng: random.Random, graph: WeightedGraph):
+    biases = [
+        Fraction(rng.randint(-3 * w, 3 * w), rng.choice([3, 5])) for w in graph.out_degrees
+    ]
+    biases = [max(-w, min(w, c)) for c, w in zip(biases, graph.out_degrees)]
+    return coordination_game(graph, biases)
+
+
+KERNEL_GAMES = {
+    "majority": lambda rng: majority_game(random_simple_graph(rng, 12)),
+    "biased": lambda rng: _biased_game(rng, random_simple_graph(rng, 10)),
+    "weighted": lambda rng: _biased_game(rng, random_weighted_graph(rng, 9)),
+    "directed": lambda rng: majority_game(_random_directed_graph(rng, 8)),
+    "table": lambda rng: random_supermodular_table(7, rng),
+    "custom": lambda rng: CustomGame(11, majority_game(random_simple_graph(rng, 11)).marginal_mask),
+}
+
+KERNEL_EPSILONS = [Fraction(0), Fraction(1), Fraction(3, 10), Fraction(1, 7)]
+
+
+class TestSearchKernel:
+    """``run_search`` skips self-loops; every output must equal the
+    step-by-step reference on the same seed."""
+
+    @pytest.mark.parametrize("epsilon", KERNEL_EPSILONS, ids=str)
+    @pytest.mark.parametrize("kind", sorted(KERNEL_GAMES))
+    def test_matches_reference(self, kind, epsilon):
+        rng = random.Random(f"kernel/{kind}/{epsilon}")
+        game = KERNEL_GAMES[kind](rng)
+        window = chain._SCAN_WINDOW
+        for steps in (1, window - 1, window, window + 1, chain._DRAW_BLOCK_WORDS + 1, 9_000):
+            for trace_points in (1, 7, steps):
+                start = None if rng.random() < 0.5 else Profile(game.n, rng.randrange(1 << game.n))
+                config = ChainConfig(
+                    epsilon=epsilon,
+                    steps=steps,
+                    seed=rng.randrange(10**6),
+                    start=start,
+                    record_visits=rng.random() < 0.5,
+                    collect_min_states=rng.random() < 0.5,
+                    trace_points=trace_points,
+                )
+                assert _run_fields(run_search(game, config)) == _run_fields(
+                    run_search_reference(game, config)
+                ), (steps, trace_points, start)
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 300])
+    @pytest.mark.parametrize("kind", ["coordination", "custom"])
+    def test_matches_reference_across_sizes(self, n, kind):
+        if n == 1:
+            game = CustomGame(1, lambda i, mask: 0)
+        else:
+            graph = complete(2) if n == 2 else random_simple_graph(random.Random(n), n, 0.03)
+            game = majority_game(graph)
+            if kind == "custom":
+                game = CustomGame(n, game.marginal_mask)
+        for epsilon in (Fraction(0), Fraction(3, 10)):
+            for steps in (1, 50, 3_000):
+                config = ChainConfig(
+                    epsilon=epsilon,
+                    steps=steps,
+                    seed=f"{n}/{steps}",
+                    record_visits=True,
+                    collect_min_states=True,
+                    trace_points=7,
+                )
+                assert _run_fields(run_search(game, config)) == _run_fields(
+                    run_search_reference(game, config)
+                )
+
+    def test_default_budget_matches_reference(self):
+        game = majority_game(erdos_renyi(20, 0.5, seed=4))
+        config = ChainConfig(seed="default")
+        assert _run_fields(run_search(game, config)) == _run_fields(
+            run_search_reference(game, config)
+        )
+
+    def test_never_more_sign_calls_than_steps(self):
+        base = majority_game(random_simple_graph(random.Random(3), 10))
+        calls = []
+
+        def marginal(i, mask):
+            calls.append(i)
+            return base.marginal_mask(i, mask)
+
+        game = CustomGame(10, marginal, validate=False)
+        config = ChainConfig(steps=5_000, seed=8)
+        run_search(game, config)
+        fast = len(calls)
+        calls.clear()
+        run_search_reference(game, config)
+        assert fast <= len(calls) == 5_000
+
+    def test_instance_sign_override_honoured(self):
+        # A delta_sign set on the instance replaces the game's own scores.
+        game = majority_game(complete(6))
+        game.delta_sign = lambda i, mask: -1
+        run = run_search(game, ChainConfig(steps=500, seed=1))
+        assert run.best_step == 0
+        assert _run_fields(run) == _run_fields(
+            run_search_reference(game, ChainConfig(steps=500, seed=1))
+        )
+
+    def test_draw_blocks_bounded(self, monkeypatch):
+        # n = 1000 defaults to 10^8 steps; each block asks for at most
+        # _DRAW_BLOCK_WORDS words whatever the step budget.
+        class Enough(Exception):
+            pass
+
+        requested = []
+        player_draws = chain._player_draws
+
+        def spy(rng, n):
+            draw = player_draws(rng, n)
+
+            def counted(words):
+                requested.append(words)
+                if len(requested) == 3:
+                    raise Enough
+                return draw(words)
+
+            return counted
+
+        monkeypatch.setattr(chain, "_player_draws", spy)
+        with pytest.raises(Enough):
+            run_search(majority_game(ring(1000)), ChainConfig(seed=0))
+        assert requested == [chain._DRAW_BLOCK_WORDS] * 3
+
+
+@pytest.mark.parametrize("seed", [0, 1, "stream"])
+def test_player_draws_equal_randrange(seed):
+    # The kernel's block draws must be the values successive randrange(n)
+    # calls return; this pins the word order of CPython's getrandbits.
+    for n in range(1, 301):
+        draw = chain._player_draws(random.Random(f"{seed}/{n}"), n)
+        ref = random.Random(f"{seed}/{n}")
+        for words in (700, 1, 33, 400):
+            block = draw(words)
+            assert list(block) == [ref.randrange(n) for _ in block], (n, words)
+    for n in (1, 60, 255, 256, 300):
+        draw = chain._player_draws(random.Random(seed), n)
+        ref = random.Random(seed)
+        for _ in range(2):
+            block = draw(chain._DRAW_BLOCK_WORDS)
+            assert list(block) == [ref.randrange(n) for _ in block], n
