@@ -155,11 +155,11 @@ def run_search(game: Game, config: ChainConfig) -> ChainRun:
     and a move updates only the in-neighbours of the flipped player; for
     any other game a player is "unknown" until drawn, and its
     ``delta_sign`` is then cached until the next move, so signs are never
-    evaluated more than once per step.  The next marked draw is found by
-    translating the block through the table (a per-draw scan when
-    n > 255), and the steps skipped on the way enter the trace and the
-    visit counts in bulk.  The coin stream is drawn exactly when the plain
-    loop draws it.
+    evaluated more than once per step.  The next marked draw is found by a
+    look at the next draw, then by translating the block through the table
+    (a per-draw scan when n > 255), and the steps skipped on the way enter
+    the trace and the visit counts in bulk.  The coin stream is drawn
+    exactly when the plain loop draws it.
     """
     n = game.n
     steps = config.steps if config.steps is not None else 100 * n * n
@@ -211,23 +211,24 @@ def run_search(game: Game, config: ChainConfig) -> ChainRun:
             block = draw_players(min(_DRAW_BLOCK_WORDS, steps - base))
             pos, size = 0, len(block)
             continue
-        # Find the next marked draw: translate growing windows of the block
-        # through the table, or look draw by draw when n > 255.
-        if small:
-            hit, width = pos, _SCAN_WINDOW
-            while (k := block[hit:hit + width].translate(marked).find(1)) < 0:
-                hit += width
-                width += width
-                if hit >= size:
-                    break
+        # Find the next marked draw: look at the next one, then translate
+        # growing windows of the block through the table, or go on draw by
+        # draw when n > 255.
+        hit = pos
+        if not marked[block[hit]]:
+            hit += 1
+            if small:
+                width = _SCAN_WINDOW
+                while (k := block[hit:hit + width].translate(marked).find(1)) < 0:
+                    hit += width
+                    width += width
+                    if hit >= size:
+                        break
+                else:
+                    hit += k
             else:
-                hit += k
-        else:
-            for hit in range(pos, size):
-                if marked[block[hit]]:
-                    break
-            else:
-                hit = size
+                while hit < size and not marked[block[hit]]:
+                    hit += 1
         if hit >= size:
             pos = size
             continue
@@ -236,7 +237,7 @@ def run_search(game: Game, config: ChainConfig) -> ChainRun:
         bit = 1 << i
         if unknown is not None and unknown[i]:
             unknown[i] = 0
-            if sign(i, mask) < 0 or not (up or mask & bit):
+            if not (up or mask & bit) or sign(i, mask) < 0:
                 marked[i] = 0
                 continue
         if not mask & bit and draw_coin(den) >= num:
@@ -265,21 +266,18 @@ def run_search(game: Game, config: ChainConfig) -> ChainRun:
             marked[:n] = all_marked
             unknown[:] = all_marked
             continue
-        if not up:
-            # Only downward moves: scores fall and off players stay off.
-            for j, step in into[i]:
-                s = scores[j] = scores[j] - step
-                if s < 0:
-                    marked[j] = 0
-            marked[i] = 0
-        elif mask & bit:
+        # Graphs have no self-loops, so i keeps its nonnegative score: it
+        # stays marked after an upward move, and after a downward one only
+        # if the coin can bring it back.
+        if mask & bit:
             for j, step in into[i]:
                 s = scores[j] = scores[j] + step
                 marked[j] = s >= 0
         else:
             for j, step in into[i]:
                 s = scores[j] = scores[j] - step
-                marked[j] = s >= 0
+                marked[j] = s >= 0 and (up or mask >> j & 1)
+            marked[i] = up
     t = steps + 1
     if visits is not None and t > entered:
         visits[mask] = visits.get(mask, 0) + t - entered
@@ -446,11 +444,10 @@ def stationary_distribution(matrix) -> tuple[Fraction, ...]:
         if any(len(row) != m for row in dense):
             return _gauss_jordan(dense)
         rows = [{b: p for b, p in enumerate(row) if p} for row in dense]
-    pi = _detailed_balance_solve(rows, m)
-    if pi is not None:
-        return pi
     if _is_stochastic(rows, m):
-        reached = _reached_from_zero(rows)
+        pi, reached = _detailed_balance_solve(rows, m)
+        if pi is not None:
+            return pi
         if reached < m:
             raise InputError(
                 f"chain is reducible: state 0 reaches {reached} of {m} states"
@@ -468,37 +465,26 @@ def _is_stochastic(rows, m: int) -> bool:
     )
 
 
-def _reached_from_zero(rows) -> int:
-    """Number of states reachable from state 0 over positive entries."""
-    seen = [False] * len(rows)
-    seen[0] = True
-    order = [0]
-    for a in order:
-        for b, p in rows[a].items():
-            if p and not seen[b]:
-                seen[b] = True
-                order.append(b)
-    return len(order)
-
-
-def _detailed_balance_solve(rows, m: int) -> tuple[Fraction, ...] | None:
-    """Stationary vector of a reversible chain given as ``m`` sparse rows,
-    or None when the detailed-balance certificate fails."""
-    if not _is_stochastic(rows, m):
-        return None
+def _detailed_balance_solve(rows, m: int) -> tuple[tuple[Fraction, ...] | None, int]:
+    """Stationary vector of a reversible chain given as ``m`` sparse rows
+    that passed ``_is_stochastic``, or None when the detailed-balance
+    certificate fails, paired with the number of states that state 0
+    reaches over positive entries."""
     pi: list[Fraction | None] = [None] * m
     pi[0] = Fraction(1)
     order = [0]
+    balanced = True
     for a in order:
         for b, p in rows[a].items():
             if p and pi[b] is None:
                 back = rows[b].get(a)
-                if not back:
-                    return None
-                pi[b] = pi[a] * p / back
+                balanced = balanced and bool(back)
+                # After a one-way entry only the reach is still needed, and
+                # any non-None value marks b as seen.
+                pi[b] = pi[a] * p / back if balanced else p
                 order.append(b)
-    if len(order) != m:
-        return None
+    if not balanced or len(order) != m:
+        return None, len(order)
     # Each pair is compared once, from its lower end; a one-way entry fails
     # from either end, since pi is positive.
     for a, row in enumerate(rows):
@@ -506,9 +492,9 @@ def _detailed_balance_solve(rows, m: int) -> tuple[Fraction, ...] | None:
             if p and b != a:
                 back = rows[b].get(a)
                 if not back or (a < b and pi[a] * p != pi[b] * back):
-                    return None
+                    return None, m
     total = sum(pi)
-    return tuple(v / total for v in pi)
+    return tuple(v / total for v in pi), m
 
 
 def _gauss_jordan(dense: list[list[Fraction]]) -> tuple[Fraction, ...]:

@@ -28,7 +28,7 @@ from controlsets import (
     transition_matrix,
 )
 from controlsets import chain
-from controlsets.chain import _detailed_balance_solve, _gauss_jordan, stationary_law
+from controlsets.chain import _detailed_balance_solve, _gauss_jordan, _is_stochastic, stationary_law
 
 from conftest import (
     random_simple_graph,
@@ -286,8 +286,8 @@ class TestDetailedBalanceSolve:
     )
     def test_tree_solve_matches_gauss_jordan(self, make, args, eps):
         P = transition_matrix(majority_game(make(*args)), eps)
-        tree = _detailed_balance_solve(P.rows, P.size)
-        assert tree is not None
+        tree, reached = _detailed_balance_solve(P.rows, P.size)
+        assert tree is not None and reached == P.size
         assert tree == _gauss_jordan(P.dense()) == stationary_law(P)
         assert stationary_distribution(P) == tree
 
@@ -315,13 +315,13 @@ class TestDetailedBalanceSolve:
     )
     def test_non_reversible_cycle_falls_back(self, P, expected):
         rows = [{b: Fraction(p) for b, p in enumerate(row) if p} for row in P]
-        assert _detailed_balance_solve(rows, 3) is None
+        assert _detailed_balance_solve(rows, 3) == (None, 3)
         assert stationary_distribution(P) == expected
         assert _gauss_jordan([[Fraction(p) for p in row] for row in P]) == expected
 
     def test_epsilon_zero_still_reducible(self):
         P = transition_matrix(majority_game(ring(4)), 0)
-        assert _detailed_balance_solve(P.rows, P.size) is None
+        assert _detailed_balance_solve(P.rows, P.size) == (None, 1)
         with pytest.raises(InputError, match="reducible"):
             stationary_distribution(P)
 
@@ -329,13 +329,13 @@ class TestDetailedBalanceSolve:
         # Balanced on its one positive edge pair, but row 0 holds -1.
         P = [[Fraction(-1), Fraction(2)], [Fraction(1), Fraction(0)]]
         rows = [{b: p for b, p in enumerate(row) if p} for row in P]
-        assert _detailed_balance_solve(rows, 2) is None
+        assert not _is_stochastic(rows, 2)
         assert stationary_distribution(P) == _gauss_jordan(P)
 
     def test_balanced_but_not_stochastic_not_accepted(self):
         P = [[Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 4), Fraction(1, 2)]]
         rows = [{b: p for b, p in enumerate(row)} for row in P]
-        assert _detailed_balance_solve(rows, 2) is None
+        assert not _is_stochastic(rows, 2)
         with pytest.raises(InputError, match="sum"):
             stationary_distribution(P)
 
