@@ -77,14 +77,11 @@ class CoordinationGame(Game):
         return [self._on_weight(i, mask) * self._mul[i] - self._sub[i] for i in range(self.n)]
 
     def _score_steps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Reverse adjacency in score units: entry ``j`` lists ``(i, step)``
+        """``graph.in_rows`` in score units: entry ``j`` lists ``(i, step)``
         for every arc i -> j, and player i's score rises by ``step`` when j
         switches to 1 and falls by it when j switches to 0."""
-        into: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for i, row in enumerate(self.graph.rows):
-            for j, w in row:
-                into[j].append((i, w * self._mul[i]))
-        return tuple(map(tuple, into))
+        mul = self._mul
+        return tuple(tuple((i, w * mul[i]) for i, w in row) for row in self.graph.in_rows)
 
 
 def coordination_game(graph: WeightedGraph, biases: Sequence) -> CoordinationGame:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from ._ratio import format_rational, parse_rational
 from .coordination import CoordinationGame, coordination_game, from_thresholds
 from .errors import InputError
-from .game_core import Game, TableGame
+from .game_core import TABLE_GAME_LIMIT, Game, TableGame
 from .graph import format_graph, parse_graph
 
 
@@ -140,6 +140,8 @@ def _parse_coordination(n: int, cur: _Cursor) -> CoordinationGame:
 
 
 def _parse_table(n: int, cur: _Cursor) -> TableGame:
+    if n > TABLE_GAME_LIMIT:
+        raise GameFormatError(f"table game too large: n={n} exceeds {TABLE_GAME_LIMIT}")
     expected = 1 << (n - 1)
     rows: dict[int, tuple] = {}
     while not cur.done():

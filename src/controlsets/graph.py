@@ -3,7 +3,8 @@
 Graphs carry nonnegative integer weights, no self-loops, and no sinks
 (every node has positive out-degree).  The undirected families used by the
 generators are stored as symmetric directed matrices; nothing downstream
-assumes symmetry.
+assumes symmetry.  Each graph also keeps its in-arcs (``in_rows``); the
+cohesiveness check peels over them in O(arcs) (Morris 2000).
 
 Text format (round-trips bit-exactly through :func:`format_graph`)::
 
@@ -40,12 +41,13 @@ class GraphGenerationError(InputError):
 class WeightedGraph:
     """Immutable weighted directed graph with positive out-degrees."""
 
-    __slots__ = ("n", "rows", "out_degrees", "neighbor_masks", "unit_weights", "provenance")
+    __slots__ = ("n", "rows", "in_rows", "out_degrees", "neighbor_masks", "unit_weights", "provenance")
 
     def __init__(self, n: int, arcs: Mapping[tuple[int, int], int], provenance=None):
         if n < 1:
             raise InputError(f"graph needs at least one node, got n={n}")
-        rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        out: dict[int, list[tuple[int, int]]] = {}
+        into: dict[int, list[tuple[int, int]]] = {}
         for (i, j), w in arcs.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise InputError(f"arc ({i},{j}) out of range for n={n}")
@@ -53,13 +55,14 @@ class WeightedGraph:
                 raise InputError(f"self-loop at node {i} is not allowed")
             if not isinstance(w, int) or w <= 0:
                 raise InputError(f"arc ({i},{j}) needs a positive integer weight, got {w!r}")
-            rows[i].append((j, w))
-        for i in range(n):
-            rows[i].sort()
-        degrees = tuple(sum(w for _, w in row) for row in rows)
-        for i, d in enumerate(degrees):
-            if d == 0:
-                raise InputError(f"node {i} is a sink (out-degree 0), which is not allowed")
+            out.setdefault(i, []).append((j, w))
+            into.setdefault(j, []).append((i, w))
+        if len(out) < n:
+            # The lowest sink is at most len(arcs), so a huge n with few arcs
+            # fails in time and memory bounded by the arcs, not by n.
+            sink = next(i for i in range(n) if i not in out)
+            raise InputError(f"node {sink} is a sink (out-degree 0), which is not allowed")
+        rows = tuple(tuple(sorted(out[i])) for i in range(n))
         masks = []
         unit = True
         for row in rows:
@@ -70,8 +73,10 @@ class WeightedGraph:
                     unit = False
             masks.append(m)
         self.n = n
-        self.rows = tuple(tuple(row) for row in rows)
-        self.out_degrees = degrees
+        self.rows = rows
+        # in_rows[j] lists (i, w) for every arc i -> j, sorted by source i.
+        self.in_rows = tuple(tuple(sorted(into.get(j, ()))) for j in range(n))
+        self.out_degrees = tuple(sum(w for _, w in row) for row in rows)
         self.neighbor_masks = tuple(masks)
         self.unit_weights = unit
         self.provenance = dict(provenance) if provenance else {}
@@ -320,62 +325,41 @@ def alpha_cohesive(g: WeightedGraph, members, alpha) -> bool:
 
 def uniformly_at_most_cohesive(g: WeightedGraph, members, theta, max_size: int = SUBSET_ENUMERATION_LIMIT) -> bool:
     """True iff no nonempty subset of ``members`` holds together more tightly
-    than ``theta``.
+    than ``theta``, i.e. no subset whose members all keep strictly more than
+    a ``theta`` fraction of their out-weight inside it.
 
-    Enumerates every nonempty subset and looks for one whose members all
-    keep strictly more than a ``theta`` fraction of their out-weight inside
-    it.  Exponential in ``len(members)``; guarded by ``max_size``.
+    Such subsets are closed under union, so there is a unique largest one,
+    and deleting members at or below ``theta`` one at a time finds it
+    (Morris, "Contagion", Rev. Econ. Stud. 2000).  The answer is True
+    exactly when this peeling empties ``members``.  It takes O(arcs) exact
+    integer comparisons.  ``max_size`` remains the caller's guard on the
+    number of members; :func:`~controlsets.scs.cohesiveness_crosscheck`
+    passes ``g.n``.
     """
     ms = _normalize_members(g, members)
-    k = len(ms)
-    if k == 0:
-        return True
-    if k > max_size:
+    if len(ms) > max_size:
         raise BudgetError(
-            f"subset enumeration over {k} nodes exceeds the budget of {max_size}"
+            f"cohesiveness check over {len(ms)} nodes exceeds the budget of {max_size}"
         )
     t = as_fraction(theta)
     p, q = t.numerator, t.denominator
-    bounds = [p * g.out_degrees[i] for i in ms]
-    pos = {node: a for a, node in enumerate(ms)}
-    if g.unit_weights:
-        local = []
-        for i in ms:
-            m = 0
-            for j, _ in g.rows[i]:
-                if j in pos:
-                    m |= 1 << pos[j]
-            local.append(m)
-        for sub in range(1, 1 << k):
-            rest = sub
-            held = True
-            while rest:
-                low = rest & -rest
-                a = low.bit_length() - 1
-                if (local[a] & sub).bit_count() * q <= bounds[a]:
-                    held = False
-                    break
-                rest ^= low
-            if held:
-                return False
-        return True
-    weighted = [
-        tuple((pos[j], w) for j, w in g.rows[i] if j in pos) for i in ms
-    ]
-    for sub in range(1, 1 << k):
-        rest = sub
-        held = True
-        while rest:
-            low = rest & -rest
-            a = low.bit_length() - 1
-            inside = sum(w for b, w in weighted[a] if (sub >> b) & 1)
-            if inside * q <= bounds[a]:
-                held = False
-                break
-            rest ^= low
-        if held:
-            return False
-    return True
+    live = set(ms)
+    # slack[i] > 0 iff i keeps more than theta of its out-weight in ``live``.
+    slack = {
+        i: q * sum(w for j, w in g.rows[i] if j in live) - p * g.out_degrees[i]
+        for i in ms
+    }
+    work = [i for i in ms if slack[i] <= 0]
+    live.difference_update(work)
+    while work:
+        j = work.pop()
+        for i, w in g.in_rows[j]:
+            if i in live:
+                slack[i] -= q * w
+                if slack[i] <= 0:
+                    live.discard(i)
+                    work.append(i)
+    return not live
 
 
 # ---------------------------------------------------------------------------

@@ -201,8 +201,10 @@ def cohesiveness_crosscheck(g: WeightedGraph, theta, seed) -> bool:
     graph-theoretically: the complement of the seed must hold together no
     more tightly than ``1 - theta`` in every subset.
 
-    Agrees with :func:`is_sufficient` on the corresponding coordination
-    game; the two routes are compared in tests.
+    Runs the peeling of :func:`uniformly_at_most_cohesive` in O(arcs) with
+    no size limit, and never runs the cascade, so it agrees with
+    :func:`is_sufficient` on the corresponding coordination game by an
+    independent route; the two are compared in tests.
     """
     t = as_fraction(theta)
     if not 0 <= t <= 1:
@@ -212,4 +214,4 @@ def cohesiveness_crosscheck(g: WeightedGraph, theta, seed) -> bool:
         if not 0 <= p < g.n:
             raise InputError(f"player {p} out of range for n={g.n}")
         members.discard(p)
-    return uniformly_at_most_cohesive(g, members, 1 - t)
+    return uniformly_at_most_cohesive(g, members, 1 - t, max_size=g.n)

@@ -42,6 +42,16 @@ def random_weighted_graph(rng: random.Random, n: int, max_w: int = 4) -> Weighte
             return WeightedGraph.from_edges(n, edges)
 
 
+def random_directed_graph(rng: random.Random, n: int, max_w: int = 4) -> WeightedGraph:
+    """Random integer-weighted directed graph; every node gets an out-arc."""
+    edges = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        for j in rng.sample(others, rng.randint(1, len(others))):
+            edges.append((i, j, rng.randint(1, max_w)))
+    return WeightedGraph.from_edges(n, edges, directed=True)
+
+
 def random_game(rng: random.Random, n: int):
     """Either a majority game on a random graph or a random monotone table."""
     if rng.random() < 0.5:

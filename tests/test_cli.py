@@ -80,6 +80,22 @@ class TestVerify:
         assert code == 1
         assert "cannot read" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "game coordination\nplayers 50000000\ngraph 50000000 0 undirected\n",
+            "game table\nplayers 1000000\n",
+        ],
+        ids=["coordination", "table"],
+    )
+    def test_hostile_size_one_short_error(self, capsys, tmp_path, text):
+        path = tmp_path / "huge.game"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "verify", str(path), "--set", "0")
+        assert code == 1
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1 and len(err) < 300
+
 
 class TestOracle:
     def test_ring(self, capsys, tmp_path):

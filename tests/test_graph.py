@@ -22,7 +22,12 @@ from controlsets import (
     uniformly_at_most_cohesive,
 )
 from controlsets.graph import GraphFormatError, GraphGenerationError, _grid_coords
-from conftest import max_min_cohesion_brute, random_simple_graph, random_weighted_graph
+from conftest import (
+    max_min_cohesion_brute,
+    random_directed_graph,
+    random_simple_graph,
+    random_weighted_graph,
+)
 
 
 class TestGenerators:
@@ -112,6 +117,25 @@ class TestInvariants:
         with pytest.raises(InputError, match="sink"):
             WeightedGraph.from_edges(3, [(0, 1)])
 
+    def test_huge_node_count_rejected_before_allocation(self):
+        with pytest.raises(GraphFormatError, match="sink"):
+            parse_graph("graph 50000000 0 undirected\n")
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            WeightedGraph.from_edges(4, [(0, 1, 2), (0, 3, 1), (1, 2, 5), (2, 0, 3), (3, 1, 4)], directed=True),
+            WeightedGraph.from_edges(5, [(0, 1, 3), (1, 2, 1), (2, 3, 2), (3, 4, 7), (0, 4, 2), (1, 3, 4)]),
+        ],
+        ids=["directed", "weighted"],
+    )
+    def test_in_rows_reverse_rows(self, g):
+        expected = [[] for _ in range(g.n)]
+        for i, row in enumerate(g.rows):
+            for j, w in row:
+                expected[j].append((i, w))
+        assert g.in_rows == tuple(tuple(sorted(row)) for row in expected)
+
     def test_duplicate_arc_rejected(self):
         with pytest.raises(InputError, match="duplicate"):
             WeightedGraph.from_edges(2, [(0, 1), (1, 0)])
@@ -190,6 +214,24 @@ class TestUniformlyAtMostCohesive:
             best = max_min_cohesion_brute(g, members)
             expected = True if best is None else best <= theta
             assert got == expected
+
+    def test_agrees_with_brute_on_directed_and_weighted(self):
+        # theta at the brute-force max-min value is the boundary: the most
+        # cohesive subset then has a member exactly at theta, which peels.
+        rng = random.Random(34)
+        for _ in range(60):
+            n = rng.randint(2, 8)
+            g = random_directed_graph(rng, n) if rng.random() < 0.6 else random_weighted_graph(rng, n)
+            members = set(rng.sample(range(n), rng.randint(0, n)))
+            best = max_min_cohesion_brute(g, members)
+            thetas = {Fraction(0), Fraction(1), Fraction(rng.randint(0, 12), 12)}
+            if best is not None:
+                thetas |= {best, best - Fraction(1, 1000)}
+            for theta in thetas:
+                expected = best is None or best <= theta
+                assert uniformly_at_most_cohesive(g, members, theta) == expected, (
+                    format_graph(g), sorted(members), theta
+                )
 
 
 class TestTextFormat:

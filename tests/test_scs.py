@@ -207,6 +207,17 @@ class TestCohesivenessCrosscheck:
     def test_triangle_empty_seed(self):
         assert not cohesiveness_crosscheck(complete(3), Fraction(1, 2), set())
 
+    @pytest.mark.parametrize("family", [ring, complete])
+    def test_no_size_limit(self, family):
+        # A 39-member complement is past the default cohesiveness budget.
+        g = family(40)
+        verdicts = set()
+        for theta in (Fraction(1, 40), Fraction(1, 2), Fraction(2, 3)):
+            got = cohesiveness_crosscheck(g, theta, {0})
+            assert got == is_sufficient(from_thresholds(g, [theta] * g.n), {0})
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
     def test_matches_cascade_on_random_homogeneous_games(self):
         rng = random.Random(67)
         for _ in range(12):
