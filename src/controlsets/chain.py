@@ -17,9 +17,10 @@ Besides the long-run search, this module enumerates the reachable and
 absorbing profile sets and builds the exact rational transition matrix for
 small instances, so the stationary claims can be checked exactly.  The
 stationary vector is solved from detailed balance along a spanning tree
-and certified on every edge (Kolmogorov's criterion); a chain that fails
-the certificate falls back to a dense Gauss-Jordan solve, and only that
-fallback is bounded by ``DENSE_SOLVE_LIMIT``.
+and certified on every edge (Kolmogorov's criterion).  The input is checked
+once, up front, to be a stochastic matrix; a chain that fails the
+certificate falls back to a Gauss-Jordan solve over the same sparse rows,
+and only that fallback is bounded by ``DENSE_SOLVE_LIMIT``.
 """
 
 from __future__ import annotations
@@ -361,14 +362,6 @@ class TransitionMatrix:
     def probability(self, a: int, b: int) -> Fraction:
         return self.rows[a].get(b, Fraction(0))
 
-    def dense(self) -> list[list[Fraction]]:
-        m = self.size
-        out = [[Fraction(0)] * m for _ in range(m)]
-        for a, row in enumerate(self.rows):
-            for b, p in row.items():
-                out[a][b] = p
-        return out
-
 
 def transition_matrix(game: Game, epsilon, max_states: int = MATRIX_STATE_LIMIT) -> TransitionMatrix:
     """Exact rational transition matrix over the reachable profile set."""
@@ -423,36 +416,40 @@ def transition_matrix(game: Game, epsilon, max_states: int = MATRIX_STATE_LIMIT)
 def stationary_distribution(matrix) -> tuple[Fraction, ...]:
     """Left fixed vector of a stochastic matrix, solved exactly.
 
-    Accepts a :class:`TransitionMatrix` or a square list of rationals.  The
+    Accepts a :class:`TransitionMatrix` or a square list of rationals; a
+    list is turned into sparse rows, and the rows are checked once, up
+    front, to be nonnegative, in range and summing to exactly 1.  The
     search walk is reversible, so the vector is first fixed along a BFS
     spanning tree from state 0 by pi(b) / pi(a) = P(a, b) / P(b, a).  It is
-    returned only with a certificate: rows nonnegative and summing to
-    exactly 1, every state reached, and pi(a) P(a, b) == pi(b) P(b, a) on
-    every nonzero off-diagonal entry.  Such a pi is positive and stationary
-    on an irreducible chain, hence the unique answer.  A stochastic matrix
-    that fails the certificate and in which state 0 does not reach every
-    state is reducible, and is rejected as such without a solve.  Any other
-    input goes to a dense Gauss-Jordan solve, which alone is bounded by
-    ``DENSE_SOLVE_LIMIT`` and raises if the chain is reducible (more than one
-    independent stationary vector), which signals a bug upstream.
+    returned only with a certificate: every state reached, and
+    pi(a) P(a, b) == pi(b) P(b, a) on every nonzero off-diagonal entry.
+    Such a pi is positive and stationary on an irreducible chain, hence the
+    unique answer.  A chain that fails the certificate and in which state 0
+    does not reach every state is reducible, and is rejected as such without
+    a solve.  Any other chain goes to a Gauss-Jordan solve over the same
+    sparse rows, which alone is bounded by ``DENSE_SOLVE_LIMIT`` and raises
+    if the chain is reducible (more than one independent stationary vector),
+    which signals a bug upstream.
     """
     if isinstance(matrix, TransitionMatrix):
         rows, m = matrix.rows, matrix.size
     else:
         dense = [[as_fraction(v) for v in row] for row in matrix]
         m = len(dense)
-        if any(len(row) != m for row in dense):
-            return _gauss_jordan(dense)
+        if m == 0 or any(len(row) != m for row in dense):
+            raise InputError("transition matrix must be square and nonempty")
         rows = [{b: p for b, p in enumerate(row) if p} for row in dense]
-    if _is_stochastic(rows, m):
-        pi, reached = _detailed_balance_solve(rows, m)
-        if pi is not None:
-            return pi
-        if reached < m:
-            raise InputError(
-                f"chain is reducible: state 0 reaches {reached} of {m} states"
-            )
-    return _gauss_jordan(matrix.dense() if isinstance(matrix, TransitionMatrix) else dense)
+    if not _is_stochastic(rows, m):
+        raise InputError(
+            "every row of a stochastic matrix must be nonnegative, in range"
+            " and sum to exactly 1"
+        )
+    pi, reached = _detailed_balance_solve(rows, m)
+    if pi is not None:
+        return pi
+    if reached < m:
+        raise InputError(f"chain is reducible: state 0 reaches {reached} of {m} states")
+    return _gauss_jordan(rows, m)
 
 
 def _is_stochastic(rows, m: int) -> bool:
@@ -497,19 +494,17 @@ def _detailed_balance_solve(rows, m: int) -> tuple[tuple[Fraction, ...] | None, 
     return tuple(v / total for v in pi), m
 
 
-def _gauss_jordan(dense: list[list[Fraction]]) -> tuple[Fraction, ...]:
-    """Dense exact solve of pi P = pi for any stochastic matrix."""
-    m = len(dense)
-    if m == 0 or any(len(row) != m for row in dense):
-        raise InputError("transition matrix must be square and nonempty")
+def _gauss_jordan(rows, m: int) -> tuple[Fraction, ...]:
+    """Exact solve of pi P = pi for ``m`` sparse rows that passed
+    ``_is_stochastic``, by elimination over a dense copy."""
     if m > DENSE_SOLVE_LIMIT:
         raise BudgetError(f"exact solve limited to {DENSE_SOLVE_LIMIT} states, got {m}")
-    for row in dense:
-        if sum(row) != 1:
-            raise InputError("every row of a stochastic matrix must sum to exactly 1")
 
     # Solve pi (P - I) = 0, i.e. A x = 0 with A[i][j] = P[j][i] - delta_ij.
-    a = [[dense[j][i] - (1 if i == j else 0) for j in range(m)] for i in range(m)]
+    a = [[Fraction(-1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
+    for j, row in enumerate(rows):
+        for i, p in row.items():
+            a[i][j] += p
     pivot_col_of_row: list[int] = []
     pivot_cols: set[int] = set()
     row_at = 0

@@ -11,10 +11,9 @@ import argparse
 import sys
 
 from ._ratio import format_rational, parse_rational
-from .chain import ChainConfig, run_search
 from .complete_graph import ThresholdDistribution, analytic_min_size
 from .errors import InputError, InternalCheckError
-from .experiments import ExperimentSpec, emit_outputs, run_experiment
+from .experiments import ExperimentSpec, best_of_restarts, emit_outputs, run_experiment
 from .gamefile import format_game, parse_game
 from .graph import format_graph, generate
 from .coordination import from_thresholds
@@ -132,12 +131,7 @@ def cmd_search(args) -> int:
     game = parse_game(_read(args.game))
     epsilon = parse_rational(args.epsilon)
     steps = args.steps if args.steps > 0 else None
-    best = None
-    for restart in range(args.restarts):
-        cfg = ChainConfig(epsilon=epsilon, steps=steps, seed=f"{args.seed}/r{restart}")
-        run = run_search(game, cfg)
-        if best is None or run.best_size < best.best_size:
-            best = run
+    best = best_of_restarts(game, epsilon, steps, args.seed, args.restarts)
     players = best.best_profile.players
     sufficient = is_sufficient(game, players)
     if args.emit_trace:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._ratio import as_fraction
-from .chain import ChainConfig, run_search
+from .chain import ChainConfig, ChainRun, run_search
 from .coordination import majority_game
 from .errors import InputError, InternalCheckError
 from .game_core import Game, Profile
@@ -111,6 +111,19 @@ def _generate_graph(spec: ExperimentSpec, n: int, trial: int):
     return None, p, None
 
 
+def best_of_restarts(game: Game, epsilon, steps: int | None, seed, restarts: int) -> ChainRun:
+    """Run ``restarts`` walks seeded ``f"{seed}/r{k}"`` and keep the one with
+    the smallest best set, the earliest on a tie."""
+    if restarts < 1:
+        raise InputError(f"restarts must be >= 1, got {restarts}")
+    best = None
+    for k in range(restarts):
+        run = run_search(game, ChainConfig(epsilon=epsilon, steps=steps, seed=f"{seed}/r{k}"))
+        if best is None or run.best_size < best.best_size:
+            best = run
+    return best
+
+
 def run_row(spec: ExperimentSpec, n: int, trial: int) -> ResultRow:
     """One benchmark point; fully determined by (spec, n, trial)."""
     t0 = time.perf_counter()
@@ -123,16 +136,7 @@ def run_row(spec: ExperimentSpec, n: int, trial: int) -> ResultRow:
         )
     game = majority_game(graph)
     steps = spec.steps if spec.steps is not None else 100 * n * n
-    best = None
-    for restart in range(spec.restarts):
-        cfg = ChainConfig(
-            epsilon=spec.epsilon,
-            steps=steps,
-            seed=f"{seed}/r{restart}",
-        )
-        run = run_search(game, cfg)
-        if best is None or run.best_size < best.best_size:
-            best = run
+    best = best_of_restarts(game, spec.epsilon, steps, seed, spec.restarts)
     chain_set = best.best_profile.players
     if not is_sufficient(game, best.best_profile):
         raise InternalCheckError(

@@ -41,9 +41,9 @@ class GraphGenerationError(InputError):
 class WeightedGraph:
     """Immutable weighted directed graph with positive out-degrees."""
 
-    __slots__ = ("n", "rows", "in_rows", "out_degrees", "neighbor_masks", "unit_weights", "provenance")
+    __slots__ = ("n", "rows", "in_rows", "out_degrees", "neighbor_masks", "unit_weights")
 
-    def __init__(self, n: int, arcs: Mapping[tuple[int, int], int], provenance=None):
+    def __init__(self, n: int, arcs: Mapping[tuple[int, int], int]):
         if n < 1:
             raise InputError(f"graph needs at least one node, got n={n}")
         out: dict[int, list[tuple[int, int]]] = {}
@@ -79,10 +79,9 @@ class WeightedGraph:
         self.out_degrees = tuple(sum(w for _, w in row) for row in rows)
         self.neighbor_masks = tuple(masks)
         self.unit_weights = unit
-        self.provenance = dict(provenance) if provenance else {}
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable, directed: bool = False, provenance=None) -> "WeightedGraph":
+    def from_edges(cls, n: int, edges: Iterable, directed: bool = False) -> "WeightedGraph":
         """Build a graph from (i, j) or (i, j, w) tuples.
 
         With ``directed=False`` every edge contributes both arcs; listing the
@@ -106,7 +105,7 @@ class WeightedGraph:
             add(i, j, w)
             if not directed and i != j:
                 add(j, i, w)
-        return cls(n, arcs, provenance=provenance)
+        return cls(n, arcs)
 
     def out_degree(self, i: int) -> int:
         if not 0 <= i < self.n:
@@ -117,12 +116,6 @@ class WeightedGraph:
         if not 0 <= i < self.n:
             raise IndexError(f"node {i} out of range for n={self.n}")
         return self.rows[i]
-
-    def weight(self, i: int, j: int) -> int:
-        for k, w in self.neighbors(i):
-            if k == j:
-                return w
-        return 0
 
     def arcs(self):
         for i, row in enumerate(self.rows):
@@ -162,21 +155,21 @@ def complete(n: int) -> WeightedGraph:
     if n < 2:
         raise InputError(f"complete graph needs n >= 2, got {n}")
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return WeightedGraph.from_edges(n, edges, provenance={"family": "complete", "n": n})
+    return WeightedGraph.from_edges(n, edges)
 
 
 def ring(n: int) -> WeightedGraph:
     if n < 3:
         raise InputError(f"ring needs n >= 3, got {n}")
     edges = [(i, (i + 1) % n) for i in range(n)]
-    return WeightedGraph.from_edges(n, edges, provenance={"family": "ring", "n": n})
+    return WeightedGraph.from_edges(n, edges)
 
 
 def path(n: int) -> WeightedGraph:
     if n < 2:
         raise InputError(f"path needs n >= 2, got {n}")
     edges = [(i, i + 1) for i in range(n - 1)]
-    return WeightedGraph.from_edges(n, edges, provenance={"family": "path", "n": n})
+    return WeightedGraph.from_edges(n, edges)
 
 
 def grid(k: int, d: int) -> WeightedGraph:
@@ -190,9 +183,7 @@ def grid(k: int, d: int) -> WeightedGraph:
         for h in range(d):
             if coords[h] + 1 < k:
                 edges.append((idx, idx + k**h))
-    return WeightedGraph.from_edges(
-        n, edges, provenance={"family": "grid", "k": k, "d": d}
-    )
+    return WeightedGraph.from_edges(n, edges)
 
 
 def _grid_coords(idx: int, k: int, d: int) -> tuple[int, ...]:
@@ -234,9 +225,7 @@ def tree(parents: Sequence[int]) -> WeightedGraph:
                 raise InputError(f"parent list has a cycle through node {v}")
             seen.add(v)
             v = parents[v]
-    return WeightedGraph.from_edges(
-        n, edges, provenance={"family": "tree", "parents": tuple(parents)}
-    )
+    return WeightedGraph.from_edges(n, edges)
 
 
 def erdos_renyi(n: int, p: float, seed) -> WeightedGraph:
@@ -268,9 +257,7 @@ def erdos_renyi(n: int, p: float, seed) -> WeightedGraph:
             f"(n={n}, p={p}, seed={seed!r}); pick another seed",
             seed=seed,
         )
-    return WeightedGraph.from_edges(
-        n, edges, provenance={"family": "erdos_renyi", "n": n, "p": p, "seed": seed}
-    )
+    return WeightedGraph.from_edges(n, edges)
 
 
 _FAMILIES = {

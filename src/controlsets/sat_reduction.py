@@ -39,6 +39,21 @@ class CnfFormatError(InputError):
     """Malformed DIMACS text; the message carries the offending line number."""
 
 
+def _clause_problem(lits: Sequence[int], num_vars: int) -> str | None:
+    """What makes ``lits`` no clause of three distinct variables among
+    1..num_vars, or None when it is one."""
+    if len(lits) != 3:
+        return f"has {len(lits)} literals, expected 3"
+    if 0 in lits:
+        return "contains literal 0"
+    vs = {abs(lit) for lit in lits}
+    if max(vs) > num_vars:
+        return f"uses a variable beyond {num_vars}"
+    if len(vs) != 3:
+        return "repeats a variable"
+    return None
+
+
 @dataclass(frozen=True)
 class Cnf3:
     """A 3-CNF formula: clauses of exactly three distinct signed variables.
@@ -55,20 +70,12 @@ class Cnf3:
             raise InputError(f"need at least one variable, got {self.num_vars}")
         if not self.clauses:
             raise InputError("need at least one clause")
-        clean = []
-        for idx, clause in enumerate(self.clauses, 1):
-            lits = tuple(clause)
-            if len(lits) != 3:
-                raise InputError(f"clause {idx} has {len(lits)} literals, expected 3")
-            vs = [abs(l) for l in lits]
-            if any(l == 0 for l in lits):
-                raise InputError(f"clause {idx} contains literal 0")
-            if any(v > self.num_vars for v in vs):
-                raise InputError(f"clause {idx} uses a variable beyond {self.num_vars}")
-            if len(set(vs)) != 3:
-                raise InputError(f"clause {idx} repeats a variable")
-            clean.append(lits)
-        object.__setattr__(self, "clauses", tuple(clean))
+        clean = tuple(tuple(clause) for clause in self.clauses)
+        for idx, lits in enumerate(clean, 1):
+            problem = _clause_problem(lits, self.num_vars)
+            if problem:
+                raise InputError(f"clause {idx} {problem}")
+        object.__setattr__(self, "clauses", clean)
 
     @property
     def num_clauses(self) -> int:
@@ -124,17 +131,9 @@ def parse_cnf(text: str) -> Cnf3:
             except ValueError:
                 raise CnfFormatError(f"line {lineno}: bad literal {tok!r}") from None
             if lit == 0:
-                if len(pending) != 3:
-                    raise CnfFormatError(
-                        f"line {lineno}: clause has {len(pending)} literals, expected 3"
-                    )
-                vs = [abs(l) for l in pending]
-                if len(set(vs)) != 3:
-                    raise CnfFormatError(f"line {lineno}: clause repeats a variable")
-                if any(v > num_vars for v in vs):
-                    raise CnfFormatError(
-                        f"line {lineno}: variable beyond the declared {num_vars}"
-                    )
+                problem = _clause_problem(pending, num_vars)
+                if problem:
+                    raise CnfFormatError(f"line {lineno}: clause {problem}")
                 clauses.append(tuple(pending))
                 pending = []
                 pending_line = None
@@ -155,9 +154,6 @@ def parse_cnf(text: str) -> Cnf3:
             f"header declares {declared_clauses} clauses but file has {len(clauses)}"
         )
     return Cnf3(num_vars=num_vars, clauses=tuple(clauses))
-
-
-NODE_CLASSES = ("clause", "var_true", "var_false", "hub", "var_leaf", "hub_leaf")
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,18 +179,6 @@ class GadgetGraph:
     def game(self):
         """The majority game on the gadget, built on first use."""
         return majority_game(self.graph)
-
-    def node_class(self, v: int) -> str:
-        name = self.names[v]
-        return name.rstrip("0123456789")
-
-    def literal_node(self, lit: int) -> int:
-        """Node encoding a literal: var_true for positive, var_false for
-        negated."""
-        var = abs(lit)
-        if not 1 <= var <= self.cnf.num_vars:
-            raise InputError(f"variable {var} out of range")
-        return self.true_nodes[var - 1] if lit > 0 else self.false_nodes[var - 1]
 
 
 def build_gadget(cnf: Cnf3) -> GadgetGraph:
@@ -241,11 +225,7 @@ def build_gadget(cnf: Cnf3) -> GadgetGraph:
     for i in range(nv):
         edges.append((true_nodes[i], false_nodes[i]))
 
-    graph = WeightedGraph.from_edges(
-        total,
-        edges,
-        provenance={"family": "cnf_gadget", "vars": nv, "clauses": m},
-    )
+    graph = WeightedGraph.from_edges(total, edges)
     return GadgetGraph(
         cnf=cnf,
         graph=graph,

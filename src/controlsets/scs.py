@@ -43,10 +43,6 @@ class CascadeResult:
     witness: tuple[int, ...]
     sufficient: bool
 
-    @property
-    def final_profile(self) -> Profile:
-        return Profile.from_players(self.n, self.final_set)
-
 
 def _seed_mask(game: Game, seed) -> int:
     if isinstance(seed, Profile):

@@ -135,6 +135,15 @@ class TestSearch:
         assert code == 0
         assert out.splitlines()[0] == "best_size,best_step,sufficient,set"
 
+    def test_zero_restarts_one_error_line(self, capsys, tmp_path):
+        path = tmp_path / "ring.game"
+        path.write_text(RING_GAME)
+        code, out, err = run_cli(capsys, "search", str(path), "--restarts", "0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "restarts" in err
+        assert err.count("\n") == 1
+
 
 class TestAnalytic:
     def test_thresholds_file(self, capsys, tmp_path):

@@ -6,15 +6,19 @@ from fractions import Fraction
 import pytest
 
 from controlsets import (
+    ChainConfig,
     InputError,
     complete,
     degree_heuristic,
     emit_outputs,
+    erdos_renyi,
     majority_game,
+    run_search,
 )
 from controlsets.experiments import (
     CSV_COLUMNS,
     ExperimentSpec,
+    best_of_restarts,
     edge_probability,
     rows_to_csv,
     run_experiment,
@@ -67,6 +71,19 @@ class TestRows:
             b.coverage,
             b.chain_set,
         )
+
+    def test_best_of_restarts_keeps_earliest_smallest(self):
+        game = majority_game(erdos_renyi(12, 0.4, "restarts"))
+        runs = [
+            run_search(game, ChainConfig(epsilon=Fraction(1, 2), steps=60, seed=f"s/r{k}"))
+            for k in range(6)
+        ]
+        sizes = [r.best_size for r in runs]
+        expected = runs[sizes.index(min(sizes))]
+        best = best_of_restarts(game, Fraction(1, 2), 60, "s", 6)
+        assert (best.seed, best.best_profile) == (expected.seed, expected.best_profile)
+        with pytest.raises(InputError, match="restarts"):
+            best_of_restarts(game, Fraction(1, 2), 60, "s", 0)
 
     def test_chain_never_beats_oracle(self):
         spec = ExperimentSpec(family="dense", n_values=(8, 10), trials=2, restarts=2, master_seed=5)
