@@ -187,7 +187,7 @@ def run_search(game: Game, config: ChainConfig) -> ChainRun:
     marked = bytearray(256 if small else n)
     if type(game) is CoordinationGame and "delta_sign" not in vars(game):
         scores = game._scores(mask)
-        into = game._score_steps()
+        into = game._score_steps
         unknown = None
         for i, s in enumerate(scores):
             marked[i] = s >= 0 and (up or (mask >> i) & 1)

@@ -9,6 +9,17 @@ so marginals cost O(degree) and full utilities are never formed.  The
 equivalent threshold view puts ``theta_i = (w_i - c_i) / (2 w_i)``: player
 ``i`` weakly prefers 1 once at least a ``theta_i`` fraction of its
 out-weight plays 1.
+
+The chain keeps these integer scores incrementally as the walk moves, along
+``_score_steps`` (the in-arcs in score units).  ``scs.closure_mask`` runs
+the cascade as a counter worklist in weight units instead: weights are
+integers, so player ``i`` weakly prefers 1 exactly when its on-neighbor
+weight reaches ``_need[i] = ceil(_sub[i] / _mul[i])``.  The counters start
+from the seeds (one popcount per player on unit weights, the seeds' in-arcs
+otherwise), every player at 0 that meets its need is queued, and each flip
+adds its weight along its in-arcs.  That costs O(n + arcs of the players
+that end at 1) with integer arithmetic only (linear-threshold propagation;
+Kempe, Kleinberg & Tardos, KDD 2003).
 """
 
 from __future__ import annotations
@@ -47,6 +58,16 @@ class CoordinationGame(Game):
             graph.out_degrees[i] * c.denominator - c.numerator
             for i, c in enumerate(biases)
         )
+        # Player i weakly prefers 1 once its on-neighbor weight reaches
+        # need[i] = ceil(sub / mul): weights are integers.
+        self._need = tuple(-(-b // a) for a, b in zip(self._mul, self._sub))
+        # graph.in_rows in score units: entry j lists (i, step) for every
+        # arc i -> j, and player i's score rises by step when j switches to
+        # 1 and falls by it when j switches to 0.
+        mul = self._mul
+        self._score_steps = tuple(
+            tuple((i, w * mul[i]) for i, w in row) for row in graph.in_rows
+        )
 
     @property
     def thresholds(self) -> tuple[Fraction, ...]:
@@ -75,13 +96,6 @@ class CoordinationGame(Game):
     def _scores(self, mask: int) -> list[int]:
         """Per-player integer scores whose signs are ``delta_sign`` at ``mask``."""
         return [self._on_weight(i, mask) * self._mul[i] - self._sub[i] for i in range(self.n)]
-
-    def _score_steps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """``graph.in_rows`` in score units: entry ``j`` lists ``(i, step)``
-        for every arc i -> j, and player i's score rises by ``step`` when j
-        switches to 1 and falls by it when j switches to 0."""
-        mul = self._mul
-        return tuple(tuple((i, w * mul[i]) for i, w in row) for row in self.graph.in_rows)
 
 
 def coordination_game(graph: WeightedGraph, biases: Sequence) -> CoordinationGame:

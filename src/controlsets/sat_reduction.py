@@ -44,6 +44,9 @@ def _clause_problem(lits: Sequence[int], num_vars: int) -> str | None:
     1..num_vars, or None when it is one."""
     if len(lits) != 3:
         return f"has {len(lits)} literals, expected 3"
+    for lit in lits:
+        if type(lit) is not int:
+            return f"has literal {lit!r}, expected an int"
     if 0 in lits:
         return "contains literal 0"
     vs = {abs(lit) for lit in lits}

@@ -7,11 +7,23 @@ a 0-player whose marginal is >= 0 (indifferent players do flip).  Under
 increasing differences the fixed point does not depend on flip order, so a
 deterministic lowest-index order is used to produce reproducible witnesses.
 
+:func:`closure_mask` runs a plain :class:`CoordinationGame` through a
+counter worklist over integer on-neighbor weights (see ``coordination``)
+and every other game through order-free sweeps of ``delta_sign``; both
+reach the same fixed point.
+
 Exact search comes in two flavors: :func:`optimal_oracle` enumerates seed
 sets by ascending cardinality and returns *all* optimal sets, and
 :func:`find_sufficient_within` is a complete branch-and-bound decision
 procedure for "is there a sufficient set of size <= budget" that prunes
-seeds already absorbed by the cascade of the current partial seed.
+seeds already absorbed by the cascade of the current partial seed.  It
+searches only undominated seeds.  Node ``v`` is dominated by ``u`` when
+``v`` lies in the closure of ``{u}``: closure is monotone and idempotent
+under increasing differences, so any sufficient set containing ``v`` stays
+sufficient with ``u`` in its place (Ackerman, Ben-Zwi & Wolfovitz, TCS
+2010).  Keeping the lowest index of each maximal class of mutually
+dominating nodes therefore loses no verdict, though the set found may
+differ from the one an unpruned search would return.
 """
 
 from __future__ import annotations
@@ -22,6 +34,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from ._ratio import as_fraction
+from .coordination import CoordinationGame
 from .errors import BudgetError, InputError
 from .game_core import Game, Profile
 from .graph import WeightedGraph, uniformly_at_most_cohesive
@@ -53,7 +66,10 @@ def _seed_mask(game: Game, seed) -> int:
 
 
 def closure_mask(game: Game, mask: int) -> int:
-    """Cascade fixed point as a bitmask; order-free sweeps, hot path."""
+    """Cascade fixed point as a bitmask, the hot path: a counter worklist
+    for a :class:`CoordinationGame`, order-free sweeps for any other game."""
+    if type(game) is CoordinationGame and "delta_sign" not in vars(game):
+        return _counter_closure(game, mask)
     n = game.n
     full = (1 << n) - 1
     sign = game.delta_sign
@@ -64,6 +80,45 @@ def closure_mask(game: Game, mask: int) -> int:
             if not (mask >> i) & 1 and sign(i, mask) >= 0:
                 mask |= 1 << i
                 changed = True
+    return mask
+
+
+def _counter_closure(game: CoordinationGame, mask: int) -> int:
+    """Counter-worklist closure over on-neighbor weights (see
+    ``coordination``): O(n + in-arcs of the players at 1)."""
+    graph = game.graph
+    need = game._need
+    into = graph.in_rows
+    if graph.unit_weights:
+        # One popcount per player.  Most closures from small seeds flip
+        # nobody and end here, before any counter is built.
+        masks = graph.neighbor_masks
+        queue = [
+            i
+            for i, m, t in zip(range(game.n), masks, need)
+            if (m & mask).bit_count() >= t and not (mask >> i) & 1
+        ]
+        if not queue:
+            return mask
+        on = [(m & mask).bit_count() for m in masks]
+    else:
+        on = [0] * game.n
+        seeds = mask
+        while seeds:
+            low = seeds & -seeds
+            for i, w in into[low.bit_length() - 1]:
+                on[i] += w
+            seeds ^= low
+        queue = [i for i, t in enumerate(need) if on[i] >= t and not (mask >> i) & 1]
+    for i in queue:
+        mask |= 1 << i
+    # The queue grows while it is walked: each flip is queued once.
+    for j in queue:
+        for i, w in into[j]:
+            a = on[i] = on[i] + w
+            if a >= need[i] and not (mask >> i) & 1:
+                mask |= 1 << i
+                queue.append(i)
     return mask
 
 
@@ -156,13 +211,34 @@ def optimal_oracle(game: Game, budget: int | None = None, max_checks: int = ORAC
     return OracleResult(False, None, (), budget, checked)
 
 
+def _undominated(game: Game, base: int) -> list[int]:
+    """Players outside the closed set ``base`` that no other player
+    dominates, ascending: ``v`` is dropped when some ``u`` has ``v`` in the
+    closure of ``base | {u}`` and either ``v`` does not reach ``u`` back or
+    ``u < v`` (``u = v`` never qualifies).  What is left is the lowest
+    index of each maximal class."""
+    free = [v for v in range(game.n) if not (base >> v) & 1]
+    reach = {v: closure_mask(game, base | (1 << v)) for v in free}
+    return [
+        v
+        for v in free
+        if not any(
+            (reach[u] >> v) & 1 and (u < v or not (reach[v] >> u) & 1) for u in free
+        )
+    ]
+
+
 def find_sufficient_within(game: Game, budget: int) -> frozenset[int] | None:
     """Complete decision search: a sufficient set of size <= budget, or None.
 
-    Depth-first over ascending player indices.  A candidate already inside
-    the cascade closure of the current partial seed is skipped: adding it
-    cannot change the closure, and every minimal sufficient set survives
-    this pruning, so the search is exact.
+    Depth-first over the undominated players (see the module docstring) in
+    ascending index order.  A candidate already inside the cascade closure
+    of the current partial seed is skipped: adding it cannot change the
+    closure.  Both prunings keep the search exact for any game with
+    increasing differences, whose closure is monotone and idempotent, so
+    the verdict is that of the full search; a set returned is sufficient
+    and within the budget, but may differ from the one the full search
+    would return first.
     """
     n = game.n
     if not 0 <= budget <= n:
@@ -171,19 +247,21 @@ def find_sufficient_within(game: Game, budget: int) -> frozenset[int] | None:
     base = closure_mask(game, 0)
     if base == full:
         return frozenset()
+    kept = _undominated(game, base)
     chosen: list[int] = []
 
     def descend(start: int, closed: int) -> frozenset[int] | None:
         if len(chosen) == budget:
             return None
-        for v in range(start, n):
+        for a in range(start, len(kept)):
+            v = kept[a]
             if (closed >> v) & 1:
                 continue
             grown = closure_mask(game, closed | (1 << v))
             chosen.append(v)
             if grown == full:
                 return frozenset(chosen)
-            found = descend(v + 1, grown)
+            found = descend(a + 1, grown)
             if found is not None:
                 return found
             chosen.pop()

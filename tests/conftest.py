@@ -78,6 +78,51 @@ def cascade_random_order(game, seed_players, rng: random.Random) -> frozenset[in
     return frozenset(i for i in range(n) if (mask >> i) & 1)
 
 
+def closure_mask_sweep(game, mask: int) -> int:
+    """Cascade fixed point by order-free sweeps of ``delta_sign``: the
+    closure every game had before coordination games got a score worklist."""
+    n = game.n
+    full = (1 << n) - 1
+    sign = game.delta_sign
+    changed = True
+    while changed and mask != full:
+        changed = False
+        for i in range(n):
+            if not (mask >> i) & 1 and sign(i, mask) >= 0:
+                mask |= 1 << i
+                changed = True
+    return mask
+
+
+def find_sufficient_within_reference(game, budget: int) -> frozenset[int] | None:
+    """Depth-first search over every player in ascending order, skipping
+    only players inside the current closure; no dominance pruning."""
+    n = game.n
+    full = (1 << n) - 1
+    base = closure_mask_sweep(game, 0)
+    if base == full:
+        return frozenset()
+    chosen: list[int] = []
+
+    def descend(start: int, closed: int) -> frozenset[int] | None:
+        if len(chosen) == budget:
+            return None
+        for v in range(start, n):
+            if (closed >> v) & 1:
+                continue
+            grown = closure_mask_sweep(game, closed | (1 << v))
+            chosen.append(v)
+            if grown == full:
+                return frozenset(chosen)
+            found = descend(v + 1, grown)
+            if found is not None:
+                return found
+            chosen.pop()
+        return None
+
+    return descend(0, base)
+
+
 def max_min_cohesion_brute(g: WeightedGraph, members) -> Fraction | None:
     """Independent route for cohesiveness: enumerate subsets in descending
     mask order, no early exit, and return the max-min inside fraction."""

@@ -9,6 +9,7 @@ from controlsets import (
     assignment_to_control_set,
     build_gadget,
     control_set_to_assignment,
+    find_sufficient_within,
     is_sufficient,
     majority_game,
     normalize_control_set,
@@ -17,6 +18,7 @@ from controlsets import (
     verify_reduction,
 )
 from controlsets.sat_reduction import CnfFormatError, format_labels
+from controlsets.scs import _undominated, closure_mask
 from conftest import random_cnf3
 
 SINGLE_CLAUSE = Cnf3(3, ((1, -2, 3),))
@@ -76,6 +78,13 @@ class TestParseCnf:
             Cnf3(3, ((1, 1, 2),))
         with pytest.raises(InputError, match="expected 3"):
             Cnf3(3, ((1, 2),))
+
+    @pytest.mark.parametrize(
+        "clause", [("1", "2", "3"), (1.0, 2, 3), (True, 2, 3)], ids=["str", "float", "bool"]
+    )
+    def test_non_int_literal_rejected(self, clause):
+        with pytest.raises(InputError, match="clause 2 has literal .* expected an int"):
+            Cnf3(3, ((1, 2, 3), clause))
 
 
 class TestGadget:
@@ -227,6 +236,21 @@ class TestVerifyReduction:
         assert report.agree
         assert report.sizes_ok and report.degrees_ok
         assert report.node_count == 2 * 4 + 5 * 8
+
+    @pytest.mark.parametrize("order_seed", range(3))
+    def test_unsatisfiable_gadget_search_keeps_core_nodes(self, order_seed):
+        # Every leaf lies in the closure of its owner, so dominance leaves
+        # only the 8 clause nodes, the 6 variable nodes and the hub.
+        clauses = list(UNSAT_8.clauses)
+        random.Random(order_seed).shuffle(clauses)
+        gadget = build_gadget(Cnf3(3, tuple(clauses)))
+        game = gadget.game
+        assert game.n == 48
+        kept = _undominated(game, closure_mask(game, 0))
+        core = gadget.clause_nodes + gadget.true_nodes + gadget.false_nodes + (gadget.hub,)
+        assert kept == sorted(core)
+        assert len(kept) == 15
+        assert find_sufficient_within(game, 4) is None
 
     def test_random_instances_agree(self):
         rng = random.Random(101)

@@ -5,6 +5,7 @@ import pytest
 
 from controlsets import (
     BudgetError,
+    CoordinationGame,
     cascade,
     cohesiveness_crosscheck,
     complete,
@@ -16,12 +17,21 @@ from controlsets import (
     majority_game,
     optimal_oracle,
     path,
+    random_supermodular_table,
     replay_witness,
     ring,
     tree,
 )
-from controlsets.scs import closure_mask
-from conftest import cascade_random_order, random_game, random_simple_graph
+from controlsets.scs import _undominated, closure_mask
+from conftest import (
+    cascade_random_order,
+    closure_mask_sweep,
+    find_sufficient_within_reference,
+    random_directed_graph,
+    random_game,
+    random_simple_graph,
+    random_weighted_graph,
+)
 
 # Two-level tree: root 0; children 1, 2; 1 has children 3 (inner) and 4 (leaf);
 # 3 has leaf 7; 2 has children 5 (inner) and 6 (leaf); 5 has leaves 8, 9.
@@ -193,6 +203,125 @@ class TestFindSufficientWithin:
     def test_empty_budget(self):
         game = majority_game(complete(4))
         assert find_sufficient_within(game, 0) is None
+
+
+def _biases(rng: random.Random, g) -> list[Fraction]:
+    # Exact biases in [-w_i, w_i] with denominators up to 3.
+    out = []
+    for w in g.out_degrees:
+        q = rng.randint(1, 3)
+        out.append(Fraction(rng.randint(-w * q, w * q), q))
+    return out
+
+
+def random_coordination_game(kind: str, rng: random.Random, n: int) -> CoordinationGame:
+    """Seeded coordination game of one of the four kinds under test."""
+    if kind == "majority":
+        return majority_game(random_simple_graph(rng, n, rng.choice((0.2, 0.4, 0.6))))
+    draw = {
+        "biased": random_simple_graph,
+        "weighted": random_weighted_graph,
+        "directed": random_directed_graph,
+    }[kind]
+    g = draw(rng, n)
+    return CoordinationGame(g, _biases(rng, g))
+
+
+GAME_KINDS = ("majority", "biased", "weighted", "directed")
+
+
+def undominated_reference(game, base: int) -> list[int]:
+    """Lowest index of each maximal class of the dominance preorder, from
+    sweep closures and the class definition."""
+    free = [v for v in range(game.n) if not (base >> v) & 1]
+    reach = {v: closure_mask_sweep(game, base | (1 << v)) for v in free}
+    kept = set()
+    for v in free:
+        cls = [u for u in free if (reach[u] >> v) & 1 and (reach[v] >> u) & 1]
+        above = [u for u in free if (reach[u] >> v) & 1 and u not in cls]
+        if not above:
+            kept.add(min(cls))
+    return sorted(kept)
+
+
+class TestCounterClosure:
+    @pytest.mark.parametrize("kind", GAME_KINDS)
+    def test_matches_sweep(self, kind):
+        rng = random.Random(f"closure/{kind}")
+        for _ in range(40):
+            game = random_coordination_game(kind, rng, rng.randint(2, 14))
+            full = (1 << game.n) - 1
+            for mask in [0, full] + [rng.randrange(full + 1) for _ in range(20)]:
+                assert closure_mask(game, mask) == closure_mask_sweep(game, mask)
+
+    def test_instance_delta_sign_is_honoured(self):
+        game = majority_game(ring(6))
+        method = game.delta_sign
+        calls = []
+
+        def delta_sign(i, mask):
+            calls.append(i)
+            return method(i, mask)
+
+        game.delta_sign = delta_sign
+        assert closure_mask(game, 1) == (1 << 6) - 1
+        assert calls
+
+    def test_subclass_takes_the_sweep(self):
+        class Wrapped(CoordinationGame):
+            def delta_sign(self, i, mask):
+                calls.append(i)
+                return super().delta_sign(i, mask)
+
+        calls = []
+        game = Wrapped(ring(5), [0] * 5)
+        assert closure_mask(game, 1) == (1 << 5) - 1
+        assert calls
+
+
+class TestDominancePruning:
+    @pytest.mark.parametrize("kind", GAME_KINDS + ("table",))
+    def test_verdicts_match_reference(self, kind):
+        rng = random.Random(f"search/{kind}")
+        for _ in range(12):
+            n = rng.randint(2, 8)
+            if kind == "table":
+                game = random_supermodular_table(n, rng)
+            else:
+                game = random_coordination_game(kind, rng, n)
+            for budget in range(game.n + 1):
+                got = find_sufficient_within(game, budget)
+                ref = find_sufficient_within_reference(game, budget)
+                assert (got is None) == (ref is None)
+                if got is not None:
+                    assert len(got) <= budget
+                    mask = sum(1 << p for p in got)
+                    assert closure_mask_sweep(game, mask) == (1 << game.n) - 1
+
+    @pytest.mark.parametrize("kind", GAME_KINDS + ("table",))
+    def test_kept_nodes_are_class_minima_and_cover_the_rest(self, kind):
+        rng = random.Random(f"kept/{kind}")
+        for _ in range(20):
+            n = rng.randint(2, 10)
+            if kind == "table":
+                game = random_supermodular_table(min(n, 8), rng)
+            else:
+                game = random_coordination_game(kind, rng, n)
+            base = closure_mask_sweep(game, 0)
+            kept = _undominated(game, base)
+            assert kept == undominated_reference(game, base)
+            for v in range(game.n):
+                if not (base >> v) & 1 and v not in kept:
+                    assert any(
+                        (closure_mask_sweep(game, base | (1 << u)) >> v) & 1 for u in kept
+                    )
+
+    @pytest.mark.parametrize("g", [complete(3), ring(7)], ids=["K3", "ring7"])
+    def test_mutual_class_keeps_lowest_index(self, g):
+        # Every single node tips these graphs, so all nodes form one class.
+        game = majority_game(g)
+        assert _undominated(game, 0) == [0]
+        assert find_sufficient_within(game, 1) == frozenset({0})
 
 
 class TestCohesivenessCrosscheck:
