@@ -69,16 +69,24 @@ class Cnf3:
     clauses: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
+        if type(self.num_vars) is not int:
+            raise InputError(f"number of variables must be an int, got {self.num_vars!r}")
         if self.num_vars < 1:
             raise InputError(f"need at least one variable, got {self.num_vars}")
+        if not isinstance(self.clauses, (tuple, list)):
+            raise InputError(f"clauses must be a tuple or list, got {self.clauses!r}")
         if not self.clauses:
             raise InputError("need at least one clause")
-        clean = tuple(tuple(clause) for clause in self.clauses)
-        for idx, lits in enumerate(clean, 1):
+        clean = []
+        for idx, clause in enumerate(self.clauses, 1):
+            if not isinstance(clause, (tuple, list)):
+                raise InputError(f"clause {idx} is {clause!r}, expected a tuple or list of literals")
+            lits = tuple(clause)
             problem = _clause_problem(lits, self.num_vars)
             if problem:
                 raise InputError(f"clause {idx} {problem}")
-        object.__setattr__(self, "clauses", clean)
+            clean.append(lits)
+        object.__setattr__(self, "clauses", tuple(clean))
 
     @property
     def num_clauses(self) -> int:

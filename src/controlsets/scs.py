@@ -12,12 +12,14 @@ counter worklist over integer on-neighbor weights (see ``coordination``)
 and every other game through order-free sweeps of ``delta_sign``; both
 reach the same fixed point.
 
-Exact search comes in two flavors: :func:`optimal_oracle` enumerates seed
-sets by ascending cardinality and returns *all* optimal sets, and
-:func:`find_sufficient_within` is a complete branch-and-bound decision
-procedure for "is there a sufficient set of size <= budget" that prunes
-seeds already absorbed by the cascade of the current partial seed.  It
-searches only undominated seeds.  Node ``v`` is dominated by ``u`` when
+Exact search comes in two flavors.  :func:`optimal_oracle` enumerates seed
+sets by ascending cardinality and returns *all* optimal sets.  A plain
+coordination game is walked depth-first, resuming the counter worklist from
+each prefix's closure and pruning exactly; any other game gets one closure
+per set.  :func:`find_sufficient_within` is a complete branch-and-bound
+decision procedure for "is there a sufficient set of size <= budget" that
+prunes seeds already absorbed by the cascade of the current partial seed.
+It searches only undominated seeds.  Node ``v`` is dominated by ``u`` when
 ``v`` lies in the closure of ``{u}``: closure is monotone and idempotent
 under increasing differences, so any sufficient set containing ``v`` stays
 sufficient with ``u`` in its place (Ackerman, Ben-Zwi & Wolfovitz, TCS
@@ -110,6 +112,14 @@ def _counter_closure(game: CoordinationGame, mask: int) -> int:
                 on[i] += w
             seeds ^= low
         queue = [i for i, t in enumerate(need) if on[i] >= t and not (mask >> i) & 1]
+    return _spread(into, need, on, mask, queue)
+
+
+def _spread(into, need, on: list[int], mask: int, queue: list[int]) -> int:
+    """Resume the counter worklist from a closed ``mask`` and its counters
+    ``on`` (updated in place): set the queued players, add each one's
+    weight along its in-arcs and queue every player at 0 that meets its
+    need.  Returns the closure of ``mask`` plus the queued players."""
     for i in queue:
         mask |= 1 << i
     # The queue grows while it is walked: each flip is queued once.
@@ -179,36 +189,133 @@ class OracleResult:
     checked: int
 
 
+def _check_budget(budget, n: int) -> None:
+    if type(budget) is not int:
+        raise InputError(f"budget must be an int, got {budget!r}")
+    if not 0 <= budget <= n:
+        raise InputError(f"budget must lie in [0, {n}], got {budget}")
+
+
 def optimal_oracle(game: Game, budget: int | None = None, max_checks: int = ORACLE_CHECK_LIMIT) -> OracleResult:
     """Enumerate seed sets by ascending cardinality; on the first size with
-    a sufficient set, collect every sufficient set of that size.
+    a sufficient set, collect every sufficient set of that size, in the
+    order of ``itertools.combinations``.
 
-    Cost is sum of C(n, k) cascades for k up to the hit size (or budget);
-    the planned total is guarded by ``max_checks``.
+    ``checked`` counts every seed set of each size up to the hit size (or
+    budget), and that planned total is guarded by ``max_checks``.  A plain
+    :class:`CoordinationGame` is walked by :class:`_OracleWalk`, which
+    closes only the sets its exact prunings leave; any other game gets one
+    closure per seed set.
     """
     n = game.n
     if budget is None:
         budget = n
-    if not 0 <= budget <= n:
-        raise InputError(f"budget must lie in [0, {n}], got {budget}")
+    _check_budget(budget, n)
     planned = sum(math.comb(n, k) for k in range(budget + 1))
     if planned > max_checks:
         raise BudgetError(
             f"oracle would enumerate {planned} seed sets (n={n}, budget={budget}), "
             f"over the limit of {max_checks}"
         )
-    full = (1 << n) - 1
-    bits = [1 << p for p in range(n)]
+    if type(game) is CoordinationGame and "delta_sign" not in vars(game):
+        sufficient_sets = _OracleWalk(game, closure_mask(game, 0)).sufficient_sets
+    else:
+        full = (1 << n) - 1
+        bits = [1 << p for p in range(n)]
+
+        def sufficient_sets(k: int) -> list[int]:
+            combos = map(sum, itertools.combinations(bits, k))
+            return [mask for mask in combos if closure_mask(game, mask) == full]
+
     checked = 0
     for k in range(budget + 1):
-        hits = []
-        for mask in map(sum, itertools.combinations(bits, k)):
-            checked += 1
-            if closure_mask(game, mask) == full:
-                hits.append(Profile(n, mask).players)
+        checked += math.comb(n, k)
+        hits = sufficient_sets(k)
         if hits:
-            return OracleResult(True, k, tuple(hits), budget, checked)
+            return OracleResult(True, k, tuple(Profile(n, m).players for m in hits), budget, checked)
     return OracleResult(False, None, (), budget, checked)
+
+
+class _OracleWalk:
+    """Depth-first walk over the k-sets of a :class:`CoordinationGame`.
+
+    Sets are visited in the lexicographic order of
+    ``itertools.combinations``.  Down each branch the walk carries the
+    prefix's closed mask and the integer on-weight counters of
+    :func:`_counter_closure`.  Closure is monotone and idempotent under
+    increasing differences, so closure(P + v) is closure(closure(P) + v):
+    adding seed ``v`` resumes the worklist (:func:`_spread`) on a copy of
+    the prefix's counters, which the siblings of ``v`` reuse unchanged.
+    The copy of n integers costs about what subtracting the flips' weights
+    on the way back would, with no undo to get wrong.  Two exact prunings
+    skip most of the walk:
+
+    * *Leaf filter.*  With one seed left, a leaf ``v`` can set a player
+      beyond itself only if some player ``i`` outside the closed set has an
+      arc to ``v`` and ``on[i] + top[i] >= need[i]`` (``top[i]`` is i's
+      largest out-weight).  Every other leaf closes to ``closed | v``,
+      which is not full: a closed set never leaves exactly one player
+      outside, as that player's out-neighbors would all be at 1 and
+      ``need`` never exceeds the out-degree.
+    * *Subtree bound.*  With ``r`` seeds left, when more than ``r`` players
+      are outside the closed set and each has ``on[i] + r * top[i] <
+      need[i]``, no completion sets anyone beyond its own seeds, so none
+      is sufficient.
+    """
+
+    def __init__(self, game: CoordinationGame, base: int):
+        graph = game.graph
+        self.n = game.n
+        self.full = (1 << game.n) - 1
+        self.into = graph.in_rows
+        self.need = game._need
+        self.top = tuple(max(w for _, w in row) for row in graph.rows)
+        self.out_masks = graph.neighbor_masks
+        self.base = base
+        # The counters of the closed base: nobody outside it meets a need.
+        self.on = [0] * game.n
+        _spread(self.into, self.need, self.on, 0, [j for j in range(game.n) if (base >> j) & 1])
+        self.hits: list[int] = []
+
+    def sufficient_sets(self, k: int) -> list[int]:
+        """Seed masks of the sufficient k-sets, in lexicographic order."""
+        self.hits = []
+        if k == 0:
+            return [0] if self.base == self.full else []
+        self._grow(0, self.base, self.on, 0, k)
+        return self.hits
+
+    def _grow(self, start: int, closed: int, on: list[int], seeds: int, r: int) -> None:
+        """Place the remaining ``r`` seeds at indices ``start`` and up."""
+        n, into, need, top = self.n, self.into, self.need, self.top
+        outside = self.full ^ closed
+        if r == 1:
+            if not outside:
+                self.hits.extend(seeds | (1 << v) for v in range(start, n))
+                return
+            cand = 0
+            for i in range(n):
+                if (outside >> i) & 1 and on[i] + top[i] >= need[i]:
+                    cand |= self.out_masks[i]
+            cand &= outside >> start << start
+            while cand:
+                low = cand & -cand
+                if _spread(into, need, on[:], closed, [low.bit_length() - 1]) == self.full:
+                    self.hits.append(seeds | low)
+                cand ^= low
+            return
+        if outside.bit_count() > r and all(
+            on[i] + r * top[i] < need[i] for i in range(n) if (outside >> i) & 1
+        ):
+            return
+        for v in range(start, n - r + 1):
+            bit = 1 << v
+            if closed & bit:
+                self._grow(v + 1, closed, on, seeds | bit, r - 1)
+            else:
+                grown_on = on[:]
+                grown = _spread(into, need, grown_on, closed, [v])
+                self._grow(v + 1, grown, grown_on, seeds | bit, r - 1)
 
 
 def _undominated(game: Game, base: int) -> list[int]:
@@ -241,8 +348,7 @@ def find_sufficient_within(game: Game, budget: int) -> frozenset[int] | None:
     would return first.
     """
     n = game.n
-    if not 0 <= budget <= n:
-        raise InputError(f"budget must lie in [0, {n}], got {budget}")
+    _check_budget(budget, n)
     full = (1 << n) - 1
     base = closure_mask(game, 0)
     if base == full:

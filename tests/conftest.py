@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from controlsets import (
     ChainConfig,
     ChainRun,
     Cnf3,
+    OracleResult,
     Profile,
     erdos_renyi,
     majority_game,
@@ -31,6 +33,8 @@ def random_simple_graph(rng: random.Random, n: int, p: float = 0.5) -> WeightedG
 
 def random_weighted_graph(rng: random.Random, n: int, max_w: int = 4) -> WeightedGraph:
     """Random symmetric integer-weighted graph without sinks."""
+    # A single node has no edge to draw, so the loop below would never end.
+    assert n >= 2, f"a graph without sinks needs at least 2 nodes, got n={n}"
     while True:
         edges = []
         for i in range(n):
@@ -92,6 +96,26 @@ def closure_mask_sweep(game, mask: int) -> int:
                 mask |= 1 << i
                 changed = True
     return mask
+
+
+def optimal_oracle_reference(game, budget: int | None = None) -> OracleResult:
+    """Every seed set of each size, in ``itertools.combinations`` order,
+    closed from scratch by sweeps, until a size has a sufficient set."""
+    n = game.n
+    if budget is None:
+        budget = n
+    full = (1 << n) - 1
+    bits = [1 << p for p in range(n)]
+    checked = 0
+    for k in range(budget + 1):
+        hits = []
+        for mask in map(sum, itertools.combinations(bits, k)):
+            checked += 1
+            if closure_mask_sweep(game, mask) == full:
+                hits.append(Profile(n, mask).players)
+        if hits:
+            return OracleResult(True, k, tuple(hits), budget, checked)
+    return OracleResult(False, None, (), budget, checked)
 
 
 def find_sufficient_within_reference(game, budget: int) -> frozenset[int] | None:

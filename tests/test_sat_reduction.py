@@ -86,6 +86,20 @@ class TestParseCnf:
         with pytest.raises(InputError, match="clause 2 has literal .* expected an int"):
             Cnf3(3, ((1, 2, 3), clause))
 
+    @pytest.mark.parametrize("num_vars", ["3", 3.5, True], ids=["str", "float", "bool"])
+    def test_non_int_num_vars_rejected(self, num_vars):
+        with pytest.raises(InputError, match="number of variables must be an int"):
+            Cnf3(num_vars, ((1, 2, 3),))
+
+    def test_non_sequence_clause_rejected(self):
+        with pytest.raises(InputError, match="clause 1 is 5, expected a tuple or list"):
+            Cnf3(3, (5,))
+        with pytest.raises(InputError, match="clauses must be a tuple or list"):
+            Cnf3(3, 5)
+
+    def test_list_clause_accepted(self):
+        assert Cnf3(3, ([1, -2, 3],)).clauses == ((1, -2, 3),)
+
 
 class TestGadget:
     def test_single_clause_sizes(self):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from controlsets import (
     BudgetError,
     CoordinationGame,
+    InputError,
     cascade,
     cohesiveness_crosscheck,
     complete,
@@ -22,11 +24,12 @@ from controlsets import (
     ring,
     tree,
 )
-from controlsets.scs import _undominated, closure_mask
+from controlsets.scs import _OracleWalk, _undominated, closure_mask
 from conftest import (
     cascade_random_order,
     closure_mask_sweep,
     find_sufficient_within_reference,
+    optimal_oracle_reference,
     random_directed_graph,
     random_game,
     random_simple_graph,
@@ -176,6 +179,11 @@ class TestOptimalOracle:
         with pytest.raises(BudgetError, match="enumerate"):
             optimal_oracle(game)
 
+    @pytest.mark.parametrize("budget", [True, "x", 2.0])
+    def test_budget_must_be_an_int(self, budget):
+        with pytest.raises(InputError, match="budget must be an int"):
+            optimal_oracle(majority_game(ring(4)), budget=budget)
+
     def test_grid_minimum_below_antidiagonal(self):
         # The weak-improvement cascade lets ties flip, so square grids are
         # tipped by fewer seeds than the anti-diagonal: 2 on the 3x3 grid
@@ -203,6 +211,11 @@ class TestFindSufficientWithin:
     def test_empty_budget(self):
         game = majority_game(complete(4))
         assert find_sufficient_within(game, 0) is None
+
+    @pytest.mark.parametrize("budget", [True, "x", 2.0])
+    def test_budget_must_be_an_int(self, budget):
+        with pytest.raises(InputError, match="budget must be an int"):
+            find_sufficient_within(majority_game(complete(4)), budget)
 
 
 def _biases(rng: random.Random, g) -> list[Fraction]:
@@ -277,6 +290,94 @@ class TestCounterClosure:
         game = Wrapped(ring(5), [0] * 5)
         assert closure_mask(game, 1) == (1 << 5) - 1
         assert calls
+
+
+class TestOracleWalk:
+    """The depth-first oracle of a plain coordination game against the
+    enumeration that closes every seed set from scratch."""
+
+    @staticmethod
+    def assert_matches_reference(game):
+        for budget in range(game.n + 1):
+            assert optimal_oracle(game, budget) == optimal_oracle_reference(game, budget)
+
+    @pytest.mark.parametrize("kind", GAME_KINDS + ("table",))
+    def test_matches_reference_for_every_budget(self, kind):
+        rng = random.Random(f"oracle/{kind}")
+        for _ in range(25):
+            n = rng.randint(2, 9)
+            if kind == "table":
+                game = random_supermodular_table(min(n, 8), rng)
+            else:
+                game = random_coordination_game(kind, rng, n)
+            self.assert_matches_reference(game)
+
+    def test_base_closure_already_full(self):
+        # Bias w_i makes every player weakly prefer 1 from the start.
+        g = ring(5)
+        game = CoordinationGame(g, list(g.out_degrees))
+        res = optimal_oracle(game)
+        assert res == optimal_oracle_reference(game)
+        assert (res.min_size, res.optimal_sets, res.checked) == (0, (frozenset(),), 1)
+
+    def test_two_players(self):
+        game = majority_game(complete(2))
+        self.assert_matches_reference(game)
+        assert optimal_oracle(game).optimal_sets == (frozenset({0}), frozenset({1}))
+        # Player 0 at threshold 0 flips from the empty seed, and player 1
+        # at threshold 1 follows it.
+        game = from_thresholds(complete(2), [0, 1])
+        self.assert_matches_reference(game)
+        assert optimal_oracle(game).optimal_sets == (frozenset(),)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_subtree_bound_at_its_edge(self, n):
+        # Threshold 1 on K_n: a player flips only once all n - 1 others are
+        # at 1.  A prefix of p seeds flips nobody and leaves r = n - 1 - p
+        # seeds, so on + r * top == need for every player outside: the bound
+        # is tight and must not prune.  The sufficient sets are the
+        # (n - 1)-sets.
+        game = from_thresholds(complete(n), [1] * n)
+        self.assert_matches_reference(game)
+        res = optimal_oracle(game)
+        assert res.min_size == n - 1 and len(res.optimal_sets) == n
+
+    @pytest.mark.parametrize("kind", GAME_KINDS)
+    def test_walk_lists_the_sufficient_sets_of_every_size(self, kind):
+        # Sizes above the minimum reach prefixes whose closure is already
+        # full and prefixes whose complement has as many players as seeds
+        # are left, which the oracle itself stops before.
+        rng = random.Random(f"walk/{kind}")
+        for _ in range(15):
+            game = random_coordination_game(kind, rng, rng.randint(2, 8))
+            n = game.n
+            full = (1 << n) - 1
+            walk = _OracleWalk(game, closure_mask(game, 0))
+            for k in range(n + 1):
+                combos = map(sum, itertools.combinations([1 << p for p in range(n)], k))
+                expected = [m for m in combos if closure_mask_sweep(game, m) == full]
+                assert walk.sufficient_sets(k) == expected
+
+    def test_instance_delta_sign_takes_the_enumeration(self):
+        game = majority_game(ring(6))
+        method = game.delta_sign
+        calls = []
+
+        def delta_sign(i, mask):
+            calls.append(i)
+            return method(i, mask)
+
+        game.delta_sign = delta_sign
+        res = optimal_oracle(game)
+        assert calls
+        del game.delta_sign
+        assert res == optimal_oracle(game) == optimal_oracle_reference(game)
+
+
+def test_weighted_graph_fixture_needs_two_nodes():
+    # One node has no edge to draw; the fixture used to loop forever.
+    with pytest.raises(AssertionError, match="at least 2 nodes"):
+        random_weighted_graph(random.Random(0), 1)
 
 
 class TestDominancePruning:
