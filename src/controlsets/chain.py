@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._ratio import as_fraction
-from .coordination import CoordinationGame
+from .coordination import _plain_coordination
 from .errors import BudgetError, InputError, InternalCheckError
 from .game_core import Game, Profile
 
@@ -185,7 +185,7 @@ def run_search(game: Game, config: ChainConfig) -> ChainRun:
     # down, draws the coin to flip i up, or finds i's sign still unknown.
     small = n <= 255
     marked = bytearray(256 if small else n)
-    if type(game) is CoordinationGame and "delta_sign" not in vars(game):
+    if _plain_coordination(game):
         scores = game._scores(mask)
         into = game._score_steps
         unknown = None

@@ -98,6 +98,13 @@ class CoordinationGame(Game):
         return [self._on_weight(i, mask) * self._mul[i] - self._sub[i] for i in range(self.n)]
 
 
+def _plain_coordination(game: Game) -> bool:
+    """True for a :class:`CoordinationGame` itself (not a subclass) with no
+    instance-level ``delta_sign``: the games whose chain and cascade may run
+    on integer scores and counters without asking ``delta_sign``."""
+    return type(game) is CoordinationGame and "delta_sign" not in vars(game)
+
+
 def coordination_game(graph: WeightedGraph, biases: Sequence) -> CoordinationGame:
     """Coordination game from per-player biases in [-w_i, w_i]."""
     return CoordinationGame(graph, biases)

@@ -14,9 +14,16 @@ satisfiable.  Node classes:
 
 :class:`GadgetGraph` is the one object that knows the node layout, and the
 assignment/control-set maps take it first.  :func:`verify_reduction` builds
-it once per formula and checks the equivalence by two independent routes:
-brute-force assignment enumeration on the formula side and cascade-backed
-exact search (through :func:`is_sufficient`) on the game side.
+it once per formula and checks the equivalence by two independent routes.
+The formula side tries the assignments in counting order, each packed into
+an integer, against per-clause ``(pos, neg)`` bitmasks, the one clause rule
+:meth:`Cnf3.satisfied_by` also uses.  The game side walks the
+assignment-encoded seed sets depth-first on the counter worklist of
+``scs`` (:func:`_first_sufficient_encoding`), resuming each prefix's
+closure instead of closing every set from scratch.  The walk relies only on
+closure being monotone and idempotent, which holds for every supermodular
+game, and not on how the gadget is built.  When no encoded set is
+sufficient, the complete branch-and-bound search decides.
 """
 
 from __future__ import annotations
@@ -24,12 +31,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .coordination import majority_game
+from .coordination import CoordinationGame, _plain_coordination, majority_game
 from .errors import BudgetError, InputError, InternalCheckError
 from .graph import WeightedGraph
-from .scs import find_sufficient_within, is_sufficient
+from .scs import _closed_counters, _spread, closure_mask, find_sufficient_within, is_sufficient
 
 SAT_VARS_LIMIT = 16
 SEARCH_PLAN_LIMIT = 3_000_000
@@ -55,6 +62,24 @@ def _clause_problem(lits: Sequence[int], num_vars: int) -> str | None:
     if len(vs) != 3:
         return "repeats a variable"
     return None
+
+
+def _assignment_bits(assignment: Sequence[int], num_vars: int) -> int:
+    """Pack a 0/1 assignment of ``num_vars`` values into an integer with
+    variable ``v`` at bit ``v - 1``, checking its length and values."""
+    if len(assignment) != num_vars:
+        raise InputError(f"assignment has {len(assignment)} values, expected {num_vars}")
+    bits = 0
+    for i, value in enumerate(assignment):
+        if value not in (0, 1):
+            raise InputError(f"assignment values must be 0/1, got {value!r}")
+        if value:
+            bits |= 1 << i
+    return bits
+
+
+def _unpack_assignment(bits: int, num_vars: int) -> tuple[int, ...]:
+    return tuple((bits >> i) & 1 for i in range(num_vars))
 
 
 @dataclass(frozen=True)
@@ -96,17 +121,30 @@ class Cnf3:
     def target_size(self) -> int:
         return self.num_vars + 1
 
+    @cached_property
+    def _clause_masks(self) -> tuple[tuple[int, int], ...]:
+        """Per clause ``(pos, neg)``: bit ``v - 1`` of ``pos`` (``neg``) is
+        set when variable ``v`` appears plain (negated)."""
+        return tuple(
+            (sum(1 << (l - 1) for l in c if l > 0), sum(1 << (-l - 1) for l in c if l < 0))
+            for c in self.clauses
+        )
+
+    def _first_model(self, candidates: Iterable[int]) -> int | None:
+        """The first packed assignment among ``candidates`` (variable ``v``
+        at bit ``v - 1``) that satisfies every clause, or None."""
+        masks = self._clause_masks
+        for bits in candidates:
+            for pos, neg in masks:
+                if not (bits & pos or neg & ~bits):
+                    break
+            else:
+                return bits
+        return None
+
     def satisfied_by(self, assignment: Sequence[int]) -> bool:
-        if len(assignment) != self.num_vars:
-            raise InputError(
-                f"assignment has {len(assignment)} values, expected {self.num_vars}"
-            )
-        for clause in self.clauses:
-            if not any(
-                bool(assignment[abs(l) - 1]) == (l > 0) for l in clause
-            ):
-                return False
-        return True
+        bits = _assignment_bits(assignment, self.num_vars)
+        return self._first_model((bits,)) is not None
 
 
 def parse_cnf(text: str) -> Cnf3:
@@ -255,16 +293,10 @@ def assignment_to_control_set(gadget: GadgetGraph, assignment: Sequence[int]) ->
     """Seed set encoding an assignment on ``gadget``: the hub plus, per
     variable, the var_true node if assigned 1 else the var_false node.
     Always of size ``num_vars + 1``."""
-    num_vars = gadget.cnf.num_vars
-    if len(assignment) != num_vars:
-        raise InputError(
-            f"assignment has {len(assignment)} values, expected {num_vars}"
-        )
+    bits = _assignment_bits(assignment, gadget.cnf.num_vars)
     chosen = {gadget.hub}
-    for i, value in enumerate(assignment):
-        if value not in (0, 1, True, False):
-            raise InputError(f"assignment values must be 0/1, got {value!r}")
-        chosen.add(gadget.true_nodes[i] if value else gadget.false_nodes[i])
+    for i, (t, f) in enumerate(zip(gadget.true_nodes, gadget.false_nodes)):
+        chosen.add(t if (bits >> i) & 1 else f)
     return frozenset(chosen)
 
 
@@ -274,6 +306,12 @@ def control_set_to_assignment(gadget: GadgetGraph, control_set) -> tuple[int, ..
     chosen = frozenset(control_set)
     if gadget.hub not in chosen:
         raise InputError("control set is not normalized: hub missing")
+    stray = chosen.difference((gadget.hub,), gadget.true_nodes, gadget.false_nodes)
+    if stray:
+        raise InputError(
+            f"control set is not normalized: {', '.join(sorted(map(repr, stray)))} "
+            f"outside the hub and the var_true/var_false nodes"
+        )
     out = []
     for i in range(gadget.cnf.num_vars):
         t = gadget.true_nodes[i] in chosen
@@ -314,6 +352,8 @@ def normalize_control_set(gadget: GadgetGraph, control_set) -> frozenset[int]:
     n = gadget.graph.n
     current = set(control_set)
     for v in current:
+        if type(v) is not int:
+            raise InputError(f"node {v!r} is not an int")
         if not 0 <= v < n:
             raise InputError(f"node {v} out of range for the gadget ({n} nodes)")
     target = gadget.cnf.target_size
@@ -388,9 +428,43 @@ def _degree_profile_ok(gadget: GadgetGraph) -> bool:
     return True
 
 
-def _assignments(num_vars: int):
-    # Every 0/1 assignment; variable 1 is the lowest bit of the counter.
-    return (tuple((bits >> i) & 1 for i in range(num_vars)) for bits in range(1 << num_vars))
+def _first_sufficient_encoding(
+    game: CoordinationGame, hub: int, false_nodes: Sequence[int], true_nodes: Sequence[int]
+) -> int | None:
+    """The first packed assignment ``bits``, in counting order, whose seed
+    set ``{hub}`` plus ``true_nodes[i]`` or ``false_nodes[i]`` per bit ``i``
+    is sufficient on a plain coordination game, or None.
+
+    Depth-first: the last variable is decided first and 0 is tried before
+    1, which is counting order.  Down each branch the walk carries the
+    prefix's closed mask and counters, as ``scs._OracleWalk`` does: closure
+    is monotone and idempotent in every supermodular game, so closure(P + v)
+    is closure(closure(P) + v).  A node already closed adds nothing; any
+    other spreads into a copy of the prefix's counters, which its sibling
+    branch reuses.  A prefix that closes to everything ends the walk: its
+    first completion, every undecided variable at 0, is sufficient.
+    """
+    into, need = game.graph.in_rows, game._need
+    full = (1 << game.n) - 1
+    closed = closure_mask(game, 1 << hub)
+    on = _closed_counters(game, closed)
+    bits, left = 0, len(true_nodes)
+    # The 1-branches still to walk: (node, variables left, bits, prefix
+    # closure, prefix counters).
+    pending = []
+    while closed != full:
+        if left:
+            left -= 1
+            pending.append((true_nodes[left], left, bits | 1 << left, closed, on))
+            node = false_nodes[left]
+        elif pending:
+            node, left, bits, closed, on = pending.pop()
+        else:
+            return None
+        if not (closed >> node) & 1:
+            on = on[:]
+            closed = _spread(into, need, on, closed, [node])
+    return bits
 
 
 def verify_reduction(cnf: Cnf3, search_limit: int = SEARCH_PLAN_LIMIT) -> ReductionReport:
@@ -398,11 +472,18 @@ def verify_reduction(cnf: Cnf3, search_limit: int = SEARCH_PLAN_LIMIT) -> Reduct
     existence of a control set of size ``num_vars + 1`` on the gadget.
 
     The formula side enumerates all assignments.  The game side first tries
-    the assignment-encoded seed sets (cascade-verified, so no step trusts
-    the construction) and only if none works falls back to the complete
-    branch-and-bound search, whose planned work is guarded by
-    ``search_limit``.
+    the assignment-encoded seed sets in the same counting order, so the set
+    reported is the first sufficient one (cascade-verified, so no step
+    trusts the construction).  A plain :class:`CoordinationGame`, which the
+    gadget's majority game is, is walked depth-first on the counters
+    (:func:`_first_sufficient_encoding`); any other game, such as one with
+    an instance-level ``delta_sign``, gets one :func:`is_sufficient` per
+    set.  Only if none works does the complete branch-and-bound search run,
+    its planned work guarded by ``search_limit`` (an int).  The round trip
+    of the satisfying assignment closes its encoded set from scratch.
     """
+    if type(search_limit) is not int:
+        raise InputError(f"search limit must be an int, got {search_limit!r}")
     if cnf.num_vars > SAT_VARS_LIMIT:
         raise BudgetError(
             f"assignment enumeration limited to {SAT_VARS_LIMIT} variables, "
@@ -419,10 +500,18 @@ def verify_reduction(cnf: Cnf3, search_limit: int = SEARCH_PLAN_LIMIT) -> Reduct
     sizes_ok = node_count == 2 * s + 5 * m and edge_count == s + 8 * m
     degrees_ok = _degree_profile_ok(gadget)
 
-    satisfying = next((a for a in _assignments(cnf.num_vars) if cnf.satisfied_by(a)), None)
+    nv = cnf.num_vars
+    model = cnf._first_model(range(1 << nv))
+    satisfying = None if model is None else _unpack_assignment(model, nv)
 
-    encoded = (assignment_to_control_set(gadget, a) for a in _assignments(cnf.num_vars))
-    sufficient_set = next((c for c in encoded if is_sufficient(game, c)), None)
+    def encoded(bits: int) -> frozenset[int]:
+        return assignment_to_control_set(gadget, _unpack_assignment(bits, nv))
+
+    if _plain_coordination(game):
+        first = _first_sufficient_encoding(game, gadget.hub, gadget.false_nodes, gadget.true_nodes)
+    else:
+        first = next((a for a in range(1 << nv) if is_sufficient(game, encoded(a))), None)
+    sufficient_set = None if first is None else encoded(first)
     if sufficient_set is None:
         planned = math.comb(n, s)
         if planned > search_limit:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from ._ratio import as_fraction
-from .coordination import CoordinationGame
+from .coordination import CoordinationGame, _plain_coordination
 from .errors import BudgetError, InputError
 from .game_core import Game, Profile
 from .graph import WeightedGraph, uniformly_at_most_cohesive
@@ -70,7 +70,7 @@ def _seed_mask(game: Game, seed) -> int:
 def closure_mask(game: Game, mask: int) -> int:
     """Cascade fixed point as a bitmask, the hot path: a counter worklist
     for a :class:`CoordinationGame`, order-free sweeps for any other game."""
-    if type(game) is CoordinationGame and "delta_sign" not in vars(game):
+    if _plain_coordination(game):
         return _counter_closure(game, mask)
     n = game.n
     full = (1 << n) - 1
@@ -130,6 +130,14 @@ def _spread(into, need, on: list[int], mask: int, queue: list[int]) -> int:
                 mask |= 1 << i
                 queue.append(i)
     return mask
+
+
+def _closed_counters(game: CoordinationGame, closed: int) -> list[int]:
+    """The on-weight counters of a closed mask, the start that
+    :func:`_spread` resumes from: nobody outside ``closed`` meets a need."""
+    on = [0] * game.n
+    _spread(game.graph.in_rows, game._need, on, 0, [j for j in range(game.n) if (closed >> j) & 1])
+    return on
 
 
 def cascade(game: Game, seed) -> CascadeResult:
@@ -217,7 +225,7 @@ def optimal_oracle(game: Game, budget: int | None = None, max_checks: int = ORAC
             f"oracle would enumerate {planned} seed sets (n={n}, budget={budget}), "
             f"over the limit of {max_checks}"
         )
-    if type(game) is CoordinationGame and "delta_sign" not in vars(game):
+    if _plain_coordination(game):
         sufficient_sets = _OracleWalk(game, closure_mask(game, 0)).sufficient_sets
     else:
         full = (1 << n) - 1
@@ -272,9 +280,7 @@ class _OracleWalk:
         self.top = tuple(max(w for _, w in row) for row in graph.rows)
         self.out_masks = graph.neighbor_masks
         self.base = base
-        # The counters of the closed base: nobody outside it meets a need.
-        self.on = [0] * game.n
-        _spread(self.into, self.need, self.on, 0, [j for j in range(game.n) if (base >> j) & 1])
+        self.on = _closed_counters(game, base)
         self.hits: list[int] = []
 
     def sufficient_sets(self, k: int) -> list[int]:
@@ -353,27 +359,38 @@ def find_sufficient_within(game: Game, budget: int) -> frozenset[int] | None:
     base = closure_mask(game, 0)
     if base == full:
         return frozenset()
-    kept = _undominated(game, base)
-    chosen: list[int] = []
+    return _WithinSearch(game, _undominated(game, base), budget).descend(0, base)
 
-    def descend(start: int, closed: int) -> frozenset[int] | None:
-        if len(chosen) == budget:
+
+class _WithinSearch:
+    """The depth-first search of :func:`find_sufficient_within` as a method,
+    so that a call leaves no reference cycle behind for the collector."""
+
+    def __init__(self, game: Game, kept: list[int], budget: int):
+        self.game = game
+        self.full = (1 << game.n) - 1
+        self.kept = kept
+        self.budget = budget
+        self.chosen: list[int] = []
+
+    def descend(self, start: int, closed: int) -> frozenset[int] | None:
+        """Extend the chosen seeds by kept players from index ``start`` on."""
+        chosen, kept = self.chosen, self.kept
+        if len(chosen) == self.budget:
             return None
         for a in range(start, len(kept)):
             v = kept[a]
             if (closed >> v) & 1:
                 continue
-            grown = closure_mask(game, closed | (1 << v))
+            grown = closure_mask(self.game, closed | (1 << v))
             chosen.append(v)
-            if grown == full:
+            if grown == self.full:
                 return frozenset(chosen)
-            found = descend(a + 1, grown)
+            found = self.descend(a + 1, grown)
             if found is not None:
                 return found
             chosen.pop()
         return None
-
-    return descend(0, base)
 
 
 def cohesiveness_crosscheck(g: WeightedGraph, theta, seed) -> bool:

@@ -13,11 +13,20 @@ from controlsets import (
     Cnf3,
     OracleResult,
     Profile,
+    ReductionReport,
+    assignment_to_control_set,
+    build_gadget,
+    control_set_to_assignment,
     erdos_renyi,
+    find_sufficient_within,
+    is_sufficient,
     majority_game,
+    normalize_control_set,
     random_supermodular_table,
 )
+from controlsets.errors import BudgetError
 from controlsets.graph import GraphGenerationError, WeightedGraph
+from controlsets.sat_reduction import SAT_VARS_LIMIT, SEARCH_PLAN_LIMIT, _degree_profile_ok
 
 
 def random_simple_graph(rng: random.Random, n: int, p: float = 0.5) -> WeightedGraph:
@@ -174,6 +183,55 @@ def random_cnf3(rng: random.Random, max_vars: int = 6, max_clauses: int = 6) -> 
         vs = rng.sample(range(1, nv + 1), 3)
         clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
     return Cnf3(nv, tuple(clauses))
+
+
+def verify_reduction_reference(cnf: Cnf3, search_limit: int = SEARCH_PLAN_LIMIT) -> ReductionReport:
+    """The reduction check with every assignment tried on its own: the
+    formula side tests each clause literal by literal, and the game side
+    closes each assignment-encoded seed set from scratch, in counting order
+    (variable 1 is the lowest bit), before any exact search."""
+    if cnf.num_vars > SAT_VARS_LIMIT:
+        raise BudgetError(f"more than {SAT_VARS_LIMIT} variables")
+    gadget = build_gadget(cnf)
+    game = gadget.game
+    n = gadget.graph.n
+    s = cnf.target_size
+    m = cnf.num_clauses
+    edge_count = len(gadget.graph.undirected_edges())
+    assignments = [
+        tuple((bits >> i) & 1 for i in range(cnf.num_vars)) for bits in range(1 << cnf.num_vars)
+    ]
+
+    def satisfies(a) -> bool:
+        return all(any(bool(a[abs(l) - 1]) == (l > 0) for l in clause) for clause in cnf.clauses)
+
+    satisfying = next((a for a in assignments if satisfies(a)), None)
+    encoded = (assignment_to_control_set(gadget, a) for a in assignments)
+    sufficient_set = next((c for c in encoded if is_sufficient(game, c)), None)
+    if sufficient_set is None:
+        if math.comb(n, s) > search_limit:
+            raise BudgetError("exhaustive control-set search over the limit")
+        sufficient_set = find_sufficient_within(game, s)
+    roundtrip_ok = None
+    if satisfying is not None:
+        mapped = assignment_to_control_set(gadget, satisfying)
+        roundtrip_ok = is_sufficient(game, mapped) and (
+            control_set_to_assignment(gadget, normalize_control_set(gadget, mapped))
+            == satisfying
+        )
+    return ReductionReport(
+        satisfiable=satisfying is not None,
+        satisfying_assignment=satisfying,
+        control_within_target=sufficient_set is not None,
+        sufficient_set=sufficient_set,
+        target_size=s,
+        node_count=n,
+        edge_count=edge_count,
+        sizes_ok=n == 2 * s + 5 * m and edge_count == s + 8 * m,
+        degrees_ok=_degree_profile_ok(gadget),
+        roundtrip_ok=roundtrip_ok,
+        agree=(satisfying is not None) == (sufficient_set is not None),
+    )
 
 
 def transition_rows_reference(game, states, epsilon) -> list[dict[int, Fraction]]:

@@ -17,9 +17,15 @@ from controlsets import (
     parse_cnf,
     verify_reduction,
 )
-from controlsets.sat_reduction import CnfFormatError, format_labels
+from controlsets.sat_reduction import CnfFormatError, _first_sufficient_encoding, format_labels
 from controlsets.scs import _undominated, closure_mask
-from conftest import random_cnf3
+from conftest import (
+    closure_mask_sweep,
+    random_cnf3,
+    random_simple_graph,
+    random_weighted_graph,
+    verify_reduction_reference,
+)
 
 SINGLE_CLAUSE = Cnf3(3, ((1, -2, 3),))
 
@@ -96,6 +102,18 @@ class TestParseCnf:
             Cnf3(3, (5,))
         with pytest.raises(InputError, match="clauses must be a tuple or list"):
             Cnf3(3, 5)
+
+    @pytest.mark.parametrize("assignment", [(1, 0, 2), ("x", 0, 1), (1, None, 0), (0.5, 1, 1)])
+    def test_satisfied_by_rejects_non_binary_values(self, assignment):
+        with pytest.raises(InputError, match="0/1"):
+            SINGLE_CLAUSE.satisfied_by(assignment)
+
+    def test_satisfied_by_follows_the_literals(self):
+        # (x1 or not x2 or x3) fails only at (0, 1, 0).
+        for bits in range(8):
+            a = tuple((bits >> i) & 1 for i in range(3))
+            assert SINGLE_CLAUSE.satisfied_by(a) == (a != (0, 1, 0))
+        assert SINGLE_CLAUSE.satisfied_by([True, False, False])
 
     def test_list_clause_accepted(self):
         assert Cnf3(3, ([1, -2, 3],)).clauses == ((1, -2, 3),)
@@ -225,6 +243,21 @@ class TestNormalize:
         chosen = assignment_to_control_set(gadget, (0, 1, 1))
         assert control_set_to_assignment(gadget, chosen) == (0, 1, 1)
 
+    def test_readback_rejects_stray_nodes(self):
+        gadget = build_gadget(SINGLE_CLAUSE)
+        chosen = assignment_to_control_set(gadget, (1, 0, 1))
+        with pytest.raises(InputError, match="not normalized: 0, 999 outside the hub"):
+            control_set_to_assignment(gadget, chosen | {0, 999})
+        with pytest.raises(InputError, match="not normalized: 'a' outside the hub"):
+            control_set_to_assignment(gadget, chosen | {"a"})
+
+    @pytest.mark.parametrize("stray", ["a", 1.5])
+    def test_normalize_rejects_non_int_nodes(self, stray):
+        gadget = build_gadget(SINGLE_CLAUSE)
+        chosen = {gadget.hub, stray, gadget.true_nodes[0], gadget.false_nodes[1]}
+        with pytest.raises(InputError, match="is not an int"):
+            normalize_control_set(gadget, chosen)
+
     def test_readback_requires_normal_form(self):
         gadget = build_gadget(SINGLE_CLAUSE)
         chosen = assignment_to_control_set(gadget, (1, 0, 1))
@@ -300,3 +333,113 @@ class TestVerifyReduction:
         res = optimal_oracle(game, budget=SINGLE_CLAUSE.target_size)
         assert res.found
         assert res.min_size == SINGLE_CLAUSE.target_size
+
+
+def _only_all_ones_cnf() -> Cnf3:
+    # Per triple (1, 2, 3) and (2, 3, 4), one clause forbids each of the
+    # seven patterns other than all-1, so 1111 is the only model and the
+    # last assignment in counting order.
+    clauses = []
+    for triple in ((1, 2, 3), (2, 3, 4)):
+        for bits in range(7):
+            clauses.append(tuple(v if (bits >> k) & 1 == 0 else -v for k, v in enumerate(triple)))
+    return Cnf3(4, tuple(clauses))
+
+
+class TestEncodedWalk:
+    """The depth-first walk over assignment-encoded seed sets against the
+    per-assignment scan it replaces (``verify_reduction_reference``)."""
+
+    def test_reports_match_on_random_satisfiable_formulas(self):
+        rng = random.Random("walk/sat")
+        seen = set()
+        for _ in range(60):
+            cnf = random_cnf3(rng, max_vars=8, max_clauses=rng.randint(1, 16))
+            report = verify_reduction(cnf)
+            assert report == verify_reduction_reference(cnf)
+            assert report.satisfiable
+            seen.add(cnf.num_vars)
+        # A clause needs three variables, so 3 is the fewest a formula has.
+        assert seen == set(range(3, 9))
+
+    def test_reports_match_on_random_unsatisfiable_formulas(self):
+        rng = random.Random("walk/unsat")
+        found = 0
+        while found < 4:
+            cnf = random_cnf3(rng, max_vars=3, max_clauses=12)
+            expected = verify_reduction_reference(cnf)
+            if expected.satisfiable:
+                continue
+            assert verify_reduction(cnf) == expected
+            assert not expected.control_within_target
+            found += 1
+
+    @pytest.mark.parametrize("order_seed", range(3))
+    def test_reports_match_on_unsat_8_orders(self, order_seed):
+        clauses = list(UNSAT_8.clauses)
+        random.Random(order_seed).shuffle(clauses)
+        cnf = Cnf3(3, tuple(clauses))
+        assert verify_reduction(cnf) == verify_reduction_reference(cnf)
+
+    def test_only_model_is_the_last_assignment(self):
+        cnf = _only_all_ones_cnf()
+        report = verify_reduction(cnf)
+        assert report == verify_reduction_reference(cnf)
+        assert report.satisfying_assignment == (1, 1, 1, 1)
+        gadget = build_gadget(cnf)
+        assert report.sufficient_set == assignment_to_control_set(gadget, (1, 1, 1, 1))
+
+    def test_instance_delta_sign_takes_the_scan(self, monkeypatch):
+        cnf = random_cnf3(random.Random("walk/wrapped"), max_vars=6, max_clauses=12)
+        calls = []
+
+        def wrapped_build(formula):
+            gadget = build_gadget(formula)
+            method = gadget.game.delta_sign
+
+            def delta_sign(i, mask):
+                calls.append(i)
+                return method(i, mask)
+
+            gadget.game.delta_sign = delta_sign
+            return gadget
+
+        monkeypatch.setattr("controlsets.sat_reduction.build_gadget", wrapped_build)
+        report = verify_reduction(cnf)
+        assert calls
+        monkeypatch.undo()
+        assert report == verify_reduction_reference(cnf)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["majority", "weighted"])
+    def test_walk_matches_brute_force_on_any_game(self, weighted):
+        # Nodes of different pairs may coincide and may already be closed,
+        # which no gadget produces; the walk needs only monotone closure.
+        rng = random.Random(f"walk/any/{weighted}")
+        found = 0
+        for _ in range(150):
+            n = rng.randint(6, 14)
+            graph = random_weighted_graph(rng, n) if weighted else random_simple_graph(rng, n)
+            game = majority_game(graph)
+            full = (1 << n) - 1
+            nv = rng.randint(1, 4)
+            hub = rng.randrange(n)
+            false_nodes = [rng.randrange(n) for _ in range(nv)]
+            true_nodes = [rng.randrange(n) for _ in range(nv)]
+            expected = None
+            for bits in range(1 << nv):
+                seed = 1 << hub
+                for i in range(nv):
+                    seed |= 1 << (true_nodes[i] if (bits >> i) & 1 else false_nodes[i])
+                if closure_mask_sweep(game, seed) == full:
+                    expected = bits
+                    break
+            assert _first_sufficient_encoding(game, hub, false_nodes, true_nodes) == expected
+            found += expected is not None
+        assert 40 < found < 130
+
+
+class TestArgumentTypes:
+    @pytest.mark.parametrize("limit", ["x", True, 2.0, None])
+    def test_search_limit_must_be_int(self, limit):
+        with pytest.raises(InputError, match="search limit must be an int"):
+            verify_reduction(SINGLE_CLAUSE, search_limit=limit)

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -216,6 +217,19 @@ class TestFindSufficientWithin:
     def test_budget_must_be_an_int(self, budget):
         with pytest.raises(InputError, match="budget must be an int"):
             find_sufficient_within(majority_game(complete(4)), budget)
+
+    @pytest.mark.parametrize("budget", [3, 4])
+    def test_leaves_no_reference_cycle(self, budget):
+        # K8 needs 4 seeds: budget 3 walks the whole search, 4 returns a set.
+        game = majority_game(complete(8))
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                find_sufficient_within(game, budget)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def _biases(rng: random.Random, g) -> list[Fraction]:
