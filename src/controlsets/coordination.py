@@ -11,13 +11,14 @@ equivalent threshold view puts ``theta_i = (w_i - c_i) / (2 w_i)``: player
 out-weight plays 1.
 
 The chain keeps these integer scores incrementally as the walk moves, along
-``_score_steps`` (the in-arcs in score units).  ``scs.closure_mask`` runs
-the cascade as a counter worklist in weight units instead: weights are
-integers, so player ``i`` weakly prefers 1 exactly when its on-neighbor
-weight reaches ``_need[i] = ceil(_sub[i] / _mul[i])``.  The counters start
-from the seeds (one popcount per player on unit weights, the seeds' in-arcs
-otherwise), every player at 0 that meets its need is queued, and each flip
-adds its weight along its in-arcs.  That costs O(n + arcs of the players
+``_score_steps`` (the in-arcs in score units, built on first use).
+``scs._seed_walk``, the closure engine of every cascade closure and exact
+search, runs the cascade as a counter worklist in weight units instead:
+weights are integers, so player ``i`` weakly prefers 1 exactly when its
+on-neighbor weight reaches ``_need[i] = ceil(_sub[i] / _mul[i])``.  The
+counters start from 0 with the seeds and every player whose need is at most
+0 queued, and each flip adds its weight along its in-arcs and queues every
+player at 0 that now meets its need.  That costs O(n + arcs of the players
 that end at 1) with integer arithmetic only (linear-threshold propagation;
 Kempe, Kleinberg & Tardos, KDD 2003).
 """
@@ -25,6 +26,7 @@ Kempe, Kleinberg & Tardos, KDD 2003).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from ._ratio import as_fraction
@@ -61,13 +63,14 @@ class CoordinationGame(Game):
         # Player i weakly prefers 1 once its on-neighbor weight reaches
         # need[i] = ceil(sub / mul): weights are integers.
         self._need = tuple(-(-b // a) for a, b in zip(self._mul, self._sub))
-        # graph.in_rows in score units: entry j lists (i, step) for every
-        # arc i -> j, and player i's score rises by step when j switches to
-        # 1 and falls by it when j switches to 0.
+
+    @cached_property
+    def _score_steps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """``graph.in_rows`` in score units: entry j lists (i, step) for
+        every arc i -> j, and player i's score rises by step when j switches
+        to 1 and falls by it when j switches to 0.  Only the chain reads it."""
         mul = self._mul
-        self._score_steps = tuple(
-            tuple((i, w * mul[i]) for i, w in row) for row in graph.in_rows
-        )
+        return tuple(tuple((i, w * mul[i]) for i, w in row) for row in self.graph.in_rows)
 
     @property
     def thresholds(self) -> tuple[Fraction, ...]:

@@ -18,11 +18,11 @@ it once per formula and checks the equivalence by two independent routes.
 The formula side tries the assignments in counting order, each packed into
 an integer, against per-clause ``(pos, neg)`` bitmasks, the one clause rule
 :meth:`Cnf3.satisfied_by` also uses.  The game side walks the
-assignment-encoded seed sets depth-first on the counter worklist of
-``scs`` (:func:`_first_sufficient_encoding`), resuming each prefix's
-closure instead of closing every set from scratch.  The walk relies only on
-closure being monotone and idempotent, which holds for every supermodular
-game, and not on how the gadget is built.  When no encoded set is
+assignment-encoded seed sets depth-first on the closure engine of ``scs``
+(:func:`_first_sufficient_encoding`), resuming each prefix's closure
+instead of closing every set from scratch, for any game.  The walk relies
+only on closure being monotone and idempotent, which holds for every
+supermodular game, and not on how the gadget is built.  When no encoded set is
 sufficient, the complete branch-and-bound search decides.
 """
 
@@ -33,10 +33,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .coordination import CoordinationGame, _plain_coordination, majority_game
+from .coordination import majority_game
 from .errors import BudgetError, InputError, InternalCheckError
+from .game_core import Game
 from .graph import WeightedGraph
-from .scs import _closed_counters, _spread, closure_mask, find_sufficient_within, is_sufficient
+from .scs import _seed_walk, find_sufficient_within, is_sufficient
 
 SAT_VARS_LIMIT = 16
 SEARCH_PLAN_LIMIT = 3_000_000
@@ -429,25 +430,23 @@ def _degree_profile_ok(gadget: GadgetGraph) -> bool:
 
 
 def _first_sufficient_encoding(
-    game: CoordinationGame, hub: int, false_nodes: Sequence[int], true_nodes: Sequence[int]
+    game: Game, hub: int, false_nodes: Sequence[int], true_nodes: Sequence[int]
 ) -> int | None:
     """The first packed assignment ``bits``, in counting order, whose seed
     set ``{hub}`` plus ``true_nodes[i]`` or ``false_nodes[i]`` per bit ``i``
-    is sufficient on a plain coordination game, or None.
+    is sufficient, or None.
 
     Depth-first: the last variable is decided first and 0 is tried before
     1, which is counting order.  Down each branch the walk carries the
-    prefix's closed mask and counters, as ``scs._OracleWalk`` does: closure
+    prefix's closed mask and counters from :func:`scs._seed_walk`: closure
     is monotone and idempotent in every supermodular game, so closure(P + v)
     is closure(closure(P) + v).  A node already closed adds nothing; any
     other spreads into a copy of the prefix's counters, which its sibling
     branch reuses.  A prefix that closes to everything ends the walk: its
     first completion, every undecided variable at 0, is sufficient.
     """
-    into, need = game.graph.in_rows, game._need
     full = (1 << game.n) - 1
-    closed = closure_mask(game, 1 << hub)
-    on = _closed_counters(game, closed)
+    closed, on, spread = _seed_walk(game, 1 << hub)
     bits, left = 0, len(true_nodes)
     # The 1-branches still to walk: (node, variables left, bits, prefix
     # closure, prefix counters).
@@ -463,7 +462,7 @@ def _first_sufficient_encoding(
             return None
         if not (closed >> node) & 1:
             on = on[:]
-            closed = _spread(into, need, on, closed, [node])
+            closed = spread(on, closed, [node])
     return bits
 
 
@@ -471,16 +470,13 @@ def verify_reduction(cnf: Cnf3, search_limit: int = SEARCH_PLAN_LIMIT) -> Reduct
     """Check, on one instance, that satisfiability coincides with the
     existence of a control set of size ``num_vars + 1`` on the gadget.
 
-    The formula side enumerates all assignments.  The game side first tries
-    the assignment-encoded seed sets in the same counting order, so the set
-    reported is the first sufficient one (cascade-verified, so no step
-    trusts the construction).  A plain :class:`CoordinationGame`, which the
-    gadget's majority game is, is walked depth-first on the counters
-    (:func:`_first_sufficient_encoding`); any other game, such as one with
-    an instance-level ``delta_sign``, gets one :func:`is_sufficient` per
-    set.  Only if none works does the complete branch-and-bound search run,
-    its planned work guarded by ``search_limit`` (an int).  The round trip
-    of the satisfying assignment closes its encoded set from scratch.
+    The formula side enumerates all assignments.  The game side first walks
+    the assignment-encoded seed sets depth-first in the same counting order
+    (:func:`_first_sufficient_encoding`), so the set reported is the first
+    sufficient one (cascade-verified, so no step trusts the construction).
+    Only if none works does the complete branch-and-bound search run, its
+    planned work guarded by ``search_limit`` (an int).  The round trip of
+    the satisfying assignment closes its encoded set from scratch.
     """
     if type(search_limit) is not int:
         raise InputError(f"search limit must be an int, got {search_limit!r}")
@@ -504,14 +500,8 @@ def verify_reduction(cnf: Cnf3, search_limit: int = SEARCH_PLAN_LIMIT) -> Reduct
     model = cnf._first_model(range(1 << nv))
     satisfying = None if model is None else _unpack_assignment(model, nv)
 
-    def encoded(bits: int) -> frozenset[int]:
-        return assignment_to_control_set(gadget, _unpack_assignment(bits, nv))
-
-    if _plain_coordination(game):
-        first = _first_sufficient_encoding(game, gadget.hub, gadget.false_nodes, gadget.true_nodes)
-    else:
-        first = next((a for a in range(1 << nv) if is_sufficient(game, encoded(a))), None)
-    sufficient_set = None if first is None else encoded(first)
+    first = _first_sufficient_encoding(game, gadget.hub, gadget.false_nodes, gadget.true_nodes)
+    sufficient_set = None if first is None else assignment_to_control_set(gadget, _unpack_assignment(first, nv))
     if sufficient_set is None:
         planned = math.comb(n, s)
         if planned > search_limit:

@@ -7,36 +7,37 @@ a 0-player whose marginal is >= 0 (indifferent players do flip).  Under
 increasing differences the fixed point does not depend on flip order, so a
 deterministic lowest-index order is used to produce reproducible witnesses.
 
-:func:`closure_mask` runs a plain :class:`CoordinationGame` through a
-counter worklist over integer on-neighbor weights (see ``coordination``)
-and every other game through order-free sweeps of ``delta_sign``; both
-reach the same fixed point.
+:func:`_seed_walk` is the one closure engine.  It closes a seed set and
+hands back a ``spread`` step that adds players to a closed set: a counter
+worklist over integer on-neighbor weights for a plain
+:class:`CoordinationGame` (see ``coordination``), order-free sweeps of
+``delta_sign`` for any other game.  Both reach the same fixed point.
+:func:`closure_mask` is its closed set, and every exact search grows its
+seed sets through ``spread``: closure is monotone and idempotent under
+increasing differences, so closure(P + v) is closure(closure(P) + v).
 
 Exact search comes in two flavors.  :func:`optimal_oracle` enumerates seed
-sets by ascending cardinality and returns *all* optimal sets.  A plain
-coordination game is walked depth-first, resuming the counter worklist from
-each prefix's closure and pruning exactly; any other game gets one closure
-per set.  :func:`find_sufficient_within` is a complete branch-and-bound
-decision procedure for "is there a sufficient set of size <= budget" that
-prunes seeds already absorbed by the cascade of the current partial seed.
-It searches only undominated seeds.  Node ``v`` is dominated by ``u`` when
-``v`` lies in the closure of ``{u}``: closure is monotone and idempotent
-under increasing differences, so any sufficient set containing ``v`` stays
-sufficient with ``u`` in its place (Ackerman, Ben-Zwi & Wolfovitz, TCS
-2010).  Keeping the lowest index of each maximal class of mutually
-dominating nodes therefore loses no verdict, though the set found may
-differ from the one an unpruned search would return.
+sets by ascending cardinality and returns *all* optimal sets, walking them
+depth-first and pruning exactly.  :func:`find_sufficient_within` is a
+complete branch-and-bound decision procedure for "is there a sufficient set
+of size <= budget" that prunes seeds already absorbed by the cascade of the
+current partial seed.  It searches only undominated seeds.  Node ``v`` is
+dominated by ``u`` when ``v`` lies in the closure of ``{u}``: any
+sufficient set containing ``v`` stays sufficient with ``u`` in its place
+(Ackerman, Ben-Zwi & Wolfovitz, TCS 2010).  Keeping the lowest index of
+each maximal class of mutually dominating nodes therefore loses no verdict,
+though the set found may differ from the one an unpruned search would
+return.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from ._ratio import as_fraction
-from .coordination import CoordinationGame, _plain_coordination
+from .coordination import _plain_coordination
 from .errors import BudgetError, InputError
 from .game_core import Game, Profile
 from .graph import WeightedGraph, uniformly_at_most_cohesive
@@ -68,76 +69,61 @@ def _seed_mask(game: Game, seed) -> int:
 
 
 def closure_mask(game: Game, mask: int) -> int:
-    """Cascade fixed point as a bitmask, the hot path: a counter worklist
-    for a :class:`CoordinationGame`, order-free sweeps for any other game."""
-    if _plain_coordination(game):
-        return _counter_closure(game, mask)
+    """Cascade fixed point as a bitmask (see :func:`_seed_walk`)."""
+    return _seed_walk(game, mask)[0]
+
+
+def _seed_walk(game: Game, mask: int) -> tuple[int, list[int], Callable[[list[int], int, list[int]], int]]:
+    """Close ``mask`` and return ``(closed, on, spread)``.
+
+    ``spread(on, closed, queue)`` returns the closure of a closed mask plus
+    the queued players, which must lie outside it, and brings ``on``, the
+    counters of the closed mask, up to date in place.  A search adds a seed
+    by spreading a copy of its prefix's ``on``, which the siblings of that
+    seed reuse unchanged: the copy costs about what undoing the flips on the
+    way back would, with no undo to get wrong.
+
+    A plain :class:`CoordinationGame` runs the counter worklist of
+    ``coordination``: ``on[i]`` is player i's on-neighbor weight, each flip
+    adds its weight along its in-arcs, and a player at 0 flips once it
+    meets ``_need``, so a spread costs O(arcs of the players it sets).  Any
+    other game gets ``on == []`` and order-free sweeps of ``delta_sign``
+    until nobody flips.
+    """
     n = game.n
+    if _plain_coordination(game):
+        into, need = game.graph.in_rows, game._need
+
+        def spread(on: list[int], closed: int, queue: list[int]) -> int:
+            for i in queue:
+                closed |= 1 << i
+            # The queue grows while it is walked: each flip is queued once.
+            for j in queue:
+                for i, w in into[j]:
+                    a = on[i] = on[i] + w
+                    if a >= need[i] and not (closed >> i) & 1:
+                        closed |= 1 << i
+                        queue.append(i)
+            return closed
+
+        on = [0] * n
+        return spread(on, 0, [i for i in range(n) if (mask >> i) & 1 or need[i] <= 0]), on, spread
     full = (1 << n) - 1
     sign = game.delta_sign
-    changed = True
-    while changed and mask != full:
-        changed = False
-        for i in range(n):
-            if not (mask >> i) & 1 and sign(i, mask) >= 0:
-                mask |= 1 << i
-                changed = True
-    return mask
 
+    def spread(on: list[int], closed: int, queue: list[int]) -> int:
+        for i in queue:
+            closed |= 1 << i
+        changed = True
+        while changed and closed != full:
+            changed = False
+            for i in range(n):
+                if not (closed >> i) & 1 and sign(i, closed) >= 0:
+                    closed |= 1 << i
+                    changed = True
+        return closed
 
-def _counter_closure(game: CoordinationGame, mask: int) -> int:
-    """Counter-worklist closure over on-neighbor weights (see
-    ``coordination``): O(n + in-arcs of the players at 1)."""
-    graph = game.graph
-    need = game._need
-    into = graph.in_rows
-    if graph.unit_weights:
-        # One popcount per player.  Most closures from small seeds flip
-        # nobody and end here, before any counter is built.
-        masks = graph.neighbor_masks
-        queue = [
-            i
-            for i, m, t in zip(range(game.n), masks, need)
-            if (m & mask).bit_count() >= t and not (mask >> i) & 1
-        ]
-        if not queue:
-            return mask
-        on = [(m & mask).bit_count() for m in masks]
-    else:
-        on = [0] * game.n
-        seeds = mask
-        while seeds:
-            low = seeds & -seeds
-            for i, w in into[low.bit_length() - 1]:
-                on[i] += w
-            seeds ^= low
-        queue = [i for i, t in enumerate(need) if on[i] >= t and not (mask >> i) & 1]
-    return _spread(into, need, on, mask, queue)
-
-
-def _spread(into, need, on: list[int], mask: int, queue: list[int]) -> int:
-    """Resume the counter worklist from a closed ``mask`` and its counters
-    ``on`` (updated in place): set the queued players, add each one's
-    weight along its in-arcs and queue every player at 0 that meets its
-    need.  Returns the closure of ``mask`` plus the queued players."""
-    for i in queue:
-        mask |= 1 << i
-    # The queue grows while it is walked: each flip is queued once.
-    for j in queue:
-        for i, w in into[j]:
-            a = on[i] = on[i] + w
-            if a >= need[i] and not (mask >> i) & 1:
-                mask |= 1 << i
-                queue.append(i)
-    return mask
-
-
-def _closed_counters(game: CoordinationGame, closed: int) -> list[int]:
-    """The on-weight counters of a closed mask, the start that
-    :func:`_spread` resumes from: nobody outside ``closed`` meets a need."""
-    on = [0] * game.n
-    _spread(game.graph.in_rows, game._need, on, 0, [j for j in range(game.n) if (closed >> j) & 1])
-    return on
+    return spread([], mask, []), [], spread
 
 
 def cascade(game: Game, seed) -> CascadeResult:
@@ -210,10 +196,10 @@ def optimal_oracle(game: Game, budget: int | None = None, max_checks: int = ORAC
     order of ``itertools.combinations``.
 
     ``checked`` counts every seed set of each size up to the hit size (or
-    budget), and that planned total is guarded by ``max_checks``.  A plain
-    :class:`CoordinationGame` is walked by :class:`_OracleWalk`, which
-    closes only the sets its exact prunings leave; any other game gets one
-    closure per seed set.
+    budget), and that planned total is guarded by ``max_checks``.  The sets
+    are walked by :class:`_OracleWalk`, which closes only the sets its
+    exact prunings leave.  Like :func:`find_sufficient_within`, the walk
+    is exact for any game with increasing differences.
     """
     n = game.n
     if budget is None:
@@ -225,38 +211,25 @@ def optimal_oracle(game: Game, budget: int | None = None, max_checks: int = ORAC
             f"oracle would enumerate {planned} seed sets (n={n}, budget={budget}), "
             f"over the limit of {max_checks}"
         )
-    if _plain_coordination(game):
-        sufficient_sets = _OracleWalk(game, closure_mask(game, 0)).sufficient_sets
-    else:
-        full = (1 << n) - 1
-        bits = [1 << p for p in range(n)]
-
-        def sufficient_sets(k: int) -> list[int]:
-            combos = map(sum, itertools.combinations(bits, k))
-            return [mask for mask in combos if closure_mask(game, mask) == full]
-
+    walk = _OracleWalk(game)
     checked = 0
     for k in range(budget + 1):
         checked += math.comb(n, k)
-        hits = sufficient_sets(k)
+        hits = walk.sufficient_sets(k)
         if hits:
             return OracleResult(True, k, tuple(Profile(n, m).players for m in hits), budget, checked)
     return OracleResult(False, None, (), budget, checked)
 
 
 class _OracleWalk:
-    """Depth-first walk over the k-sets of a :class:`CoordinationGame`.
+    """Depth-first walk over the k-sets of a game.
 
     Sets are visited in the lexicographic order of
     ``itertools.combinations``.  Down each branch the walk carries the
-    prefix's closed mask and the integer on-weight counters of
-    :func:`_counter_closure`.  Closure is monotone and idempotent under
-    increasing differences, so closure(P + v) is closure(closure(P) + v):
-    adding seed ``v`` resumes the worklist (:func:`_spread`) on a copy of
-    the prefix's counters, which the siblings of ``v`` reuse unchanged.
-    The copy of n integers costs about what subtracting the flips' weights
-    on the way back would, with no undo to get wrong.  Two exact prunings
-    skip most of the walk:
+    prefix's closed mask and counters and adds a seed by spreading a copy
+    of them (:func:`_seed_walk`); a leaf inside the prefix's closure adds
+    nothing and is skipped.  On a plain coordination game, where ``on``
+    holds the counters, two exact prunings skip most of the walk:
 
     * *Leaf filter.*  With one seed left, a leaf ``v`` can set a player
       beyond itself only if some player ``i`` outside the closed set has an
@@ -271,16 +244,16 @@ class _OracleWalk:
       is sufficient.
     """
 
-    def __init__(self, game: CoordinationGame, base: int):
-        graph = game.graph
+    def __init__(self, game: Game):
         self.n = game.n
         self.full = (1 << game.n) - 1
-        self.into = graph.in_rows
-        self.need = game._need
-        self.top = tuple(max(w for _, w in row) for row in graph.rows)
-        self.out_masks = graph.neighbor_masks
-        self.base = base
-        self.on = _closed_counters(game, base)
+        # The base closure goes through the module name, so a profiler that
+        # rebinds ``closure_mask`` sees one call per oracle.
+        self.base, self.on, self.spread = _seed_walk(game, closure_mask(game, 0))
+        if self.on:
+            self.need = game._need
+            self.top = tuple(max(w for _, w in row) for row in game.graph.rows)
+            self.out_masks = game.graph.neighbor_masks
         self.hits: list[int] = []
 
     def sufficient_sets(self, k: int) -> list[int]:
@@ -293,25 +266,28 @@ class _OracleWalk:
 
     def _grow(self, start: int, closed: int, on: list[int], seeds: int, r: int) -> None:
         """Place the remaining ``r`` seeds at indices ``start`` and up."""
-        n, into, need, top = self.n, self.into, self.need, self.top
+        n, spread = self.n, self.spread
         outside = self.full ^ closed
         if r == 1:
             if not outside:
                 self.hits.extend(seeds | (1 << v) for v in range(start, n))
                 return
-            cand = 0
-            for i in range(n):
-                if (outside >> i) & 1 and on[i] + top[i] >= need[i]:
-                    cand |= self.out_masks[i]
-            cand &= outside >> start << start
+            cand = outside >> start << start
+            if on:
+                need, top, out_masks = self.need, self.top, self.out_masks
+                reach = 0
+                for i in range(n):
+                    if (outside >> i) & 1 and on[i] + top[i] >= need[i]:
+                        reach |= out_masks[i]
+                cand &= reach
             while cand:
                 low = cand & -cand
-                if _spread(into, need, on[:], closed, [low.bit_length() - 1]) == self.full:
+                if spread(on[:], closed, [low.bit_length() - 1]) == self.full:
                     self.hits.append(seeds | low)
                 cand ^= low
             return
-        if outside.bit_count() > r and all(
-            on[i] + r * top[i] < need[i] for i in range(n) if (outside >> i) & 1
+        if on and outside.bit_count() > r and all(
+            on[i] + r * self.top[i] < self.need[i] for i in range(n) if (outside >> i) & 1
         ):
             return
         for v in range(start, n - r + 1):
@@ -320,18 +296,19 @@ class _OracleWalk:
                 self._grow(v + 1, closed, on, seeds | bit, r - 1)
             else:
                 grown_on = on[:]
-                grown = _spread(into, need, grown_on, closed, [v])
+                grown = spread(grown_on, closed, [v])
                 self._grow(v + 1, grown, grown_on, seeds | bit, r - 1)
 
 
-def _undominated(game: Game, base: int) -> list[int]:
+def _undominated(n: int, base: int, on: list[int], spread) -> list[int]:
     """Players outside the closed set ``base`` that no other player
     dominates, ascending: ``v`` is dropped when some ``u`` has ``v`` in the
     closure of ``base | {u}`` and either ``v`` does not reach ``u`` back or
     ``u < v`` (``u = v`` never qualifies).  What is left is the lowest
-    index of each maximal class."""
-    free = [v for v in range(game.n) if not (base >> v) & 1]
-    reach = {v: closure_mask(game, base | (1 << v)) for v in free}
+    index of each maximal class.  ``base``, ``on`` and ``spread`` come from
+    :func:`_seed_walk`; each closure spreads a copy of ``on``."""
+    free = [v for v in range(n) if not (base >> v) & 1]
+    reach = {v: spread(on[:], base, [v]) for v in free}
     return [
         v
         for v in free
@@ -345,9 +322,10 @@ def find_sufficient_within(game: Game, budget: int) -> frozenset[int] | None:
     """Complete decision search: a sufficient set of size <= budget, or None.
 
     Depth-first over the undominated players (see the module docstring) in
-    ascending index order.  A candidate already inside the cascade closure
-    of the current partial seed is skipped: adding it cannot change the
-    closure.  Both prunings keep the search exact for any game with
+    ascending index order, each seed spreading a copy of its prefix's
+    counters (:func:`_seed_walk`).  A candidate already inside the cascade
+    closure of the current partial seed is skipped: adding it cannot change
+    the closure.  Both prunings keep the search exact for any game with
     increasing differences, whose closure is monotone and idempotent, so
     the verdict is that of the full search; a set returned is sufficient
     and within the budget, but may differ from the one the full search
@@ -355,25 +333,25 @@ def find_sufficient_within(game: Game, budget: int) -> frozenset[int] | None:
     """
     n = game.n
     _check_budget(budget, n)
-    full = (1 << n) - 1
-    base = closure_mask(game, 0)
-    if base == full:
+    base, on, spread = _seed_walk(game, 0)
+    if base == (1 << n) - 1:
         return frozenset()
-    return _WithinSearch(game, _undominated(game, base), budget).descend(0, base)
+    kept = _undominated(n, base, on, spread)
+    return _WithinSearch(n, spread, kept, budget).descend(0, base, on)
 
 
 class _WithinSearch:
     """The depth-first search of :func:`find_sufficient_within` as a method,
     so that a call leaves no reference cycle behind for the collector."""
 
-    def __init__(self, game: Game, kept: list[int], budget: int):
-        self.game = game
-        self.full = (1 << game.n) - 1
+    def __init__(self, n: int, spread, kept: list[int], budget: int):
+        self.full = (1 << n) - 1
+        self.spread = spread
         self.kept = kept
         self.budget = budget
         self.chosen: list[int] = []
 
-    def descend(self, start: int, closed: int) -> frozenset[int] | None:
+    def descend(self, start: int, closed: int, on: list[int]) -> frozenset[int] | None:
         """Extend the chosen seeds by kept players from index ``start`` on."""
         chosen, kept = self.chosen, self.kept
         if len(chosen) == self.budget:
@@ -382,11 +360,12 @@ class _WithinSearch:
             v = kept[a]
             if (closed >> v) & 1:
                 continue
-            grown = closure_mask(self.game, closed | (1 << v))
+            grown_on = on[:]
+            grown = self.spread(grown_on, closed, [v])
             chosen.append(v)
             if grown == self.full:
                 return frozenset(chosen)
-            found = self.descend(a + 1, grown)
+            found = self.descend(a + 1, grown, grown_on)
             if found is not None:
                 return found
             chosen.pop()

@@ -127,27 +127,46 @@ def optimal_oracle_reference(game, budget: int | None = None) -> OracleResult:
     return OracleResult(False, None, (), budget, checked)
 
 
-def find_sufficient_within_reference(game, budget: int) -> frozenset[int] | None:
-    """Depth-first search over every player in ascending order, skipping
-    only players inside the current closure; no dominance pruning."""
+def undominated_reference(game, base: int) -> list[int]:
+    """Lowest index of each maximal class of the dominance preorder, from
+    sweep closures and the class definition."""
+    free = [v for v in range(game.n) if not (base >> v) & 1]
+    reach = {v: closure_mask_sweep(game, base | (1 << v)) for v in free}
+    kept = set()
+    for v in free:
+        cls = [u for u in free if (reach[u] >> v) & 1 and (reach[v] >> u) & 1]
+        above = [u for u in free if (reach[u] >> v) & 1 and u not in cls]
+        if not above:
+            kept.add(min(cls))
+    return sorted(kept)
+
+
+def find_sufficient_within_reference(game, budget: int, players=None) -> frozenset[int] | None:
+    """Depth-first search over ``players`` (every player by default) in
+    ascending order, skipping only players inside the current closure and
+    closing every grown set from scratch by sweeps.  With the players that
+    :func:`undominated_reference` keeps, it is the search
+    ``find_sufficient_within`` runs, node for node."""
     n = game.n
     full = (1 << n) - 1
     base = closure_mask_sweep(game, 0)
     if base == full:
         return frozenset()
+    order = range(n) if players is None else players
     chosen: list[int] = []
 
     def descend(start: int, closed: int) -> frozenset[int] | None:
         if len(chosen) == budget:
             return None
-        for v in range(start, n):
+        for a in range(start, len(order)):
+            v = order[a]
             if (closed >> v) & 1:
                 continue
             grown = closure_mask_sweep(game, closed | (1 << v))
             chosen.append(v)
             if grown == full:
                 return frozenset(chosen)
-            found = descend(v + 1, grown)
+            found = descend(a + 1, grown)
             if found is not None:
                 return found
             chosen.pop()

@@ -95,6 +95,14 @@ class TestThresholds:
             from_thresholds(ring(4), [0.5, 0.5, 0.5, 0.5])
 
 
+def test_score_steps_built_on_first_use():
+    # Only the chain reads the score steps, so building a game skips them.
+    game = majority_game(ring(5))
+    assert "_score_steps" not in vars(game)
+    assert game._score_steps[1] == ((0, 2), (2, 2))
+    assert "_score_steps" in vars(game)
+
+
 class TestSignMatchesThresholdBranch:
     def test_exhaustive(self):
         rng = random.Random(29)

@@ -18,12 +18,14 @@ from controlsets import (
     verify_reduction,
 )
 from controlsets.sat_reduction import CnfFormatError, _first_sufficient_encoding, format_labels
-from controlsets.scs import _undominated, closure_mask
+from controlsets.scs import _seed_walk, _undominated
 from conftest import (
     closure_mask_sweep,
+    find_sufficient_within_reference,
     random_cnf3,
     random_simple_graph,
     random_weighted_graph,
+    undominated_reference,
     verify_reduction_reference,
 )
 
@@ -293,11 +295,22 @@ class TestVerifyReduction:
         gadget = build_gadget(Cnf3(3, tuple(clauses)))
         game = gadget.game
         assert game.n == 48
-        kept = _undominated(game, closure_mask(game, 0))
+        kept = _undominated(game.n, *_seed_walk(game, 0))
         core = gadget.clause_nodes + gadget.true_nodes + gadget.false_nodes + (gadget.hub,)
         assert kept == sorted(core)
         assert len(kept) == 15
         assert find_sufficient_within(game, 4) is None
+
+    @pytest.mark.parametrize("order_seed", range(3))
+    def test_unsatisfiable_gadget_search_returns_the_reference_set(self, order_seed):
+        clauses = list(UNSAT_8.clauses)
+        random.Random(order_seed).shuffle(clauses)
+        game = build_gadget(Cnf3(3, tuple(clauses))).game
+        kept = undominated_reference(game, closure_mask_sweep(game, 0))
+        for budget in range(game.n + 1):
+            got = find_sufficient_within(game, budget)
+            assert got == find_sufficient_within_reference(game, budget, kept)
+            assert (got is None) == (budget < 5)
 
     def test_random_instances_agree(self):
         rng = random.Random(101)

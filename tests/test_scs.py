@@ -25,7 +25,7 @@ from controlsets import (
     ring,
     tree,
 )
-from controlsets.scs import _OracleWalk, _undominated, closure_mask
+from controlsets.scs import _OracleWalk, _seed_walk, _undominated, closure_mask
 from conftest import (
     cascade_random_order,
     closure_mask_sweep,
@@ -35,6 +35,7 @@ from conftest import (
     random_game,
     random_simple_graph,
     random_weighted_graph,
+    undominated_reference,
 )
 
 # Two-level tree: root 0; children 1, 2; 1 has children 3 (inner) and 4 (leaf);
@@ -257,18 +258,37 @@ def random_coordination_game(kind: str, rng: random.Random, n: int) -> Coordinat
 GAME_KINDS = ("majority", "biased", "weighted", "directed")
 
 
-def undominated_reference(game, base: int) -> list[int]:
-    """Lowest index of each maximal class of the dominance preorder, from
-    sweep closures and the class definition."""
-    free = [v for v in range(game.n) if not (base >> v) & 1]
-    reach = {v: closure_mask_sweep(game, base | (1 << v)) for v in free}
-    kept = set()
-    for v in free:
-        cls = [u for u in free if (reach[u] >> v) & 1 and (reach[v] >> u) & 1]
-        above = [u for u in free if (reach[u] >> v) & 1 and u not in cls]
-        if not above:
-            kept.add(min(cls))
-    return sorted(kept)
+class TestSeedWalk:
+    @pytest.mark.parametrize("kind", GAME_KINDS + ("table",))
+    def test_spread_from_a_closed_prefix_matches_sweep(self, kind):
+        rng = random.Random(f"spread/{kind}")
+        need_zero = 0
+        for _ in range(30):
+            n = rng.randint(2, 10)
+            if kind == "table":
+                game = random_supermodular_table(min(n, 8), rng)
+            else:
+                game = random_coordination_game(kind, rng, n)
+                # A bias equal to the out-degree gives need 0: the player
+                # is set from the empty seed.
+                biases = list(game.biases)
+                for i in rng.sample(range(n), rng.randint(0, 2)):
+                    biases[i] = game.graph.out_degrees[i]
+                game = CoordinationGame(game.graph, biases)
+                need_zero += sum(t <= 0 for t in game._need)
+            full = (1 << game.n) - 1
+            for mask in [0] + [rng.randrange(full + 1) for _ in range(5)]:
+                closed, on, spread = _seed_walk(game, mask)
+                assert closed == closure_mask_sweep(game, mask)
+                assert on == ([] if kind == "table" else _seed_walk(game, closed)[1])
+                for v in range(game.n):
+                    if (closed >> v) & 1:
+                        continue
+                    grown_on = on[:]
+                    grown = spread(grown_on, closed, [v])
+                    assert grown == closure_mask_sweep(game, closed | 1 << v)
+                    assert grown_on == _seed_walk(game, grown)[1]
+        assert kind == "table" or need_zero > 10
 
 
 class TestCounterClosure:
@@ -307,8 +327,8 @@ class TestCounterClosure:
 
 
 class TestOracleWalk:
-    """The depth-first oracle of a plain coordination game against the
-    enumeration that closes every seed set from scratch."""
+    """The depth-first oracle, on every game, against the enumeration that
+    closes every seed set from scratch."""
 
     @staticmethod
     def assert_matches_reference(game):
@@ -366,7 +386,7 @@ class TestOracleWalk:
             game = random_coordination_game(kind, rng, rng.randint(2, 8))
             n = game.n
             full = (1 << n) - 1
-            walk = _OracleWalk(game, closure_mask(game, 0))
+            walk = _OracleWalk(game)
             for k in range(n + 1):
                 combos = map(sum, itertools.combinations([1 << p for p in range(n)], k))
                 expected = [m for m in combos if closure_mask_sweep(game, m) == full]
@@ -404,10 +424,14 @@ class TestDominancePruning:
                 game = random_supermodular_table(n, rng)
             else:
                 game = random_coordination_game(kind, rng, n)
+            kept = undominated_reference(game, closure_mask_sweep(game, 0))
             for budget in range(game.n + 1):
                 got = find_sufficient_within(game, budget)
                 ref = find_sufficient_within_reference(game, budget)
                 assert (got is None) == (ref is None)
+                # Not just the verdict: the set of the same search over the
+                # kept nodes, closed from scratch.
+                assert got == find_sufficient_within_reference(game, budget, kept)
                 if got is not None:
                     assert len(got) <= budget
                     mask = sum(1 << p for p in got)
@@ -423,7 +447,7 @@ class TestDominancePruning:
             else:
                 game = random_coordination_game(kind, rng, n)
             base = closure_mask_sweep(game, 0)
-            kept = _undominated(game, base)
+            kept = _undominated(game.n, *_seed_walk(game, base))
             assert kept == undominated_reference(game, base)
             for v in range(game.n):
                 if not (base >> v) & 1 and v not in kept:
@@ -435,7 +459,7 @@ class TestDominancePruning:
     def test_mutual_class_keeps_lowest_index(self, g):
         # Every single node tips these graphs, so all nodes form one class.
         game = majority_game(g)
-        assert _undominated(game, 0) == [0]
+        assert _undominated(game.n, *_seed_walk(game, 0)) == [0]
         assert find_sufficient_within(game, 1) == frozenset({0})
 
 
