@@ -12,7 +12,6 @@ from .chain import (
     ChainRun,
     TransitionMatrix,
     absorbing_set,
-    chain_step,
     reachable_set,
     run_search,
     stationary_distribution,
@@ -121,7 +120,6 @@ __all__ = [
     "build_gadget",
     "cascade",
     "cdf",
-    "chain_step",
     "check_extremal_equilibria",
     "check_supermodular",
     "cohesiveness_crosscheck",

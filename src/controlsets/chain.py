@@ -11,16 +11,19 @@ shrinks the stationary law piles onto the minimum-cardinality profiles.
 Most steps are self-loops.  ``run_search`` skips them with its outputs
 unchanged: it draws players in blocks on the same random stream, keeps a
 table of the players whose draw can move the walk, and jumps to the next
-such draw, crediting the skipped steps in bulk.
+such draw, crediting the skipped steps in bulk.  On a plain coordination
+game the table reads the slack counters that the closure engine in ``scs``
+also runs on (see ``coordination``).
 
-Besides the long-run search, this module enumerates the reachable and
-absorbing profile sets and builds the exact rational transition matrix for
-small instances, so the stationary claims can be checked exactly.  The
-stationary vector is solved from detailed balance along a spanning tree
-and certified on every edge (Kolmogorov's criterion).  The input is checked
-once, up front, to be a stochastic matrix; a chain that fails the
-certificate falls back to a Gauss-Jordan solve over the same sparse rows,
-and only that fallback is bounded by ``DENSE_SOLVE_LIMIT``.
+For small instances one depth-first walk from all-1 (``_moves``) maps each
+reachable profile to its admissible players.  The reachable and absorbing
+profile sets and the exact rational transition matrix are all read off it,
+so the stationary claims can be checked exactly.  The stationary vector is
+solved from detailed balance along a spanning tree and certified on every
+edge (Kolmogorov's criterion).  The input is checked once, up front, to be
+a stochastic matrix; a chain that fails the certificate falls back to a
+Gauss-Jordan solve over the same sparse rows, and only that fallback is
+bounded by ``DENSE_SOLVE_LIMIT``.
 """
 
 from __future__ import annotations
@@ -91,25 +94,6 @@ class ChainRun:
         return self.best_profile.weight
 
 
-def chain_step(game: Game, x: Profile, rng: random.Random, epsilon) -> Profile:
-    """One transition.  Draws the player from ``rng``; an upward flip draws
-    one more value from ``rng`` as the epsilon-coin (exact Bernoulli via
-    ``randrange`` on the denominator)."""
-    game._check_profile(x)
-    eps = as_fraction(epsilon)
-    if not 0 <= eps <= 1:
-        raise InputError(f"epsilon must lie in [0, 1], got {eps}")
-    i = rng.randrange(game.n)
-    if game.delta_sign(i, x.mask) < 0:
-        return x
-    bit = 1 << i
-    if x.mask & bit:
-        return Profile(x.n, x.mask ^ bit)
-    if eps and rng.randrange(eps.denominator) < eps.numerator:
-        return Profile(x.n, x.mask | bit)
-    return x
-
-
 def _player_draws(rng: random.Random, n: int):
     """Return ``draw(words)``: the values ``rng.randrange(n)`` would return,
     in order, while ``words`` fresh 32-bit outputs of ``rng`` are consumed.
@@ -152,9 +136,10 @@ def run_search(game: Game, config: ChainConfig) -> ChainRun:
     successive ``randrange(n)`` calls, so memory does not grow with
     ``steps``.  A 0/1 table marks the players whose draw does something: a
     downward flip, or an upward coin when epsilon > 0.  For a
-    :class:`CoordinationGame` the table is kept exact from integer scores,
-    and a move updates only the in-neighbours of the flipped player; for
-    any other game a player is "unknown" until drawn, and its
+    :class:`CoordinationGame` the table is kept exact from the integer
+    slack counters of ``coordination``, and a move updates only the
+    in-neighbours of the flipped player; for any other game a player is
+    "unknown" until drawn, and its
     ``delta_sign`` is then cached until the next move, so signs are never
     evaluated more than once per step.  The next marked draw is found by a
     look at the next draw, then by translating the block through the table
@@ -186,10 +171,10 @@ def run_search(game: Game, config: ChainConfig) -> ChainRun:
     small = n <= 255
     marked = bytearray(256 if small else n)
     if _plain_coordination(game):
-        scores = game._scores(mask)
-        into = game._score_steps
+        slack = game._slack(mask)
+        into = game.graph.in_rows
         unknown = None
-        for i, s in enumerate(scores):
+        for i, s in enumerate(slack):
             marked[i] = s >= 0 and (up or (mask >> i) & 1)
     else:
         sign = game.delta_sign
@@ -267,16 +252,16 @@ def run_search(game: Game, config: ChainConfig) -> ChainRun:
             marked[:n] = all_marked
             unknown[:] = all_marked
             continue
-        # Graphs have no self-loops, so i keeps its nonnegative score: it
+        # Graphs have no self-loops, so i keeps its nonnegative slack: it
         # stays marked after an upward move, and after a downward one only
         # if the coin can bring it back.
         if mask & bit:
-            for j, step in into[i]:
-                s = scores[j] = scores[j] + step
+            for j, w in into[i]:
+                s = slack[j] = slack[j] + w
                 marked[j] = s >= 0
         else:
-            for j, step in into[i]:
-                s = scores[j] = scores[j] - step
+            for j, w in into[i]:
+                s = slack[j] = slack[j] - w
                 marked[j] = s >= 0 and (up or mask >> j & 1)
             marked[i] = up
     t = steps + 1
@@ -298,48 +283,39 @@ def run_search(game: Game, config: ChainConfig) -> ChainRun:
     )
 
 
-def _reachable_masks(game: Game) -> set[int]:
-    full = (1 << game.n) - 1
-    seen = {full}
-    frontier = [full]
+def _moves(game: Game) -> dict[int, int]:
+    """Map every profile reachable from all-1 by weakly-improving downward
+    flips to its admissible players, those whose marginal is >= 0 there.
+
+    One depth-first walk from all-1 asks ``delta_sign`` once per player and
+    state; a player at 1 in the result may flip down, one at 0 may flip up.
+    """
+    n = game.n
+    if n > ENUMERATION_NODE_LIMIT:
+        raise BudgetError(f"state enumeration limited to n <= {ENUMERATION_NODE_LIMIT}, got n={n}")
     sign = game.delta_sign
+    moves: dict[int, int] = {}
+    frontier = [(1 << n) - 1]
     while frontier:
         mask = frontier.pop()
-        for i in range(game.n):
-            bit = 1 << i
-            if mask & bit and sign(i, mask) >= 0:
-                nxt = mask ^ bit
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    return seen
-
-
-def _check_enumeration_size(game: Game) -> None:
-    if game.n > ENUMERATION_NODE_LIMIT:
-        raise BudgetError(
-            f"state enumeration limited to n <= {ENUMERATION_NODE_LIMIT}, got n={game.n}"
-        )
+        if mask in moves:
+            continue
+        admissible = sum(1 << i for i in range(n) if sign(i, mask) >= 0)
+        moves[mask] = admissible
+        down = admissible & mask
+        frontier.extend(mask ^ (1 << i) for i in range(n) if (down >> i) & 1)
+    return moves
 
 
 def reachable_set(game: Game) -> frozenset[Profile]:
     """All profiles reachable from all-1 by weakly-improving downward flips
     (equivalently, the profiles whose supports are sufficient control sets)."""
-    _check_enumeration_size(game)
-    return frozenset(Profile(game.n, m) for m in _reachable_masks(game))
+    return frozenset(Profile(game.n, m) for m in _moves(game))
 
 
 def absorbing_set(game: Game) -> frozenset[Profile]:
     """Reachable profiles with no admissible downward flip left."""
-    _check_enumeration_size(game)
-    sign = game.delta_sign
-    out = []
-    for mask in _reachable_masks(game):
-        if not any(
-            mask & (1 << i) and sign(i, mask) >= 0 for i in range(game.n)
-        ):
-            out.append(mask)
-    return frozenset(Profile(game.n, m) for m in out)
+    return frozenset(Profile(game.n, m) for m, a in _moves(game).items() if not a & m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,11 +341,11 @@ class TransitionMatrix:
 
 def transition_matrix(game: Game, epsilon, max_states: int = MATRIX_STATE_LIMIT) -> TransitionMatrix:
     """Exact rational transition matrix over the reachable profile set."""
-    _check_enumeration_size(game)
     eps = as_fraction(epsilon)
     if not 0 <= eps <= 1:
         raise InputError(f"epsilon must lie in [0, 1], got {eps}")
-    masks = sorted(_reachable_masks(game), key=lambda m: (m.bit_count(), m))
+    moves = _moves(game)
+    masks = sorted(moves, key=lambda m: (m.bit_count(), m))
     if len(masks) > max_states:
         raise BudgetError(
             f"reachable set has {len(masks)} states, over the limit of {max_states}"
@@ -378,32 +354,24 @@ def transition_matrix(game: Game, epsilon, max_states: int = MATRIX_STATE_LIMIT)
     n = game.n
     down = Fraction(1, n)
     up = eps / n
-    sign = game.delta_sign
     # Targets are distinct single-bit flips, so each entry is written once;
     # the self-loop depends only on the row's down and up move counts.
     self_loops: dict[tuple[int, int], Fraction] = {}
     rows = []
     for a, mask in enumerate(masks):
         row: dict[int, Fraction] = {}
-        d = u = 0
+        flips = moves[mask] if up else moves[mask] & mask
         for i in range(n):
-            if sign(i, mask) < 0:
-                continue
             bit = 1 << i
-            if mask & bit:
-                prob = down
-                d += 1
-            elif up:
-                prob = up
-                u += 1
-            else:
-                continue
-            b = index.get(mask ^ bit)
-            if b is None:
-                raise InternalCheckError(
-                    f"transition leaves the reachable set: {mask:#x} -> {mask ^ bit:#x}"
-                )
-            row[b] = prob
+            if flips & bit:
+                b = index.get(mask ^ bit)
+                if b is None:
+                    raise InternalCheckError(
+                        f"transition leaves the reachable set: {mask:#x} -> {mask ^ bit:#x}"
+                    )
+                row[b] = down if mask & bit else up
+        d = (flips & mask).bit_count()
+        u = flips.bit_count() - d
         loop = self_loops.get((d, u))
         if loop is None:
             loop = self_loops[d, u] = 1 - d * down - u * up

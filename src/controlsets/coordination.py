@@ -10,23 +10,24 @@ equivalent threshold view puts ``theta_i = (w_i - c_i) / (2 w_i)``: player
 ``i`` weakly prefers 1 once at least a ``theta_i`` fraction of its
 out-weight plays 1.
 
-The chain keeps these integer scores incrementally as the walk moves, along
-``_score_steps`` (the in-arcs in score units, built on first use).
-``scs._seed_walk``, the closure engine of every cascade closure and exact
-search, runs the cascade as a counter worklist in weight units instead:
-weights are integers, so player ``i`` weakly prefers 1 exactly when its
-on-neighbor weight reaches ``_need[i] = ceil(_sub[i] / _mul[i])``.  The
-counters start from 0 with the seeds and every player whose need is at most
-0 queued, and each flip adds its weight along its in-arcs and queues every
-player at 0 that now meets its need.  That costs O(n + arcs of the players
-that end at 1) with integer arithmetic only (linear-threshold propagation;
-Kempe, Kleinberg & Tardos, KDD 2003).
+Both walks apply the move rule to one integer counter.  Weights are
+integers, so player ``i`` weakly prefers 1 exactly when its on-neighbor
+weight reaches ``_need[i] = ceil(_sub[i] / _mul[i])``, that is, when its
+*slack* (on-neighbor weight minus ``_need[i]``) is >= 0.  A flip of ``j``
+moves the slack of each in-neighbor by the arc weight, along
+``graph.in_rows``.  ``chain.run_search`` keeps the slack of the walk's
+profile, starting from :meth:`CoordinationGame._slack`.  ``scs._seed_walk``,
+the closure engine of every cascade closure and exact search, runs the
+cascade as a worklist over it: the counters start at ``-_need``, the seeds
+and every player already at slack >= 0 are queued, and each flip queues
+the players at 0 whose slack it lifts to 0.  That costs O(n + arcs of the
+players that end at 1) with integer arithmetic only (linear-threshold
+propagation; Kempe, Kleinberg & Tardos, KDD 2003).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 from ._ratio import as_fraction
@@ -64,14 +65,6 @@ class CoordinationGame(Game):
         # need[i] = ceil(sub / mul): weights are integers.
         self._need = tuple(-(-b // a) for a, b in zip(self._mul, self._sub))
 
-    @cached_property
-    def _score_steps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """``graph.in_rows`` in score units: entry j lists (i, step) for
-        every arc i -> j, and player i's score rises by step when j switches
-        to 1 and falls by it when j switches to 0.  Only the chain reads it."""
-        mul = self._mul
-        return tuple(tuple((i, w * mul[i]) for i, w in row) for row in self.graph.in_rows)
-
     @property
     def thresholds(self) -> tuple[Fraction, ...]:
         return tuple(
@@ -96,15 +89,15 @@ class CoordinationGame(Game):
             return -1
         return 0
 
-    def _scores(self, mask: int) -> list[int]:
-        """Per-player integer scores whose signs are ``delta_sign`` at ``mask``."""
-        return [self._on_weight(i, mask) * self._mul[i] - self._sub[i] for i in range(self.n)]
-
+    def _slack(self, mask: int) -> list[int]:
+        """Per-player on-neighbor weight minus need at ``mask``: each is >= 0
+        exactly when ``delta_sign`` is."""
+        return [self._on_weight(i, mask) - need for i, need in enumerate(self._need)]
 
 def _plain_coordination(game: Game) -> bool:
     """True for a :class:`CoordinationGame` itself (not a subclass) with no
     instance-level ``delta_sign``: the games whose chain and cascade may run
-    on integer scores and counters without asking ``delta_sign``."""
+    on the slack counters without asking ``delta_sign``."""
     return type(game) is CoordinationGame and "delta_sign" not in vars(game)
 
 

@@ -126,20 +126,29 @@ class Game:
             raise InputError(f"profile has {x.n} players, game has {self.n}")
 
 
-def validate_extremal_equilibria(game: Game) -> None:
-    """Reject games whose all-0 or all-1 profile is not an equilibrium."""
+def _extremal_violation(game: Game) -> str | None:
+    """Why the all-0 or all-1 profile is not an equilibrium, for the first
+    player that shows it, or None when both are."""
     full = (1 << game.n) - 1
     for i in range(game.n):
         if game.marginal_mask(i, 0) > 0:
-            raise InputError(
+            return (
                 f"player {i} strictly prefers action 1 when everyone plays 0; "
                 f"the all-0 profile must be an equilibrium"
             )
         if game.marginal_mask(i, full) < 0:
-            raise InputError(
+            return (
                 f"player {i} strictly prefers action 0 when everyone plays 1; "
                 f"the all-1 profile must be an equilibrium"
             )
+    return None
+
+
+def validate_extremal_equilibria(game: Game) -> None:
+    """Reject games whose all-0 or all-1 profile is not an equilibrium."""
+    message = _extremal_violation(game)
+    if message is not None:
+        raise InputError(message)
 
 
 def marginal_utility(game: Game, i: int, x: Profile) -> Rational:
@@ -166,11 +175,7 @@ def best_response(game: Game, i: int, x: Profile) -> frozenset[int]:
 
 def check_extremal_equilibria(game: Game) -> bool:
     """True iff all-0 and all-1 are both equilibria."""
-    full = (1 << game.n) - 1
-    return all(
-        game.marginal_mask(i, 0) <= 0 and game.marginal_mask(i, full) >= 0
-        for i in range(game.n)
-    )
+    return _extremal_violation(game) is None
 
 
 def check_supermodular(game: Game) -> bool:

@@ -16,7 +16,8 @@ Rationals accept ``3``, ``-1/2``, or ``0.25`` (decimals convert exactly).
 Coordination games default unlisted players to bias 0.  For ``table``
 games, row ``i`` lists player ``i``'s marginal for every profile of the
 other players, indexed by the bitmask in which the others appear in
-increasing player order; all rows are required.
+increasing player order; all rows are required, and the table must have
+increasing differences.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from ._ratio import format_rational, parse_rational
 from .coordination import CoordinationGame, coordination_game, from_thresholds
 from .errors import InputError
-from .game_core import TABLE_GAME_LIMIT, Game, TableGame
+from .game_core import TABLE_GAME_LIMIT, Game, TableGame, check_supermodular
 from .graph import format_graph, parse_graph
 
 
@@ -170,9 +171,12 @@ def _parse_table(n: int, cur: _Cursor) -> TableGame:
     if missing:
         raise GameFormatError(f"missing delta rows for players {missing}")
     try:
-        return TableGame([rows[i] for i in range(n)])
+        game = TableGame([rows[i] for i in range(n)])
     except InputError as exc:
         raise GameFormatError(str(exc)) from None
+    if not check_supermodular(game):  # n <= TABLE_GAME_LIMIT bounds its cost
+        raise GameFormatError("table lacks increasing differences, which exact search assumes")
+    return game
 
 
 def format_game(game: Game) -> str:

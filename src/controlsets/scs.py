@@ -8,8 +8,8 @@ increasing differences the fixed point does not depend on flip order, so a
 deterministic lowest-index order is used to produce reproducible witnesses.
 
 :func:`_seed_walk` is the one closure engine.  It closes a seed set and
-hands back a ``spread`` step that adds players to a closed set: a counter
-worklist over integer on-neighbor weights for a plain
+hands back a ``spread`` step that adds players to a closed set: a
+worklist over the integer slack counters for a plain
 :class:`CoordinationGame` (see ``coordination``), order-free sweeps of
 ``delta_sign`` for any other game.  Both reach the same fixed point.
 :func:`closure_mask` is its closed set, and every exact search grows its
@@ -84,15 +84,15 @@ def _seed_walk(game: Game, mask: int) -> tuple[int, list[int], Callable[[list[in
     way back would, with no undo to get wrong.
 
     A plain :class:`CoordinationGame` runs the counter worklist of
-    ``coordination``: ``on[i]`` is player i's on-neighbor weight, each flip
-    adds its weight along its in-arcs, and a player at 0 flips once it
-    meets ``_need``, so a spread costs O(arcs of the players it sets).  Any
-    other game gets ``on == []`` and order-free sweeps of ``delta_sign``
-    until nobody flips.
+    ``coordination``: ``on[i]`` is player i's slack, its on-neighbor weight
+    minus ``_need[i]``, each flip adds its weight along its in-arcs, and a
+    player at 0 flips once its slack is >= 0, so a spread costs O(arcs of
+    the players it sets).  Any other game gets ``on == []`` and order-free
+    sweeps of ``delta_sign`` until nobody flips.
     """
     n = game.n
     if _plain_coordination(game):
-        into, need = game.graph.in_rows, game._need
+        into = game.graph.in_rows
 
         def spread(on: list[int], closed: int, queue: list[int]) -> int:
             for i in queue:
@@ -101,13 +101,13 @@ def _seed_walk(game: Game, mask: int) -> tuple[int, list[int], Callable[[list[in
             for j in queue:
                 for i, w in into[j]:
                     a = on[i] = on[i] + w
-                    if a >= need[i] and not (closed >> i) & 1:
+                    if a >= 0 and not (closed >> i) & 1:
                         closed |= 1 << i
                         queue.append(i)
             return closed
 
-        on = [0] * n
-        return spread(on, 0, [i for i in range(n) if (mask >> i) & 1 or need[i] <= 0]), on, spread
+        on = [-need for need in game._need]
+        return spread(on, 0, [i for i in range(n) if (mask >> i) & 1 or on[i] >= 0]), on, spread
     full = (1 << n) - 1
     sign = game.delta_sign
 
@@ -229,19 +229,19 @@ class _OracleWalk:
     prefix's closed mask and counters and adds a seed by spreading a copy
     of them (:func:`_seed_walk`); a leaf inside the prefix's closure adds
     nothing and is skipped.  On a plain coordination game, where ``on``
-    holds the counters, two exact prunings skip most of the walk:
+    holds the slack counters, two exact prunings skip most of the walk:
 
     * *Leaf filter.*  With one seed left, a leaf ``v`` can set a player
       beyond itself only if some player ``i`` outside the closed set has an
-      arc to ``v`` and ``on[i] + top[i] >= need[i]`` (``top[i]`` is i's
-      largest out-weight).  Every other leaf closes to ``closed | v``,
+      arc to ``v`` and ``on[i] + top[i] >= 0`` (``top[i]`` is i's largest
+      out-weight).  Every other leaf closes to ``closed | v``,
       which is not full: a closed set never leaves exactly one player
       outside, as that player's out-neighbors would all be at 1 and
-      ``need`` never exceeds the out-degree.
+      ``_need`` never exceeds the out-degree.
     * *Subtree bound.*  With ``r`` seeds left, when more than ``r`` players
-      are outside the closed set and each has ``on[i] + r * top[i] <
-      need[i]``, no completion sets anyone beyond its own seeds, so none
-      is sufficient.
+      are outside the closed set and each has ``on[i] + r * top[i] < 0``,
+      no completion sets anyone beyond its own seeds, so none is
+      sufficient.
     """
 
     def __init__(self, game: Game):
@@ -251,7 +251,6 @@ class _OracleWalk:
         # rebinds ``closure_mask`` sees one call per oracle.
         self.base, self.on, self.spread = _seed_walk(game, closure_mask(game, 0))
         if self.on:
-            self.need = game._need
             self.top = tuple(max(w for _, w in row) for row in game.graph.rows)
             self.out_masks = game.graph.neighbor_masks
         self.hits: list[int] = []
@@ -274,10 +273,10 @@ class _OracleWalk:
                 return
             cand = outside >> start << start
             if on:
-                need, top, out_masks = self.need, self.top, self.out_masks
+                top, out_masks = self.top, self.out_masks
                 reach = 0
                 for i in range(n):
-                    if (outside >> i) & 1 and on[i] + top[i] >= need[i]:
+                    if (outside >> i) & 1 and on[i] + top[i] >= 0:
                         reach |= out_masks[i]
                 cand &= reach
             while cand:
@@ -287,7 +286,7 @@ class _OracleWalk:
                 cand ^= low
             return
         if on and outside.bit_count() > r and all(
-            on[i] + r * self.top[i] < self.need[i] for i in range(n) if (outside >> i) & 1
+            on[i] + r * self.top[i] < 0 for i in range(n) if (outside >> i) & 1
         ):
             return
         for v in range(start, n - r + 1):

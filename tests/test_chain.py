@@ -13,7 +13,6 @@ from controlsets import (
     Profile,
     WeightedGraph,
     absorbing_set,
-    chain_step,
     complete,
     coordination_game,
     erdos_renyi,
@@ -31,6 +30,7 @@ from controlsets import chain
 from controlsets.chain import _detailed_balance_solve, _gauss_jordan, _is_stochastic, stationary_law
 
 from conftest import (
+    closure_mask_sweep,
     random_simple_graph,
     random_weighted_graph,
     run_search_reference,
@@ -38,56 +38,47 @@ from conftest import (
 )
 
 
-class FakeRng:
-    """Plays back a scripted sequence of randrange results."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def randrange(self, n):
-        return self.values.pop(0) % n
-
-
 class TestChainStep:
+    """One step of the walk, read off the rows of the exact kernel."""
+
+    @staticmethod
+    def row(game, x, eps):
+        P = transition_matrix(game, eps)
+        entries = P.rows[P.states.index(x)]
+        return {P.states[b]: p for b, p in entries.items()}
+
     def test_all_ones_always_steps_down(self):
-        game = majority_game(complete(5))
         ones = Profile.ones(5)
-        for i in range(5):
-            nxt = chain_step(game, ones, FakeRng([i]), Fraction(3, 10))
-            assert nxt.weight == 4
-            assert not (nxt.mask >> i) & 1
+        row = self.row(majority_game(complete(5)), ones, Fraction(3, 10))
+        assert row.pop(ones) == 0
+        assert row == {Profile(5, ones.mask ^ 1 << i): Fraction(1, 5) for i in range(5)}
 
     def test_upward_flip_uses_epsilon_coin(self):
-        game = majority_game(ring(4))
+        # Players 1 and 3 have both neighbors on: each flips up at 3/10 * 1/4.
         x = Profile.from_bits((1, 0, 1, 0))
-        # Player 1 has both neighbors on; coin value below 3 accepts at 3/10.
-        up = chain_step(game, x, FakeRng([1, 2]), Fraction(3, 10))
-        assert up.bits == (1, 1, 1, 0)
-        stay = chain_step(game, x, FakeRng([1, 7]), Fraction(3, 10))
-        assert stay == x
+        row = self.row(majority_game(ring(4)), x, Fraction(3, 10))
+        assert row == {
+            Profile.from_bits((1, 1, 1, 0)): Fraction(3, 40),
+            Profile.from_bits((1, 0, 1, 1)): Fraction(3, 40),
+            x: Fraction(34, 40),
+        }
 
     def test_negative_marginal_self_loops(self):
-        game = majority_game(complete(5))
-        x = Profile.from_players(5, [1])
-        # Drawn player 0 has 1 of 4 neighbors on: strictly prefers 0, stays.
-        assert chain_step(game, x, FakeRng([0]), Fraction(1, 2)) == x
-        # The on-player strictly prefers 0 as well; downward moves are only
-        # taken while weakly preferring 1, so the state self-loops too.
-        assert chain_step(game, x, FakeRng([1]), Fraction(1, 2)) == x
+        # Players 0 and 2 have no neighbor on and strictly prefer 0; downward
+        # moves are only taken while weakly preferring 1, so they self-loop.
+        x = Profile.from_bits((1, 0, 1, 0))
+        row = self.row(majority_game(ring(4)), x, Fraction(1, 2))
+        assert all(y.mask & 0b0101 == 0b0101 for y in row)
 
     def test_epsilon_zero_never_flips_up(self):
-        game = majority_game(ring(6))
-        rng = random.Random(5)
-        x = Profile.from_players(6, [0, 3])
-        for _ in range(200):
-            nxt = chain_step(game, x, rng, 0)
-            assert nxt.mask & ~x.mask == 0
-            x = nxt
+        P = transition_matrix(majority_game(ring(6)), 0)
+        for a, row in enumerate(P.rows):
+            for b in row:
+                assert P.states[b].mask & ~P.states[a].mask == 0
 
     def test_epsilon_bounds(self):
-        game = majority_game(ring(4))
         with pytest.raises(InputError):
-            chain_step(game, Profile.ones(4), random.Random(1), Fraction(3, 2))
+            transition_matrix(majority_game(ring(4)), Fraction(3, 2))
 
 
 class TestRunSearch:
@@ -198,6 +189,30 @@ class TestReachableAndAbsorbing:
         game = CustomGame(17, lambda i, mask: 0, validate=False)
         with pytest.raises(BudgetError):
             reachable_set(game)
+
+
+MOVES_GAMES = {
+    "ring": lambda rng: majority_game(ring(7)),
+    "path": lambda rng: majority_game(path(7)),
+    "complete": lambda rng: majority_game(complete(6)),
+    "er": lambda rng: _biased_game(rng, erdos_renyi(8, 0.4, seed=rng.randrange(100))),
+    "table": lambda rng: random_supermodular_table(6, rng),
+}
+
+
+class TestMoves:
+    @pytest.mark.parametrize("kind", sorted(MOVES_GAMES))
+    def test_matches_brute_force(self, kind):
+        rng = random.Random(f"moves/{kind}")
+        for _ in range(3):
+            game = MOVES_GAMES[kind](rng)
+            n, full = game.n, (1 << game.n) - 1
+            moves = chain._moves(game)
+            assert set(moves) == {m for m in range(full + 1) if closure_mask_sweep(game, m) == full}
+            for mask, admissible in moves.items():
+                assert admissible == sum(
+                    1 << i for i in range(n) if game.marginal_mask(i, mask) >= 0
+                ), (kind, mask)
 
 
 class TestTransitionMatrix:
@@ -407,28 +422,31 @@ class TestInvariance:
 
 class TestEmpiricalFrequencies:
     def test_visit_fractions_match_stationary_law(self):
-        # Drive the public single-step kernel for one long deterministic run
-        # and compare occupancy against the exact law, using batch-means
-        # standard errors (the appropriate notion for a correlated walk).
+        # Independent batches, each started from a profile drawn from the
+        # exact law, so every batch occupancy is an unbiased estimate; the
+        # batch means give the standard error.
         game = majority_game(ring(4))
         eps = Fraction(3, 10)
         P = transition_matrix(game, eps)
-        law = {s.mask: float(p) for s, p in zip(P.states, stationary_law(P))}
+        law = stationary_law(P)
 
-        steps, batches = 1_000_000, 100
-        size = steps // batches
+        size, batches = 10_000, 100
         rng = random.Random("occupancy")
-        state = Profile.ones(4)
-        counts = {m: [0] * batches for m in law}
-        for t in range(steps):
-            state = chain_step(game, state, rng, eps)
-            counts[state.mask][t // size] += 1
+        starts = rng.choices(P.states, weights=[float(p) for p in law], k=batches)
+        counts = {s: [] for s in P.states}
+        for b, start in enumerate(starts):
+            config = ChainConfig(
+                epsilon=eps, steps=size, seed=f"occupancy/{b}", start=start, record_visits=True
+            )
+            visits = run_search(game, config).visits
+            for s, c in counts.items():
+                c.append(visits.get(s, 0) / size)
 
-        for m, mu in law.items():
-            freqs = [c / size for c in counts[m]]
+        for s, mu in zip(P.states, law):
+            freqs = counts[s]
             mean = statistics.mean(freqs)
             se = statistics.stdev(freqs) / math.sqrt(batches)
-            assert abs(mean - mu) <= 3 * se, f"state {m:04b}: {mean} vs {mu}"
+            assert abs(mean - mu) <= 3 * se, f"state {s.bits}: {mean} vs {mu}"
 
 
 def _run_fields(run):

@@ -105,6 +105,14 @@ class TestOracle:
         assert code == 0
         assert "minimum: 1" in out
 
+    def test_table_without_increasing_differences_exit_one(self, capsys, tmp_path):
+        path = tmp_path / "table.game"
+        path.write_text("game table\nplayers 3\n" + "".join(f"delta {i} 0 1 -1 0\n" for i in range(3)))
+        code, out, err = run_cli(capsys, "oracle", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "increasing differences" in err
+
     def test_budget_indeterminate(self, capsys, tmp_path):
         path = tmp_path / "ring.game"
         path.write_text(RING_GAME)

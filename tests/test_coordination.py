@@ -14,7 +14,7 @@ from controlsets import (
     marginal_utility,
     ring,
 )
-from conftest import random_simple_graph, random_weighted_graph
+from conftest import random_directed_graph, random_simple_graph, random_weighted_graph
 
 
 def utility(graph, biases, i, bits):
@@ -95,12 +95,36 @@ class TestThresholds:
             from_thresholds(ring(4), [0.5, 0.5, 0.5, 0.5])
 
 
-def test_score_steps_built_on_first_use():
-    # Only the chain reads the score steps, so building a game skips them.
-    game = majority_game(ring(5))
-    assert "_score_steps" not in vars(game)
-    assert game._score_steps[1] == ((0, 2), (2, 2))
-    assert "_score_steps" in vars(game)
+def _slack_games(rng: random.Random):
+    """Majority, weighted, directed and Fraction-biased games.  Integer
+    biases of the out-degree's parity make ``_need`` an exact quotient, so
+    indifferent players (the tie case) occur."""
+    def parity_biases(g):
+        return [w - 2 * rng.randint(0, w) for w in g.out_degrees]
+
+    for _ in range(6):
+        yield majority_game(random_simple_graph(rng, rng.randint(2, 9)))
+        weighted = random_weighted_graph(rng, rng.randint(2, 9))
+        yield coordination_game(weighted, parity_biases(weighted))
+        directed = random_directed_graph(rng, rng.randint(2, 9))
+        yield coordination_game(directed, parity_biases(directed))
+        yield coordination_game(
+            weighted, [Fraction(rng.randint(-3 * w, 3 * w), 3) for w in weighted.out_degrees]
+        )
+
+
+def test_slack_sign_matches_delta_sign():
+    rng = random.Random(41)
+    ties = 0
+    for game in _slack_games(rng):
+        for _ in range(40):
+            mask = rng.randrange(1 << game.n)
+            slack = game._slack(mask)
+            for i in range(game.n):
+                sign = game.delta_sign(i, mask)
+                assert (slack[i] >= 0) == (sign >= 0), (i, mask)
+                ties += sign == 0
+    assert ties > 50
 
 
 class TestSignMatchesThresholdBranch:

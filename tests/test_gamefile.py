@@ -110,6 +110,13 @@ class TestTableFormat:
         with pytest.raises(GameFormatError, match="missing delta rows"):
             parse_game("game table\nplayers 2\ndelta 0 -1 1\n")
 
+    def test_table_without_increasing_differences_rejected(self):
+        # Each player's marginal drops from 1 to -1 when the lower-indexed
+        # other player switches to 1.
+        text = "game table\nplayers 3\n" + "".join(f"delta {i} 0 1 -1 0\n" for i in range(3))
+        with pytest.raises(GameFormatError, match="increasing differences"):
+            parse_game(text)
+
     def test_roundtrip_random_tables(self):
         rng = random.Random(3)
         for _ in range(5):
