@@ -11,7 +11,10 @@ shrinks the stationary law piles onto the minimum-cardinality profiles.
 Most steps are self-loops.  ``run_search`` skips them with its outputs
 unchanged: it draws players in blocks on the same random stream, keeps a
 table of the players whose draw can move the walk, and jumps to the next
-such draw, crediting the skipped steps in bulk.  On a plain coordination
+such draw, crediting the skipped steps in bulk.  The epsilon-coin is drawn
+inline by rejection on its own stream, as ``randrange`` draws it, and the
+cardinality trace is expanded once, after the walk, from a log of the moves
+that cross a trace step.  On a plain coordination
 game the table reads the slack counters that the closure engine in ``scs``
 also runs on (see ``coordination``).
 
@@ -144,8 +147,12 @@ def run_search(game: Game, config: ChainConfig) -> ChainRun:
     evaluated more than once per step.  The next marked draw is found by a
     look at the next draw, then by translating the block through the table
     (a per-draw scan when n > 255), and the steps skipped on the way enter
-    the trace and the visit counts in bulk.  The coin stream is drawn
-    exactly when the plain loop draws it.
+    the visit counts in bulk.  A move that crosses a trace step logs where
+    the walk sat since the last one; the trace is expanded from that log
+    once, after the walk, and the log has at most one entry per trace step.
+    The coin stream is drawn exactly when the plain loop draws it, inline:
+    ``den.bit_length()`` bits, redrawn while the value is >= den, which is
+    how CPython's ``randrange(den)`` draws, so the stream is the same.
     """
     n = game.n
     steps = config.steps if config.steps is not None else 100 * n * n
@@ -156,13 +163,17 @@ def run_search(game: Game, config: ChainConfig) -> ChainRun:
     den = config.epsilon.denominator
     up = num > 0
     draw_players = _player_draws(random.Random(f"{config.seed}|player"), n)
-    draw_coin = random.Random(f"{config.seed}|coin").randrange
+    coin = random.Random(f"{config.seed}|coin").getrandbits
+    coin_bits = den.bit_length()
 
     mask = start.mask
     card = mask.bit_count()
     best_mask, best_card, best_step = mask, card, 0
     stride = max(1, math.ceil(steps / config.trace_points))
     trace = [(0, card)]
+    # (due, t, card): the walk sat at ``card`` over the trace steps in
+    # range(due, t, stride); one entry per move that crosses a trace step.
+    crossings: list[tuple[int, int, int]] = []
     visits: dict[int, int] | None = {} if config.record_visits else None
     min_states: set[int] | None = {mask} if config.collect_min_states else None
 
@@ -226,14 +237,20 @@ def run_search(game: Game, config: ChainConfig) -> ChainRun:
             if not (up or mask & bit) or sign(i, mask) < 0:
                 marked[i] = 0
                 continue
-        if not mask & bit and draw_coin(den) >= num:
-            continue  # the coin said stay at 0
+        if not mask & bit:
+            # randrange(den) as CPython draws it: coin_bits bits, redrawn
+            # while the value is >= den.
+            r = coin(coin_bits)
+            while r >= den:
+                r = coin(coin_bits)
+            if r >= num:
+                continue  # the coin said stay at 0
         # A move at step t: the walk sat at ``mask`` after steps entered..t-1.
         t = base + pos
         if visits is not None and t > entered:
             visits[mask] = visits.get(mask, 0) + t - entered
         if due < t:
-            trace.extend((s, card) for s in range(due, t, stride))
+            crossings.append((due, t, card))
             due = -(-t // stride) * stride
         entered = t
         mask ^= bit
@@ -267,7 +284,8 @@ def run_search(game: Game, config: ChainConfig) -> ChainRun:
     t = steps + 1
     if visits is not None and t > entered:
         visits[mask] = visits.get(mask, 0) + t - entered
-    trace.extend((s, card) for s in range(due, t, stride))
+    crossings.append((due, t, card))
+    trace += [(s, c) for lo, hi, c in crossings for s in range(lo, hi, stride)]
 
     return ChainRun(
         best_profile=Profile(n, best_mask),

@@ -56,6 +56,13 @@ def _parse_set(spec: str) -> frozenset[int]:
     return frozenset(_parse_ints(spec, "player set"))
 
 
+def _steps(value: int) -> int | None:
+    """The ``--steps`` value: 0 means the default 100*n^2 (None)."""
+    if value < 0:
+        raise InputError(f"--steps must be >= 0 (0 means 100*n^2), got {value}")
+    return value or None
+
+
 def _fmt_set(players) -> str:
     return ",".join(str(p) for p in sorted(players))
 
@@ -128,9 +135,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_search(args) -> int:
+    steps = _steps(args.steps)
     game = parse_game(_read(args.game))
     epsilon = parse_rational(args.epsilon)
-    steps = args.steps if args.steps > 0 else None
     best = best_of_restarts(game, epsilon, steps, args.seed, args.restarts)
     players = best.best_profile.players
     sufficient = is_sufficient(game, players)
@@ -208,7 +215,7 @@ def cmd_experiment(args) -> int:
         n_values=n_values,
         trials=args.trials,
         epsilon=parse_rational(args.epsilon),
-        steps=args.steps if args.steps > 0 else None,
+        steps=_steps(args.steps),
         restarts=args.restarts,
         oracle_cutoff=args.oracle_cutoff,
         master_seed=args.seed,

@@ -41,26 +41,33 @@ class CoordinationGame(Game):
 
     def __init__(self, graph: WeightedGraph, biases: Sequence):
         super().__init__(graph.n)
-        biases = tuple(as_fraction(c) for c in biases)
+        biases = tuple(biases)
+        if all(type(c) is int for c in biases):
+            # Integer biases (majority_game's zeros) need no Fraction
+            # arithmetic; equal values share one Fraction.
+            nums, dens = biases, (1,) * len(biases)
+            shared = {c: Fraction(c) for c in set(biases)}
+            biases = tuple(shared[c] for c in biases)
+        else:
+            biases = tuple(as_fraction(c) for c in biases)
+            nums = tuple(c.numerator for c in biases)
+            dens = tuple(c.denominator for c in biases)
         if len(biases) != graph.n:
             raise InputError(
                 f"got {len(biases)} biases for a graph with {graph.n} nodes"
             )
-        for i, c in enumerate(biases):
-            w = graph.out_degrees[i]
-            if not -w <= c <= w:
+        degrees = graph.out_degrees
+        for i, (p, q, w) in enumerate(zip(nums, dens, degrees)):
+            if not -w * q <= p <= w * q:
                 raise InputError(
-                    f"bias of player {i} must lie in [-{w}, {w}], got {c}"
+                    f"bias of player {i} must lie in [-{w}, {w}], got {biases[i]}"
                 )
         self.graph = graph
         self.biases = biases
         # Integer comparison data: sign(delta) = sign(2*q*a - (w*q - p))
         # where a is the on-neighbor weight and c = p/q.
-        self._mul = tuple(2 * c.denominator for c in biases)
-        self._sub = tuple(
-            graph.out_degrees[i] * c.denominator - c.numerator
-            for i, c in enumerate(biases)
-        )
+        self._mul = tuple(2 * q for q in dens)
+        self._sub = tuple(w * q - p for w, p, q in zip(degrees, nums, dens))
         # Player i weakly prefers 1 once its on-neighbor weight reaches
         # need[i] = ceil(sub / mul): weights are integers.
         self._need = tuple(-(-b // a) for a, b in zip(self._mul, self._sub))
@@ -93,6 +100,7 @@ class CoordinationGame(Game):
         """Per-player on-neighbor weight minus need at ``mask``: each is >= 0
         exactly when ``delta_sign`` is."""
         return [self._on_weight(i, mask) - need for i, need in enumerate(self._need)]
+
 
 def _plain_coordination(game: Game) -> bool:
     """True for a :class:`CoordinationGame` itself (not a subclass) with no

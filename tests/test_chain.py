@@ -524,7 +524,8 @@ class TestSearchKernel:
             game = majority_game(graph)
             if kind == "custom":
                 game = CustomGame(n, game.marginal_mask)
-        for epsilon in (Fraction(0), Fraction(3, 10)):
+        # 2**41 makes the coin draw 42 bits, more than one 32-bit word.
+        for epsilon in (Fraction(0), Fraction(3, 10), Fraction(2**40 - 1, 2**41)):
             for steps in (1, 50, 3_000):
                 config = ChainConfig(
                     epsilon=epsilon,
@@ -613,3 +614,18 @@ def test_player_draws_equal_randrange(seed):
         for _ in range(2):
             block = draw(chain._DRAW_BLOCK_WORDS)
             assert list(block) == [ref.randrange(n) for _ in block], n
+
+
+@pytest.mark.parametrize("seed", [0, 1, "stream"])
+def test_coin_draws_equal_randrange(seed):
+    # The kernel draws the coin inline as den.bit_length() bits, redrawn
+    # while >= den; this pins that CPython's randrange(den) does the same.
+    for den in (1, 2, 3, 7, 8, 10, 13, 255, 256, 1000, 2**32 + 1, 10**12):
+        rng = random.Random(f"{seed}/{den}")
+        ref = random.Random(f"{seed}/{den}")
+        k = den.bit_length()
+        for _ in range(2_000):
+            r = rng.getrandbits(k)
+            while r >= den:
+                r = rng.getrandbits(k)
+            assert r == ref.randrange(den), den

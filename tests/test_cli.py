@@ -152,6 +152,26 @@ class TestSearch:
         assert err.startswith("error: ") and "restarts" in err
         assert err.count("\n") == 1
 
+    def test_negative_steps_exit_one(self, capsys, tmp_path):
+        path = tmp_path / "ring.game"
+        path.write_text(RING_GAME)
+        code, out, err = run_cli(capsys, "search", str(path), "--steps", "-5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "--steps" in err
+        assert err.count("\n") == 1
+
+    def test_zero_steps_means_default_budget(self, capsys, tmp_path):
+        path = tmp_path / "ring.game"
+        path.write_text(RING_GAME)
+        trace = tmp_path / "trace.csv"
+        code, _, _ = run_cli(
+            capsys, "search", str(path), "--steps", "0", "--emit-trace", str(trace)
+        )
+        assert code == 0
+        # 100 * n^2 = 1600 steps for n = 4.
+        assert trace.read_text().splitlines()[-1].startswith("1600,")
+
 
 class TestAnalytic:
     def test_thresholds_file(self, capsys, tmp_path):
@@ -221,6 +241,16 @@ class TestExperiment:
         code, _, err = run_cli(capsys, "experiment", "--n", "4,x", "--out-dir", str(tmp_path))
         assert code == 1
         assert "error: bad --n" in err
+
+    def test_negative_steps_exit_one(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "experiment", "--n", "8", "--trials", "1", "--restarts", "1",
+            "--steps", "-5", "--out-dir", str(tmp_path),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "--steps" in err
+        assert not (tmp_path / "results.csv").exists()
 
     @pytest.mark.parametrize("workers", ["abc", "0", "-2"])
     def test_bad_worker_count_exit_one(self, capsys, tmp_path, monkeypatch, workers):

@@ -86,6 +86,24 @@ class TestThresholds:
         with pytest.raises(InputError, match="player 2"):
             coordination_game(ring(4), [0, 0, 3, 0])
 
+    @pytest.mark.parametrize("bias", [-3, Fraction(5, 2), Fraction(-5, 2)], ids=str)
+    def test_bias_bounds_enforced_both_sides(self, bias):
+        # Both ends, on the integer and on the Fraction path.
+        with pytest.raises(InputError, match="player 2"):
+            coordination_game(ring(4), [0, 0, bias, 0])
+
+    def test_int_biases_match_fraction_biases(self):
+        # Integer biases skip Fraction arithmetic; the game must equal the
+        # one built from the same values as Fractions.
+        rng = random.Random(5)
+        for _ in range(20):
+            g = random_weighted_graph(rng, rng.randint(2, 7))
+            ints = [rng.randint(-w, w) for w in g.out_degrees]
+            a = coordination_game(g, ints)
+            b = coordination_game(g, [Fraction(c) for c in ints])
+            assert all(type(c) is Fraction for c in a.biases)
+            assert (a.biases, a._mul, a._sub, a._need) == (b.biases, b._mul, b._sub, b._need)
+
     def test_threshold_bounds_enforced(self):
         with pytest.raises(InputError, match="\\[0, 1\\]"):
             from_thresholds(ring(4), [0, 0, Fraction(3, 2), 0])
