@@ -14,9 +14,13 @@ table of the players whose draw can move the walk, and jumps to the next
 such draw, crediting the skipped steps in bulk.  The epsilon-coin is drawn
 inline by rejection on its own stream, as ``randrange`` draws it, and the
 cardinality trace is expanded once, after the walk, from a log of the moves
-that cross a trace step.  On a plain coordination
-game the table reads the slack counters that the closure engine in ``scs``
-also runs on (see ``coordination``).
+that cross a trace step.  On a plain coordination game the table is kept
+from the slack counters of ``coordination``.  Where the mean in-degree is
+high for n, every counter sits in one fixed-width lane of a single integer
+(SIMD within a register; Lamport, CACM 1975): a move is one add or subtract
+of the flipped player's packed in-arc weights, and the table is read off the
+lanes' sign bits in C.  On sparser graphs a move updates the in-neighbours'
+counters one by one, which is cheaper there.
 
 For small instances one depth-first walk from all-1 (``_moves``) maps each
 reachable profile to its admissible players.  The reachable and absorbing
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._ratio import as_fraction
-from .coordination import _plain_coordination
+from .coordination import _pack_lanes, _plain_coordination
 from .errors import BudgetError, InputError, InternalCheckError
 from .game_core import Game, Profile
 
@@ -48,6 +52,13 @@ MATRIX_STATE_LIMIT = 4096
 DENSE_SOLVE_LIMIT = 1024
 _DRAW_BLOCK_WORDS = 4096  # 32-bit words per block of player draws
 _SCAN_WINDOW = 32  # draws translated by the first look for a marked player
+# One lane move (an add, shift, ``and`` and ``to_bytes`` over n * b bytes)
+# costs about as much as _LANE_BASE_UPDATES + n * b / _LANE_BYTES_PER_UPDATE
+# per-neighbour slack updates in Python (CPython 3.11, timeit), so the slack
+# is packed only when the mean in-degree is at least that; the packed
+# in-rows then take n * n * b <= _LANE_BYTES_PER_UPDATE * arcs bytes.
+_LANE_BASE_UPDATES = 2
+_LANE_BYTES_PER_UPDATE = 40
 
 
 @dataclass(frozen=True)
@@ -139,15 +150,20 @@ def run_search(game: Game, config: ChainConfig) -> ChainRun:
     successive ``randrange(n)`` calls, so memory does not grow with
     ``steps``.  A 0/1 table marks the players whose draw does something: a
     downward flip, or an upward coin when epsilon > 0.  For a
-    :class:`CoordinationGame` the table is kept exact from the integer
-    slack counters of ``coordination``, and a move updates only the
-    in-neighbours of the flipped player; for any other game a player is
-    "unknown" until drawn, and its
-    ``delta_sign`` is then cached until the next move, so signs are never
-    evaluated more than once per step.  The next marked draw is found by a
-    look at the next draw, then by translating the block through the table
-    (a per-draw scan when n > 255), and the steps skipped on the way enter
-    the visit counts in bulk.  A move that crosses a trace step logs where
+    :class:`CoordinationGame` the table is kept exact from the slack
+    counters of ``coordination``.  When the mean in-degree is at least
+    ``_LANE_BASE_UPDATES + n * b / _LANE_BYTES_PER_UPDATE``, the counters
+    share one int, a lane of ``b`` bytes per player, a move adds or
+    subtracts the flipped player's packed in-arc weights, and the table is
+    the lanes' sign bits; the packed rows take n * n * b bytes, at most
+    ``_LANE_BYTES_PER_UPDATE`` per arc, once per game.  Otherwise a move
+    steps its in-neighbours' counters one by one.  For any other game a
+    player is "unknown" until drawn, and its ``delta_sign`` is then cached
+    until the next move, so signs are never evaluated more than once per
+    step.  The next marked draw is found by a look at the
+    next draw, then by translating the block through the table (a per-draw
+    scan when n > 255), and the steps skipped on the way enter the visit
+    counts in bulk.  A move that crosses a trace step logs where
     the walk sat since the last one; the trace is expanded from that log
     once, after the walk, and the log has at most one entry per trace step.
     The coin stream is drawn exactly when the plain loop draws it, inline:
@@ -180,17 +196,32 @@ def run_search(game: Game, config: ChainConfig) -> ChainRun:
     # marked[i] is 1 when a draw of player i cannot be skipped: it flips i
     # down, draws the coin to flip i up, or finds i's sign still unknown.
     small = n <= 255
-    marked = bytearray(256 if small else n)
+    packed = unknown = None
     if _plain_coordination(game):
         slack = game._slack(mask)
-        into = game.graph.in_rows
-        unknown = None
-        for i, s in enumerate(slack):
-            marked[i] = s >= 0 and (up or (mask >> i) & 1)
+        b = game._lane_bytes
+        spare_arcs = game.graph.arc_count() - _LANE_BASE_UPDATES * n
+        if n * n * b <= _LANE_BYTES_PER_UPDATE * spare_arcs:
+            # Lane j of ``lanes`` holds slack[j] + 2**sign_bit, and slack
+            # lies in [-w_j, w_j] with w_j < 2**sign_bit, so ``packed[i]``
+            # never carries across lanes.  ``gate`` has bit 0 of each lane
+            # whose player may move.
+            sign_bit = 8 * b - 1
+            lanes = _pack_lanes(b, n, enumerate(s + (1 << sign_bit) for s in slack))
+            packed = game._packed_in_rows()
+            gate = _pack_lanes(b, n, ((j, 1) for j in range(n) if up or mask >> j & 1))
+            table_bytes = (256 if small else n) * b
+            marked = ((lanes >> sign_bit) & gate).to_bytes(table_bytes, "little")[::b]
+        else:
+            into = game.graph.in_rows
+            marked = bytearray(256 if small else n)
+            for i, s in enumerate(slack):
+                marked[i] = s >= 0 and (up or (mask >> i) & 1)
     else:
         sign = game.delta_sign
         all_marked = b"\x01" * n
         unknown = bytearray(all_marked)
+        marked = bytearray(256 if small else n)
         marked[:n] = all_marked
 
     block: bytes | list[int] = b""
@@ -269,10 +300,18 @@ def run_search(game: Game, config: ChainConfig) -> ChainRun:
             marked[:n] = all_marked
             unknown[:] = all_marked
             continue
+        if packed is not None:
+            if mask & bit:
+                lanes += packed[i]
+            else:
+                lanes -= packed[i]
+                if not up:
+                    gate ^= 1 << 8 * b * i
+            marked = ((lanes >> sign_bit) & gate).to_bytes(table_bytes, "little")[::b]
         # Graphs have no self-loops, so i keeps its nonnegative slack: it
         # stays marked after an upward move, and after a downward one only
         # if the coin can bring it back.
-        if mask & bit:
+        elif mask & bit:
             for j, w in into[i]:
                 s = slack[j] = slack[j] + w
                 marked[j] = s >= 0

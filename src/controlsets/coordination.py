@@ -16,7 +16,11 @@ weight reaches ``_need[i] = ceil(_sub[i] / _mul[i])``, that is, when its
 *slack* (on-neighbor weight minus ``_need[i]``) is >= 0.  A flip of ``j``
 moves the slack of each in-neighbor by the arc weight, along
 ``graph.in_rows``.  ``chain.run_search`` keeps the slack of the walk's
-profile, starting from :meth:`CoordinationGame._slack`.  ``scs._seed_walk``,
+profile, starting from :meth:`CoordinationGame._slack`: on graphs dense
+enough for it to pay, in one integer with a fixed-width lane per player, so
+that a flip adds or subtracts the player's in-arc weights packed into the
+same lanes (:meth:`CoordinationGame._packed_in_rows`), and otherwise in a
+list stepped one in-neighbor at a time.  ``scs._seed_walk``,
 the closure engine of every cascade closure and exact search, runs the
 cascade as a worklist over it: the counters start at ``-_need``, the seeds
 and every player already at slack >= 0 are queued, and each flip queues
@@ -71,6 +75,9 @@ class CoordinationGame(Game):
         # Player i weakly prefers 1 once its on-neighbor weight reaches
         # need[i] = ceil(sub / mul): weights are integers.
         self._need = tuple(-(-b // a) for a, b in zip(self._mul, self._sub))
+        # Bytes per slack lane: 2**(8b - 1) exceeds every out-degree >= |slack|.
+        self._lane_bytes = max(degrees).bit_length() // 8 + 1
+        self._lane_rows: list[int] | None = None
 
     @property
     def thresholds(self) -> tuple[Fraction, ...]:
@@ -100,6 +107,23 @@ class CoordinationGame(Game):
         """Per-player on-neighbor weight minus need at ``mask``: each is >= 0
         exactly when ``delta_sign`` is."""
         return [self._on_weight(i, mask) - need for i, need in enumerate(self._need)]
+
+    def _packed_in_rows(self) -> list[int]:
+        """Per player ``i``, the weight of each arc ``j -> i`` in lane ``j``
+        of ``_lane_bytes`` bytes, the step of the lane-packed slack when
+        ``i`` flips.  Built on first use and kept for later restarts."""
+        if self._lane_rows is None:
+            b, n = self._lane_bytes, self.n
+            self._lane_rows = [_pack_lanes(b, n, row) for row in self.graph.in_rows]
+        return self._lane_rows
+
+
+def _pack_lanes(b: int, n: int, values) -> int:
+    """``n`` lanes of ``b`` bytes in one int: ``v`` in lane j per ``(j, v)``."""
+    buf = bytearray(n * b)
+    for j, v in values:
+        buf[b * j:b * j + b] = v.to_bytes(b, "little")
+    return int.from_bytes(buf, "little")
 
 
 def _plain_coordination(game: Game) -> bool:

@@ -111,14 +111,21 @@ def _generate_graph(spec: ExperimentSpec, n: int, trial: int):
     return None, p, None
 
 
-def best_of_restarts(game: Game, epsilon, steps: int | None, seed, restarts: int) -> ChainRun:
+def best_of_restarts(
+    game: Game, epsilon, steps: int | None, seed, restarts: int,
+    trace_points: int = ChainConfig.trace_points,
+) -> ChainRun:
     """Run ``restarts`` walks seeded ``f"{seed}/r{k}"`` and keep the one with
-    the smallest best set, the earliest on a tie."""
+    the smallest best set, the earliest on a tie.  Each walk keeps a trace
+    of ``trace_points`` points; a caller that never reads it passes 1."""
     if restarts < 1:
         raise InputError(f"restarts must be >= 1, got {restarts}")
     best = None
     for k in range(restarts):
-        run = run_search(game, ChainConfig(epsilon=epsilon, steps=steps, seed=f"{seed}/r{k}"))
+        config = ChainConfig(
+            epsilon=epsilon, steps=steps, seed=f"{seed}/r{k}", trace_points=trace_points
+        )
+        run = run_search(game, config)
         if best is None or run.best_size < best.best_size:
             best = run
     return best
@@ -136,7 +143,7 @@ def run_row(spec: ExperimentSpec, n: int, trial: int) -> ResultRow:
         )
     game = majority_game(graph)
     steps = spec.steps if spec.steps is not None else 100 * n * n
-    best = best_of_restarts(game, spec.epsilon, steps, seed, spec.restarts)
+    best = best_of_restarts(game, spec.epsilon, steps, seed, spec.restarts, trace_points=1)
     chain_set = best.best_profile.players
     if not is_sufficient(game, best.best_profile):
         raise InternalCheckError(

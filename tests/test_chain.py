@@ -28,6 +28,7 @@ from controlsets import (
 )
 from controlsets import chain
 from controlsets.chain import _detailed_balance_solve, _gauss_jordan, _is_stochastic, stationary_law
+from controlsets.coordination import _plain_coordination
 
 from conftest import (
     closure_mask_sweep,
@@ -476,10 +477,30 @@ def _biased_game(rng: random.Random, graph: WeightedGraph):
     return coordination_game(graph, biases)
 
 
+def _kernel_runs(game, config, monkeypatch) -> list:
+    """``run_search`` fields on every kernel ``game`` may take: on a plain
+    coordination game both the per-neighbour loop and the lanes, whichever
+    the degree rule picks, else the one generic kernel."""
+    if not _plain_coordination(game):
+        return [_run_fields(run_search(game, config))]
+    runs = []
+    for bytes_per_update in (0, 10**9):  # never lanes, then always
+        with monkeypatch.context() as m:
+            m.setattr(chain, "_LANE_BASE_UPDATES", 0)
+            m.setattr(chain, "_LANE_BYTES_PER_UPDATE", bytes_per_update)
+            runs.append(_run_fields(run_search(game, config)))
+    return runs
+
+
 KERNEL_GAMES = {
     "majority": lambda rng: majority_game(random_simple_graph(rng, 12)),
     "biased": lambda rng: _biased_game(rng, random_simple_graph(rng, 10)),
     "weighted": lambda rng: _biased_game(rng, random_weighted_graph(rng, 9)),
+    # Out-degrees above 127 need lanes wider than one byte: "heavy" runs
+    # two-byte lanes, and "edge" (out-degrees near 128) fails if a lane
+    # keeps no spare top bit for the sign.
+    "heavy": lambda rng: _biased_game(rng, random_weighted_graph(rng, 9, max_w=200)),
+    "edge": lambda rng: _biased_game(rng, random_weighted_graph(rng, 9, max_w=40)),
     "directed": lambda rng: majority_game(_random_directed_graph(rng, 8)),
     "table": lambda rng: random_supermodular_table(7, rng),
     "custom": lambda rng: CustomGame(11, majority_game(random_simple_graph(rng, 11)).marginal_mask),
@@ -494,7 +515,7 @@ class TestSearchKernel:
 
     @pytest.mark.parametrize("epsilon", KERNEL_EPSILONS, ids=str)
     @pytest.mark.parametrize("kind", sorted(KERNEL_GAMES))
-    def test_matches_reference(self, kind, epsilon):
+    def test_matches_reference(self, kind, epsilon, monkeypatch):
         rng = random.Random(f"kernel/{kind}/{epsilon}")
         game = KERNEL_GAMES[kind](rng)
         window = chain._SCAN_WINDOW
@@ -510,15 +531,22 @@ class TestSearchKernel:
                     collect_min_states=rng.random() < 0.5,
                     trace_points=trace_points,
                 )
-                assert _run_fields(run_search(game, config)) == _run_fields(
-                    run_search_reference(game, config)
-                ), (steps, trace_points, start)
+                expected = _run_fields(run_search_reference(game, config))
+                for run in _kernel_runs(game, config, monkeypatch):
+                    assert run == expected, (steps, trace_points, start)
 
-    @pytest.mark.parametrize("n", [1, 2, 255, 256, 300])
-    @pytest.mark.parametrize("kind", ["coordination", "custom"])
-    def test_matches_reference_across_sizes(self, n, kind):
+    @pytest.mark.parametrize(
+        "kind, n",
+        [(kind, n) for kind in ("coordination", "custom") for n in (1, 2, 255, 256, 300)]
+        + [("weighted", 300)],
+    )
+    def test_matches_reference_across_sizes(self, n, kind, monkeypatch):
         if n == 1:
             game = CustomGame(1, lambda i, mask: 0)
+        elif kind == "weighted":
+            # Out-degrees in the thousands: two-byte lanes past n = 255.
+            rng = random.Random(n)
+            game = _biased_game(rng, random_weighted_graph(rng, n, max_w=200))
         else:
             graph = complete(2) if n == 2 else random_simple_graph(random.Random(n), n, 0.03)
             game = majority_game(graph)
@@ -535,9 +563,9 @@ class TestSearchKernel:
                     collect_min_states=True,
                     trace_points=7,
                 )
-                assert _run_fields(run_search(game, config)) == _run_fields(
-                    run_search_reference(game, config)
-                )
+                expected = _run_fields(run_search_reference(game, config))
+                for run in _kernel_runs(game, config, monkeypatch):
+                    assert run == expected
 
     def test_default_budget_matches_reference(self):
         game = majority_game(erdos_renyi(20, 0.5, seed=4))
@@ -545,6 +573,26 @@ class TestSearchKernel:
         assert _run_fields(run_search(game, config)) == _run_fields(
             run_search_reference(game, config)
         )
+
+    @pytest.mark.parametrize(
+        "make, lanes",
+        [
+            (lambda: ring(20), False),
+            (lambda: ring(1000), False),
+            (lambda: path(300), False),
+            (lambda: erdos_renyi(1000, 0.01, seed=1), False),
+            (lambda: complete(60), True),
+            (lambda: erdos_renyi(20, 0.4, seed=1), True),
+            (lambda: erdos_renyi(250, 0.4, seed=1), True),
+        ],
+        ids=["ring20", "ring1000", "path300", "er1000-0.01", "K60", "er20-0.4", "er250-0.4"],
+    )
+    def test_lanes_only_where_in_degree_pays(self, make, lanes):
+        # Low mean in-degree keeps the per-neighbour loop, which is faster
+        # there; the packed in-rows are built only for the lane kernel.
+        game = majority_game(make())
+        run_search(game, ChainConfig(steps=10, seed=0))
+        assert (game._lane_rows is not None) == lanes
 
     def test_never_more_sign_calls_than_steps(self):
         base = majority_game(random_simple_graph(random.Random(3), 10))

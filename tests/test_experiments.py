@@ -85,6 +85,27 @@ class TestRows:
         with pytest.raises(InputError, match="restarts"):
             best_of_restarts(game, Fraction(1, 2), 60, "s", 0)
 
+    def test_rows_unchanged_by_one_point_trace(self):
+        # run_row asks its walks for a one-point trace; every row must equal
+        # the walks that keep the default trace, and the sets pinned here.
+        spec = ExperimentSpec(family="sparse", n_values=(12, 20), trials=2, restarts=2, master_seed=7)
+        rows = run_experiment(spec)
+        pinned = [
+            ({3, 6, 7, 9}, 4), ({2, 4, 7, 10}, 4), ({1, 2, 14, 16, 19}, None),
+            ({1, 2, 5, 7, 11, 17}, None),
+        ]
+        assert [(set(r.chain_set), r.oracle_size) for r in rows] == pinned
+        for row in rows:
+            game = majority_game(erdos_renyi(row.n, row.p, row.graph_seed))
+            args = (game, spec.epsilon, 100 * row.n**2, row.graph_seed, spec.restarts)
+            full = best_of_restarts(*args)
+            short = best_of_restarts(*args, trace_points=1)
+            trace = full.cardinality_trace
+            assert len(trace) > 7_000 and trace[-1][0] == 100 * row.n**2
+            assert short.cardinality_trace == (trace[0], trace[-1])
+            assert (short.best_profile, short.best_step) == (full.best_profile, full.best_step)
+            assert row.chain_set == full.best_profile.players
+
     def test_chain_never_beats_oracle(self):
         spec = ExperimentSpec(family="dense", n_values=(8, 10), trials=2, restarts=2, master_seed=5)
         for row in run_experiment(spec):
