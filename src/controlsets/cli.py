@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from ._ratio import format_rational, parse_rational
+from .chain import ChainConfig
 from .complete_graph import ThresholdDistribution, analytic_min_size
 from .errors import InputError, InternalCheckError
 from .experiments import ExperimentSpec, best_of_restarts, emit_outputs, run_experiment
@@ -138,7 +139,9 @@ def cmd_search(args) -> int:
     steps = _steps(args.steps)
     game = parse_game(_read(args.game))
     epsilon = parse_rational(args.epsilon)
-    best = best_of_restarts(game, epsilon, steps, args.seed, args.restarts)
+    # Only --emit-trace reads the cardinality trace.
+    trace_points = ChainConfig.trace_points if args.emit_trace else 1
+    best = best_of_restarts(game, epsilon, steps, args.seed, args.restarts, trace_points)
     players = best.best_profile.players
     sufficient = is_sufficient(game, players)
     if args.emit_trace:

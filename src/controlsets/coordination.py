@@ -75,6 +75,9 @@ class CoordinationGame(Game):
         # Player i weakly prefers 1 once its on-neighbor weight reaches
         # need[i] = ceil(sub / mul): weights are integers.
         self._need = tuple(-(-b // a) for a, b in zip(self._mul, self._sub))
+        # Out-neighbor bitmasks: a unit-weight on-neighbor weight is one popcount.
+        self._unit = all(w == 1 for row in graph.rows for _, w in row)
+        self._out_masks = tuple(sum(1 << j for j, _ in row) for row in graph.rows)
         # Bytes per slack lane: 2**(8b - 1) exceeds every out-degree >= |slack|.
         self._lane_bytes = max(degrees).bit_length() // 8 + 1
         self._lane_rows: list[int] | None = None
@@ -87,8 +90,8 @@ class CoordinationGame(Game):
         )
 
     def _on_weight(self, i: int, mask: int) -> int:
-        if self.graph.unit_weights:
-            return (self.graph.neighbor_masks[i] & mask).bit_count()
+        if self._unit:
+            return (self._out_masks[i] & mask).bit_count()
         return sum(w for j, w in self.graph.rows[i] if (mask >> j) & 1)
 
     def marginal_mask(self, i: int, mask: int) -> Rational:

@@ -21,9 +21,7 @@ import random
 from typing import Iterable, Mapping, Sequence
 
 from ._ratio import as_fraction
-from .errors import BudgetError, InputError
-
-SUBSET_ENUMERATION_LIMIT = 22
+from .errors import InputError
 
 
 class GraphFormatError(InputError):
@@ -41,7 +39,7 @@ class GraphGenerationError(InputError):
 class WeightedGraph:
     """Immutable weighted directed graph with positive out-degrees."""
 
-    __slots__ = ("n", "rows", "in_rows", "out_degrees", "neighbor_masks", "unit_weights")
+    __slots__ = ("n", "rows", "in_rows", "out_degrees")
 
     def __init__(self, n: int, arcs: Mapping[tuple[int, int], int]):
         if n < 1:
@@ -63,22 +61,11 @@ class WeightedGraph:
             sink = next(i for i in range(n) if i not in out)
             raise InputError(f"node {sink} is a sink (out-degree 0), which is not allowed")
         rows = tuple(tuple(sorted(out[i])) for i in range(n))
-        masks = []
-        unit = True
-        for row in rows:
-            m = 0
-            for j, w in row:
-                m |= 1 << j
-                if w != 1:
-                    unit = False
-            masks.append(m)
         self.n = n
         self.rows = rows
         # in_rows[j] lists (i, w) for every arc i -> j, sorted by source i.
         self.in_rows = tuple(tuple(sorted(into.get(j, ()))) for j in range(n))
         self.out_degrees = tuple(sum(w for _, w in row) for row in rows)
-        self.neighbor_masks = tuple(masks)
-        self.unit_weights = unit
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable, directed: bool = False) -> "WeightedGraph":
@@ -216,15 +203,18 @@ def tree(parents: Sequence[int]) -> WeightedGraph:
         if not 0 <= p < n:
             raise InputError(f"parent {p} of node {i} out of range")
         edges.append((i, p))
-    # Cycle check: every node must reach the root.
+    # Cycle check: every node must reach the root.  A walk stops at the first
+    # node known to reach it, so each node is walked once.
+    reaches = {-1}
     for i in range(n):
         seen = set()
         v = i
-        while v != -1:
+        while v not in reaches:
             if v in seen:
                 raise InputError(f"parent list has a cycle through node {v}")
             seen.add(v)
             v = parents[v]
+        reaches |= seen
     return WeightedGraph.from_edges(n, edges)
 
 
@@ -310,7 +300,7 @@ def alpha_cohesive(g: WeightedGraph, members, alpha) -> bool:
     return True
 
 
-def uniformly_at_most_cohesive(g: WeightedGraph, members, theta, max_size: int = SUBSET_ENUMERATION_LIMIT) -> bool:
+def uniformly_at_most_cohesive(g: WeightedGraph, members, theta) -> bool:
     """True iff no nonempty subset of ``members`` holds together more tightly
     than ``theta``, i.e. no subset whose members all keep strictly more than
     a ``theta`` fraction of their out-weight inside it.
@@ -319,15 +309,9 @@ def uniformly_at_most_cohesive(g: WeightedGraph, members, theta, max_size: int =
     and deleting members at or below ``theta`` one at a time finds it
     (Morris, "Contagion", Rev. Econ. Stud. 2000).  The answer is True
     exactly when this peeling empties ``members``.  It takes O(arcs) exact
-    integer comparisons.  ``max_size`` remains the caller's guard on the
-    number of members; :func:`~controlsets.scs.cohesiveness_crosscheck`
-    passes ``g.n``.
+    integer comparisons.
     """
     ms = _normalize_members(g, members)
-    if len(ms) > max_size:
-        raise BudgetError(
-            f"cohesiveness check over {len(ms)} nodes exceeds the budget of {max_size}"
-        )
     t = as_fraction(theta)
     p, q = t.numerator, t.denominator
     live = set(ms)

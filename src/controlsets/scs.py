@@ -252,7 +252,7 @@ class _OracleWalk:
         self.base, self.on, self.spread = _seed_walk(game, closure_mask(game, 0))
         if self.on:
             self.top = tuple(max(w for _, w in row) for row in game.graph.rows)
-            self.out_masks = game.graph.neighbor_masks
+            self.out_masks = game._out_masks
         self.hits: list[int] = []
 
     def sufficient_sets(self, k: int) -> list[int]:
@@ -389,4 +389,4 @@ def cohesiveness_crosscheck(g: WeightedGraph, theta, seed) -> bool:
         if not 0 <= p < g.n:
             raise InputError(f"player {p} out of range for n={g.n}")
         members.discard(p)
-    return uniformly_at_most_cohesive(g, members, 1 - t, max_size=g.n)
+    return uniformly_at_most_cohesive(g, members, 1 - t)

@@ -2,8 +2,9 @@ import os
 
 import pytest
 
-from controlsets import parse_game, parse_graph
+from controlsets import cli, parse_game, parse_graph
 from controlsets.cli import main
+from controlsets.experiments import best_of_restarts
 
 RING_GAME = """\
 game coordination
@@ -135,6 +136,29 @@ class TestSearch:
         lines = trace.read_text().splitlines()
         assert lines[0] == "step,cardinality"
         assert lines[1].startswith("0,")
+
+    def test_result_unchanged_by_emit_trace(self, capsys, tmp_path, monkeypatch):
+        # Without --emit-trace the walks keep a one-point trace, which must
+        # not move the best set, its step or the sufficiency verdict.
+        _, text, _ = run_cli(capsys, "generate", "ring", "12", "--as-game")
+        path = tmp_path / "ring12.game"
+        path.write_text(text)
+        points = []
+
+        def spy(*args):
+            points.append(args[-1])
+            return best_of_restarts(*args)
+
+        monkeypatch.setattr(cli, "best_of_restarts", spy)
+        args = ("search", str(path), "--seed", "3", "--restarts", "3", "--steps", "5000")
+        for fmt in ("plain", "csv"):
+            plain = run_cli(capsys, *args, "--format", fmt)
+            traced = run_cli(
+                capsys, *args, "--format", fmt, "--emit-trace", str(tmp_path / "t.csv")
+            )
+            assert plain == traced
+            assert plain[0] == 0
+        assert points == [1, 10_000, 1, 10_000]
 
     def test_csv_format(self, capsys, tmp_path):
         path = tmp_path / "ring.game"

@@ -163,11 +163,11 @@ class TestExtremalEquilibria:
         # Bias beyond the degree makes playing 1 dominant, so all-0 is not
         # an equilibrium; such games are rejected at construction, so probe
         # the check through an unvalidated custom evaluator.
-        g = complete(3)
         w = 2
+        k3 = (0b110, 0b101, 0b011)
         game = CustomGame(
             3,
-            lambda i, mask: 2 * (g.neighbor_masks[i] & mask).bit_count() - w + 3,
+            lambda i, mask: 2 * (k3[i] & mask).bit_count() - w + 3,
             validate=False,
         )
         assert not check_extremal_equilibria(game)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -176,6 +177,19 @@ class TestGadget:
     def test_label_text(self):
         text = format_labels(build_gadget(SINGLE_CLAUSE))
         assert text.splitlines()[0] == "0 clause1"
+
+    def test_memory_linear_in_arcs(self):
+        # 40,007 nodes and 20,009 edges: per-node bitmasks over all nodes
+        # would take about 100 MB, the arcs themselves under 30 MB.
+        cnf = Cnf3(20000, ((1, 2, 3),))
+        tracemalloc.start()
+        try:
+            gadget = build_gadget(cnf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gadget.graph.n == 40007
+        assert peak < 60 * 2**20
 
 
 class TestAssignmentMap:
