@@ -23,14 +23,19 @@ lanes' sign bits in C.  On sparser graphs a move updates the in-neighbours'
 counters one by one, which is cheaper there.
 
 For small instances one depth-first walk from all-1 (``_moves``) maps each
-reachable profile to its admissible players.  The reachable and absorbing
-profile sets and the exact rational transition matrix are all read off it,
-so the stationary claims can be checked exactly.  The stationary vector is
-solved from detailed balance along a spanning tree and certified on every
-edge (Kolmogorov's criterion).  The input is checked once, up front, to be
-a stochastic matrix; a chain that fails the certificate falls back to a
-Gauss-Jordan solve over the same sparse rows, and only that fallback is
-bounded by ``DENSE_SOLVE_LIMIT``.
+reachable profile to its admissible players; on a plain coordination game
+it carries the slack counters down the walk and asks no ``delta_sign``.
+The reachable and absorbing profile sets and the exact rational transition
+matrix are all read off it, so the stationary claims can be checked
+exactly.  The stationary vector is solved from detailed balance along a
+spanning tree and certified on every edge (Kolmogorov's criterion; Kelly,
+*Reversibility and Stochastic Networks*, 1979), fraction-free: pi is kept
+as integer pairs, each edge is one integer cross-multiplication, and the
+``Fraction``s are built once, at the end.  The input is checked once, up
+front, to be a stochastic matrix of ``int`` or ``Fraction`` entries, each
+row in integers over the lcm of its denominators; a chain that fails the
+certificate falls back to a Gauss-Jordan solve over the same sparse rows,
+and only that fallback is bounded by ``DENSE_SOLVE_LIMIT``.
 """
 
 from __future__ import annotations
@@ -340,27 +345,49 @@ def run_search(game: Game, config: ChainConfig) -> ChainRun:
     )
 
 
-def _moves(game: Game) -> dict[int, int]:
+def _moves(game: Game, max_states: int | None = None) -> dict[int, int]:
     """Map every profile reachable from all-1 by weakly-improving downward
     flips to its admissible players, those whose marginal is >= 0 there.
 
-    One depth-first walk from all-1 asks ``delta_sign`` once per player and
-    state; a player at 1 in the result may flip down, one at 0 may flip up.
+    One depth-first walk from all-1; a player at 1 in the result may flip
+    down, one at 0 may flip up.  On a plain coordination game a stack entry
+    carries its parent's slack counters and the player whose flip leads to
+    it.  A popped state not yet seen copies the parent's slack and lowers it
+    along the flipped player's in-arcs, and its admissible players are
+    those with slack >= 0.  Any other game asks ``delta_sign`` once per
+    player and state.  The walk raises ``BudgetError`` as soon as it finds
+    more than ``max_states`` states.
     """
     n = game.n
     if n > ENUMERATION_NODE_LIMIT:
         raise BudgetError(f"state enumeration limited to n <= {ENUMERATION_NODE_LIMIT}, got n={n}")
+    cap = 1 << n if max_states is None else max_states
+    full = (1 << n) - 1
+    plain = _plain_coordination(game)
     sign = game.delta_sign
+    into = game.graph.in_rows if plain else None
     moves: dict[int, int] = {}
-    frontier = [(1 << n) - 1]
-    while frontier:
-        mask = frontier.pop()
+    stack = [(full, game._slack(full) if plain else None, -1)]
+    while stack:
+        mask, slack, flipped = stack.pop()
         if mask in moves:
             continue
-        admissible = sum(1 << i for i in range(n) if sign(i, mask) >= 0)
+        if slack is None:
+            admissible = sum(1 << i for i in range(n) if sign(i, mask) >= 0)
+        else:
+            if flipped >= 0:
+                slack = slack[:]
+                for j, w in into[flipped]:
+                    slack[j] -= w
+            admissible = 0
+            for i, s in enumerate(slack):
+                if s >= 0:
+                    admissible |= 1 << i
         moves[mask] = admissible
+        if len(moves) > cap:
+            raise BudgetError(f"reachable set has more than {cap} states, over the limit of {cap}")
         down = admissible & mask
-        frontier.extend(mask ^ (1 << i) for i in range(n) if (down >> i) & 1)
+        stack.extend((mask ^ (1 << i), slack, i) for i in range(n) if down >> i & 1)
     return moves
 
 
@@ -401,12 +428,8 @@ def transition_matrix(game: Game, epsilon, max_states: int = MATRIX_STATE_LIMIT)
     eps = as_fraction(epsilon)
     if not 0 <= eps <= 1:
         raise InputError(f"epsilon must lie in [0, 1], got {eps}")
-    moves = _moves(game)
+    moves = _moves(game, max_states)
     masks = sorted(moves, key=lambda m: (m.bit_count(), m))
-    if len(masks) > max_states:
-        raise BudgetError(
-            f"reachable set has {len(masks)} states, over the limit of {max_states}"
-        )
     index = {m: a for a, m in enumerate(masks)}
     n = game.n
     down = Fraction(1, n)
@@ -441,11 +464,13 @@ def transition_matrix(game: Game, epsilon, max_states: int = MATRIX_STATE_LIMIT)
 def stationary_distribution(matrix) -> tuple[Fraction, ...]:
     """Left fixed vector of a stochastic matrix, solved exactly.
 
-    Accepts a :class:`TransitionMatrix` or a square list of rationals; a
-    list is turned into sparse rows, and the rows are checked once, up
-    front, to be nonnegative, in range and summing to exactly 1.  The
-    search walk is reversible, so the vector is first fixed along a BFS
-    spanning tree from state 0 by pi(b) / pi(a) = P(a, b) / P(b, a).  It is
+    Accepts a :class:`TransitionMatrix` of ``int`` or ``Fraction`` entries
+    (anything else, ``bool`` included, is an ``InputError``) or a square
+    list of rationals; a list is turned into sparse rows, and the rows are
+    checked once, up front, to be nonnegative, in range and summing to
+    exactly 1.  The search walk is reversible, so the vector is first fixed
+    along a BFS spanning tree from state 0 by pi(b) / pi(a) = P(a, b) /
+    P(b, a).  It is
     returned only with a certificate: every state reached, and
     pi(a) P(a, b) == pi(b) P(b, a) on every nonzero off-diagonal entry.
     Such a pi is positive and stationary on an irreducible chain, hence the
@@ -458,6 +483,12 @@ def stationary_distribution(matrix) -> tuple[Fraction, ...]:
     """
     if isinstance(matrix, TransitionMatrix):
         rows, m = matrix.rows, matrix.size
+        # The list path converts through as_fraction; this one checks types.
+        for kind in {type(p) for row in rows for p in row.values()}:
+            if kind is bool or not issubclass(kind, (int, Fraction)):
+                raise InputError(
+                    f"transition probabilities must be int or Fraction, got {kind.__name__}"
+                )
     else:
         dense = [[as_fraction(v) for v in row] for row in matrix]
         m = len(dense)
@@ -478,45 +509,74 @@ def stationary_distribution(matrix) -> tuple[Fraction, ...]:
 
 
 def _is_stochastic(rows, m: int) -> bool:
-    """True when ``m`` sparse rows are nonnegative, in range and each sum to 1."""
+    """True when ``m`` sparse rows of ``int``/``Fraction`` entries are
+    nonnegative, in range and each sum to 1.
+
+    Checked in integers: with L the lcm of a row's denominators, the row
+    sums to 1 exactly when its numerators, each scaled by L over its own
+    denominator, sum to L.
+    """
     if m == 0 or len(rows) != m:
         return False
-    return all(
-        sum(row.values()) == 1 and all(p >= 0 and 0 <= b < m for b, p in row.items())
-        for row in rows
-    )
+    for row in rows:
+        probs = row.values()
+        lcm = math.lcm(*[p.denominator for p in probs])
+        scaled = [p.numerator * (lcm // p.denominator) for p in probs]
+        if sum(scaled) != lcm or min(scaled) < 0 or min(row) < 0 or max(row) >= m:
+            return False
+    return True
 
 
 def _detailed_balance_solve(rows, m: int) -> tuple[tuple[Fraction, ...] | None, int]:
     """Stationary vector of a reversible chain given as ``m`` sparse rows
     that passed ``_is_stochastic``, or None when the detailed-balance
     certificate fails, paired with the number of states that state 0
-    reaches over positive entries."""
-    pi: list[Fraction | None] = [None] * m
-    pi[0] = Fraction(1)
+    reaches over positive entries.
+
+    pi is kept as reduced integer pairs ``num[a] / den[a]`` along the BFS
+    tree, each edge of the certificate is one integer cross-multiplication,
+    and the normalized ``Fraction``s are built once, at the end, over a
+    common denominator.
+    """
+    num: list[int] = [0] * m
+    den: list[int | None] = [None] * m
+    num[0] = den[0] = 1
     order = [0]
     balanced = True
     for a in order:
         for b, p in rows[a].items():
-            if p and pi[b] is None:
+            if den[b] is None and p:
                 back = rows[b].get(a)
                 balanced = balanced and bool(back)
-                # After a one-way entry only the reach is still needed, and
-                # any non-None value marks b as seen.
-                pi[b] = pi[a] * p / back if balanced else p
                 order.append(b)
+                if not balanced:
+                    # After a one-way entry only the reach is still needed,
+                    # and any non-None value marks b as seen.
+                    den[b] = 0
+                    continue
+                # pi(b) = pi(a) * p / back
+                x = num[a] * p.numerator * back.denominator
+                y = den[a] * p.denominator * back.numerator
+                g = math.gcd(x, y)
+                num[b], den[b] = x // g, y // g
     if not balanced or len(order) != m:
         return None, len(order)
     # Each pair is compared once, from its lower end; a one-way entry fails
     # from either end, since pi is positive.
     for a, row in enumerate(rows):
         for b, p in row.items():
-            if p and b != a:
+            if b != a and p:
                 back = rows[b].get(a)
-                if not back or (a < b and pi[a] * p != pi[b] * back):
+                if not back or (
+                    a < b
+                    and num[a] * p.numerator * den[b] * back.denominator
+                    != num[b] * back.numerator * den[a] * p.denominator
+                ):
                     return None, m
-    total = sum(pi)
-    return tuple(v / total for v in pi), m
+    common = math.lcm(*den)
+    weights = [x * (common // y) for x, y in zip(num, den)]
+    total = sum(weights)
+    return tuple(Fraction(w, total) for w in weights), m
 
 
 def _gauss_jordan(rows, m: int) -> tuple[Fraction, ...]:

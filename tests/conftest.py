@@ -11,6 +11,7 @@ from controlsets import (
     ChainConfig,
     ChainRun,
     Cnf3,
+    CoordinationGame,
     OracleResult,
     Profile,
     ReductionReport,
@@ -63,6 +64,31 @@ def random_directed_graph(rng: random.Random, n: int, max_w: int = 4) -> Weighte
         for j in rng.sample(others, rng.randint(1, len(others))):
             edges.append((i, j, rng.randint(1, max_w)))
     return WeightedGraph.from_edges(n, edges, directed=True)
+
+
+def _biases(rng: random.Random, g) -> list[Fraction]:
+    # Exact biases in [-w_i, w_i] with denominators up to 3.
+    out = []
+    for w in g.out_degrees:
+        q = rng.randint(1, 3)
+        out.append(Fraction(rng.randint(-w * q, w * q), q))
+    return out
+
+
+def random_coordination_game(kind: str, rng: random.Random, n: int) -> CoordinationGame:
+    """Seeded coordination game of one of the four kinds under test."""
+    if kind == "majority":
+        return majority_game(random_simple_graph(rng, n, rng.choice((0.2, 0.4, 0.6))))
+    draw = {
+        "biased": random_simple_graph,
+        "weighted": random_weighted_graph,
+        "directed": random_directed_graph,
+    }[kind]
+    g = draw(rng, n)
+    return CoordinationGame(g, _biases(rng, g))
+
+
+GAME_KINDS = ("majority", "biased", "weighted", "directed")
 
 
 def random_game(rng: random.Random, n: int):
@@ -270,6 +296,60 @@ def transition_rows_reference(game, states, epsilon) -> list[dict[int, Fraction]
         row[a] = row.get(a, Fraction(0)) + 1 - sum(row.values())
         rows.append(row)
     return rows
+
+
+def moves_reference(game) -> dict[int, int]:
+    """The state walk on ``delta_sign``: depth-first from all-1, asking every
+    player's sign once per state, children pushed in increasing player order."""
+    n = game.n
+    sign = game.delta_sign
+    moves: dict[int, int] = {}
+    frontier = [(1 << n) - 1]
+    while frontier:
+        mask = frontier.pop()
+        if mask in moves:
+            continue
+        admissible = sum(1 << i for i in range(n) if sign(i, mask) >= 0)
+        moves[mask] = admissible
+        down = admissible & mask
+        frontier.extend(mask ^ (1 << i) for i in range(n) if (down >> i) & 1)
+    return moves
+
+
+def is_stochastic_reference(rows, m: int) -> bool:
+    """Sparse rows checked by summing them as ``Fraction``s."""
+    if m == 0 or len(rows) != m:
+        return False
+    return all(
+        sum(row.values()) == 1 and all(p >= 0 and 0 <= b < m for b, p in row.items())
+        for row in rows
+    )
+
+
+def detailed_balance_solve_reference(rows, m: int):
+    """Detailed balance along a BFS tree from state 0 and its certificate on
+    every edge, all in ``Fraction`` arithmetic; (None, reach) on failure."""
+    pi: list[Fraction | None] = [None] * m
+    pi[0] = Fraction(1)
+    order = [0]
+    balanced = True
+    for a in order:
+        for b, p in rows[a].items():
+            if p and pi[b] is None:
+                back = rows[b].get(a)
+                balanced = balanced and bool(back)
+                pi[b] = pi[a] * p / back if balanced else p
+                order.append(b)
+    if not balanced or len(order) != m:
+        return None, len(order)
+    for a, row in enumerate(rows):
+        for b, p in row.items():
+            if p and b != a:
+                back = rows[b].get(a)
+                if not back or (a < b and pi[a] * p != pi[b] * back):
+                    return None, m
+    total = sum(pi)
+    return tuple(v / total for v in pi), m
 
 
 def run_search_reference(game, config: ChainConfig) -> ChainRun:

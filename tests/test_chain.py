@@ -8,6 +8,7 @@ import pytest
 from controlsets import (
     BudgetError,
     ChainConfig,
+    CoordinationGame,
     CustomGame,
     InputError,
     Profile,
@@ -31,7 +32,12 @@ from controlsets.chain import _detailed_balance_solve, _gauss_jordan, _is_stocha
 from controlsets.coordination import _plain_coordination
 
 from conftest import (
+    GAME_KINDS,
     closure_mask_sweep,
+    detailed_balance_solve_reference,
+    is_stochastic_reference,
+    moves_reference,
+    random_coordination_game,
     random_simple_graph,
     random_weighted_graph,
     run_search_reference,
@@ -215,6 +221,61 @@ class TestMoves:
                     1 << i for i in range(n) if game.marginal_mask(i, mask) >= 0
                 ), (kind, mask)
 
+    @pytest.mark.parametrize("kind", GAME_KINDS)
+    def test_slack_walk_matches_sign_walk(self, kind):
+        # Every size up to 12, then random ones; dict order included.
+        rng = random.Random(f"moves-walk/{kind}")
+        for n in [*range(2, 13), *(rng.randint(2, 12) for _ in range(8))]:
+            game = random_coordination_game(kind, rng, n)
+            assert _plain_coordination(game)
+            moves, expected = chain._moves(game), moves_reference(game)
+            assert moves == expected
+            assert list(moves) == list(expected), (kind, n)
+
+    def test_plain_coordination_asks_no_sign(self, monkeypatch):
+        game = majority_game(complete(6))
+        expected = moves_reference(game)
+
+        def no_sign(*args):
+            raise AssertionError("delta_sign called")
+
+        monkeypatch.setattr(CoordinationGame, "delta_sign", no_sign)
+        assert list(chain._moves(game).items()) == list(expected.items())
+
+    def test_table_game_takes_sign_walk(self, monkeypatch):
+        game = random_supermodular_table(6, random.Random("moves/table-walk"))
+        expected = moves_reference(game)
+        method = type(game).delta_sign
+        calls = []
+
+        def counting(self, i, mask):
+            calls.append((i, mask))
+            return method(self, i, mask)
+
+        monkeypatch.setattr(type(game), "delta_sign", counting)
+        moves = chain._moves(game)
+        assert list(moves.items()) == list(expected.items())
+        assert len(calls) == game.n * len(moves)
+
+    def test_instance_delta_sign_takes_sign_walk(self):
+        # Only player 0 may ever flip, whatever the graph says.
+        game = majority_game(ring(6))
+        game.delta_sign = lambda i, mask: -1 if i else 0
+        assert not _plain_coordination(game)
+        assert chain._moves(game) == moves_reference(game) == {0b111111: 1, 0b111110: 1}
+
+    @pytest.mark.parametrize("plain", [True, False], ids=["slack", "sign"])
+    def test_state_cap_stops_the_walk(self, plain):
+        game = majority_game(complete(16))
+        calls = []
+        if not plain:
+            method = game.delta_sign
+            game.delta_sign = lambda i, mask: calls.append(i) or method(i, mask)
+        with pytest.raises(BudgetError, match="more than 50 states, over the limit of 50$"):
+            chain._moves(game, 50)
+        # The walk stops at the 51st state, not after all 39,203.
+        assert len(calls) == (0 if plain else 16 * 51)
+
 
 class TestTransitionMatrix:
     @pytest.mark.parametrize("eps", [Fraction(0), Fraction(1, 3), Fraction(1)], ids=str)
@@ -225,6 +286,14 @@ class TestTransitionMatrix:
             rows = transition_rows_reference(game, P.states, eps)
             assert list(P.rows) == rows
             assert [list(r) for r in P.rows] == [list(r) for r in rows]
+
+    def test_max_states_bounds_the_walk(self):
+        game = majority_game(complete(6))
+        assert transition_matrix(game, Fraction(1, 3), max_states=42).size == 42
+        with pytest.raises(BudgetError, match="more than 41 states, over the limit of 41"):
+            transition_matrix(game, Fraction(1, 3), max_states=41)
+        with pytest.raises(BudgetError, match="more than 50 states"):
+            transition_matrix(majority_game(complete(16)), Fraction(1, 3), max_states=50)
 
     def test_rows_sum_to_one_exactly(self):
         P = transition_matrix(majority_game(ring(4)), Fraction(3, 10))
@@ -269,6 +338,31 @@ class TestStationaryDistribution:
         with pytest.raises(InputError, match="sum"):
             stationary_distribution([[Fraction(1, 2), Fraction(1, 3)], [0, 1]])
 
+    @pytest.mark.parametrize("entry", [0.5, "1/2"], ids=["float", "str"])
+    def test_entries_must_be_exact(self, entry):
+        # A hand-built matrix of floats once got a float answer back.
+        P = chain.TransitionMatrix(
+            states=(Profile.ones(1), Profile(1, 0)),
+            rows=({0: entry, 1: entry}, {0: entry, 1: entry}),
+            epsilon=Fraction(1),
+        )
+        with pytest.raises(InputError, match=f"int or Fraction, got {type(entry).__name__}"):
+            stationary_distribution(P)
+
+    @pytest.mark.parametrize("entry", [1.0, True], ids=["float", "bool"])
+    def test_both_paths_refuse(self, entry):
+        P = chain.TransitionMatrix(states=(Profile.ones(1),), rows=({0: entry},), epsilon=Fraction(1))
+        with pytest.raises(InputError, match=f"got {type(entry).__name__}"):
+            stationary_distribution(P)
+        with pytest.raises(InputError):
+            stationary_distribution([[entry]])
+
+    def test_int_entries_accepted(self):
+        P = chain.TransitionMatrix(
+            states=(Profile.ones(1), Profile(1, 0)), rows=({1: 1}, {0: 1, 1: 0}), epsilon=Fraction(1)
+        )
+        assert stationary_distribution(P) == (Fraction(1, 2), Fraction(1, 2))
+
     def test_concentration_increases_as_epsilon_shrinks(self):
         game = majority_game(ring(4))
         res = optimal_oracle(game)
@@ -295,6 +389,51 @@ DIFFERENTIAL_GRAPHS = (
 )
 
 
+def _perturbed_rows(rows, rng: random.Random):
+    """Seeded variants of valid sparse rows: (label, still stochastic, rows).
+
+    The variants that break the rows keep every other property: a negative
+    entry keeps the row sum, a moved column keeps it too, and a sum off by
+    1/10**30 keeps every entry in range.
+    """
+    m = len(rows)
+    a = rng.randrange(m)
+    off = [b for b, p in rows[a].items() if b != a and p]
+    tiny = Fraction(1, 10**30)
+
+    def with_row(row):
+        return rows[:a] + [row] + rows[a + 1:]
+
+    if off:
+        b = rng.choice(off)
+        row = dict(rows[a])
+        row[b] = -row[b]
+        row[a] = row.get(a, 0) - 2 * row[b]
+        yield "negative", False, with_row(row)
+        # Half of one move goes to the self-loop: still stochastic, and two-way,
+        # but detailed balance fails wherever that edge lies on a cycle.
+        row = dict(rows[a])
+        row[b] /= 2
+        row[a] = row.get(a, 0) + row[b]
+        yield "halved", True, with_row(row)
+    row = dict(rows[a])
+    row[rng.choice([-1, m, m + 3])] = row.pop(rng.choice(list(row)))
+    yield "column", False, with_row(row)
+    for delta in (tiny, -tiny):
+        row = dict(rows[a])
+        row[a] = row.get(a, 0) + delta
+        yield "sum", False, with_row(row)
+    # Integral entries as ints, and an explicit int 0 in every row.
+    exact = []
+    for row in rows:
+        row = {b: int(p) if p.denominator == 1 else p for b, p in row.items()}
+        row.setdefault(rng.randrange(m), 0)
+        exact.append(row)
+    yield "exact-ints", True, exact
+    # An absorbing state: stochastic, but one-way into it.
+    yield "absorbing", True, with_row({a: 1})
+
+
 class TestDetailedBalanceSolve:
     @pytest.mark.parametrize("eps", DIFFERENTIAL_EPSILONS, ids=str)
     @pytest.mark.parametrize(
@@ -306,6 +445,32 @@ class TestDetailedBalanceSolve:
         assert tree is not None and reached == P.size
         assert tree == _gauss_jordan(P.rows, P.size) == stationary_law(P)
         assert stationary_distribution(P) == tree
+
+    @pytest.mark.parametrize("eps", DIFFERENTIAL_EPSILONS, ids=str)
+    @pytest.mark.parametrize(
+        "make, args", [g[1:] for g in DIFFERENTIAL_GRAPHS], ids=[g[0] for g in DIFFERENTIAL_GRAPHS]
+    )
+    def test_integer_checks_match_fraction_checks(self, make, args, eps):
+        P = transition_matrix(majority_game(make(*args)), eps)
+        rows, m = list(P.rows), P.size
+        assert _is_stochastic(rows, m) and is_stochastic_reference(rows, m)
+        solved = _detailed_balance_solve(rows, m)
+        assert solved == detailed_balance_solve_reference(rows, m)
+        assert solved[0] is not None
+        rng = random.Random(f"perturb/{args}/{eps}")
+        for _ in range(4):
+            for label, stochastic, bad in _perturbed_rows(rows, rng):
+                assert _is_stochastic(bad, m) == is_stochastic_reference(bad, m) == stochastic, label
+                if stochastic:
+                    expected = detailed_balance_solve_reference(bad, m)
+                    assert _detailed_balance_solve(bad, m) == expected, label
+                    if label == "exact-ints":
+                        assert expected == solved
+                else:
+                    with pytest.raises(InputError, match="nonnegative"):
+                        stationary_distribution(
+                            chain.TransitionMatrix(P.states, tuple(bad), P.epsilon)
+                        )
 
     def test_plain_list_takes_tree_path(self):
         P = transition_matrix(majority_game(ring(4)), Fraction(1, 3))

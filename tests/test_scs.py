@@ -27,11 +27,12 @@ from controlsets import (
 )
 from controlsets.scs import _OracleWalk, _seed_walk, _undominated, closure_mask
 from conftest import (
+    GAME_KINDS,
     cascade_random_order,
     closure_mask_sweep,
     find_sufficient_within_reference,
     optimal_oracle_reference,
-    random_directed_graph,
+    random_coordination_game,
     random_game,
     random_simple_graph,
     random_weighted_graph,
@@ -233,29 +234,6 @@ class TestFindSufficientWithin:
             gc.enable()
 
 
-def _biases(rng: random.Random, g) -> list[Fraction]:
-    # Exact biases in [-w_i, w_i] with denominators up to 3.
-    out = []
-    for w in g.out_degrees:
-        q = rng.randint(1, 3)
-        out.append(Fraction(rng.randint(-w * q, w * q), q))
-    return out
-
-
-def random_coordination_game(kind: str, rng: random.Random, n: int) -> CoordinationGame:
-    """Seeded coordination game of one of the four kinds under test."""
-    if kind == "majority":
-        return majority_game(random_simple_graph(rng, n, rng.choice((0.2, 0.4, 0.6))))
-    draw = {
-        "biased": random_simple_graph,
-        "weighted": random_weighted_graph,
-        "directed": random_directed_graph,
-    }[kind]
-    g = draw(rng, n)
-    return CoordinationGame(g, _biases(rng, g))
-
-
-GAME_KINDS = ("majority", "biased", "weighted", "directed")
 
 
 class TestSeedWalk:
