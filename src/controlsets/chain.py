@@ -31,9 +31,7 @@ exactly.  The stationary vector is solved from detailed balance along a
 spanning tree and certified on every edge (Kolmogorov's criterion; Kelly,
 *Reversibility and Stochastic Networks*, 1979), fraction-free: pi is kept
 as integer pairs, each edge is one integer cross-multiplication, and the
-``Fraction``s are built once, at the end.  The input is checked once, up
-front, to be a stochastic matrix of ``int`` or ``Fraction`` entries, each
-row in integers over the lcm of its denominators; a chain that fails the
+``Fraction``s are built once, at the end.  A chain that fails the
 certificate falls back to a Gauss-Jordan solve over the same sparse rows,
 and only that fallback is bounded by ``DENSE_SOLVE_LIMIT``.
 """
@@ -464,14 +462,14 @@ def transition_matrix(game: Game, epsilon, max_states: int = MATRIX_STATE_LIMIT)
 def stationary_distribution(matrix) -> tuple[Fraction, ...]:
     """Left fixed vector of a stochastic matrix, solved exactly.
 
-    Accepts a :class:`TransitionMatrix` of ``int`` or ``Fraction`` entries
-    (anything else, ``bool`` included, is an ``InputError``) or a square
-    list of rationals; a list is turned into sparse rows, and the rows are
-    checked once, up front, to be nonnegative, in range and summing to
-    exactly 1.  The search walk is reversible, so the vector is first fixed
-    along a BFS spanning tree from state 0 by pi(b) / pi(a) = P(a, b) /
-    P(b, a).  It is
-    returned only with a certificate: every state reached, and
+    Accepts a :class:`TransitionMatrix` of ``dict`` rows from ``int``
+    columns to ``int`` or ``Fraction`` entries (anything else, ``bool``
+    included, is an ``InputError``) or a square list of rationals; a list
+    is turned into sparse rows, and the rows are checked once, up front, to
+    be nonnegative, in range and summing to exactly 1.  The search walk is
+    reversible, so the vector is first fixed along a BFS spanning tree from
+    state 0 by pi(b) / pi(a) = P(a, b) / P(b, a).  It is returned only
+    with a certificate: every state reached, and
     pi(a) P(a, b) == pi(b) P(b, a) on every nonzero off-diagonal entry.
     Such a pi is positive and stationary on an irreducible chain, hence the
     unique answer.  A chain that fails the certificate and in which state 0
@@ -484,7 +482,11 @@ def stationary_distribution(matrix) -> tuple[Fraction, ...]:
     if isinstance(matrix, TransitionMatrix):
         rows, m = matrix.rows, matrix.size
         # The list path converts through as_fraction; this one checks types.
-        for kind in {type(p) for row in rows for p in row.values()}:
+        if any(type(row) is not dict for row in rows):
+            raise InputError("every transition matrix row must be a dict")
+        for col, kind in {(type(b), type(p)) for row in rows for b, p in row.items()}:
+            if col is bool or not issubclass(col, int):
+                raise InputError(f"transition matrix columns must be int, got {col.__name__}")
             if kind is bool or not issubclass(kind, (int, Fraction)):
                 raise InputError(
                     f"transition probabilities must be int or Fraction, got {kind.__name__}"

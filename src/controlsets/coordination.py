@@ -10,23 +10,20 @@ equivalent threshold view puts ``theta_i = (w_i - c_i) / (2 w_i)``: player
 ``i`` weakly prefers 1 once at least a ``theta_i`` fraction of its
 out-weight plays 1.
 
-Both walks apply the move rule to one integer counter.  Weights are
+Every walk applies the move rule to one integer counter.  Weights are
 integers, so player ``i`` weakly prefers 1 exactly when its on-neighbor
 weight reaches ``_need[i] = ceil(_sub[i] / _mul[i])``, that is, when its
 *slack* (on-neighbor weight minus ``_need[i]``) is >= 0.  A flip of ``j``
 moves the slack of each in-neighbor by the arc weight, along
 ``graph.in_rows``.  ``chain.run_search`` keeps the slack of the walk's
 profile, starting from :meth:`CoordinationGame._slack`: on graphs dense
-enough for it to pay, in one integer with a fixed-width lane per player, so
-that a flip adds or subtracts the player's in-arc weights packed into the
-same lanes (:meth:`CoordinationGame._packed_in_rows`), and otherwise in a
-list stepped one in-neighbor at a time.  ``scs._seed_walk``,
-the closure engine of every cascade closure and exact search, runs the
-cascade as a worklist over it: the counters start at ``-_need``, the seeds
-and every player already at slack >= 0 are queued, and each flip queues
-the players at 0 whose slack it lifts to 0.  That costs O(n + arcs of the
-players that end at 1) with integer arithmetic only (linear-threshold
-propagation; Kempe, Kleinberg & Tardos, KDD 2003).
+enough for it to pay, in one integer with a fixed-width lane per player
+(:meth:`CoordinationGame._packed_in_rows`), and otherwise in a list.
+``scs._seed_walk``, the closure engine of every exact search, runs the
+cascade as a worklist over the counters in O(n + arcs of the players that
+end at 1) (linear-threshold propagation; Kempe, Kleinberg & Tardos, KDD
+2003).  ``scs.cascade``, the ``verify`` path, pops the eligible players
+from a min-heap instead, to keep its lowest-index flip order.
 """
 
 from __future__ import annotations
@@ -75,9 +72,6 @@ class CoordinationGame(Game):
         # Player i weakly prefers 1 once its on-neighbor weight reaches
         # need[i] = ceil(sub / mul): weights are integers.
         self._need = tuple(-(-b // a) for a, b in zip(self._mul, self._sub))
-        # Out-neighbor bitmasks: a unit-weight on-neighbor weight is one popcount.
-        self._unit = all(w == 1 for row in graph.rows for _, w in row)
-        self._out_masks = tuple(sum(1 << j for j, _ in row) for row in graph.rows)
         # Bytes per slack lane: 2**(8b - 1) exceeds every out-degree >= |slack|.
         self._lane_bytes = max(degrees).bit_length() // 8 + 1
         self._lane_rows: list[int] | None = None
@@ -90,8 +84,6 @@ class CoordinationGame(Game):
         )
 
     def _on_weight(self, i: int, mask: int) -> int:
-        if self._unit:
-            return (self._out_masks[i] & mask).bit_count()
         return sum(w for j, w in self.graph.rows[i] if (mask >> j) & 1)
 
     def marginal_mask(self, i: int, mask: int) -> Rational:

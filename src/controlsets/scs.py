@@ -11,7 +11,8 @@ deterministic lowest-index order is used to produce reproducible witnesses.
 hands back a ``spread`` step that adds players to a closed set: a
 worklist over the integer slack counters for a plain
 :class:`CoordinationGame` (see ``coordination``), order-free sweeps of
-``delta_sign`` for any other game.  Both reach the same fixed point.
+``delta_sign`` for any other game.  Both reach the same fixed point, and
+:func:`cascade` walks the same counters with a min-heap.
 :func:`closure_mask` is its closed set, and every exact search grows its
 seed sets through ``spread``: closure is monotone and idempotent under
 increasing differences, so closure(P + v) is closure(closure(P) + v).
@@ -32,6 +33,7 @@ return.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -130,22 +132,35 @@ def cascade(game: Game, seed) -> CascadeResult:
     """Run the cascade from ``seed``, flipping the lowest-index eligible
     player first, and report the fixed point with its flip order.
 
-    For a seed of size s this costs at most (n-s)(n-s+1)/2 marginal-sign
-    evaluations: each scan only touches players still at 0.
+    A plain coordination game pops a min-heap over the slack counters, in
+    O(arcs * log n); slack only rises, so the top is the lowest eligible
+    player.  Other games rescan: (n-s)(n-s+1)/2 sign calls for s seeds.
     """
     mask = _seed_mask(game, seed)
     n = game.n
     full = (1 << n) - 1
-    sign = game.delta_sign
     witness: list[int] = []
-    while mask != full:
-        for i in range(n):
-            if not (mask >> i) & 1 and sign(i, mask) >= 0:
-                mask |= 1 << i
-                witness.append(i)
+    if _plain_coordination(game):
+        slack = game._slack(mask)
+        ready = [i for i in range(n) if not (mask >> i) & 1 and slack[i] >= 0]  # sorted: a heap
+        while ready:
+            i = heapq.heappop(ready)
+            mask |= 1 << i
+            witness.append(i)
+            for j, w in game.graph.in_rows[i]:
+                s = slack[j] = slack[j] + w
+                if 0 <= s < w and not (mask >> j) & 1:
+                    heapq.heappush(ready, j)
+    else:
+        sign = game.delta_sign
+        while mask != full:
+            for i in range(n):
+                if not (mask >> i) & 1 and sign(i, mask) >= 0:
+                    mask |= 1 << i
+                    witness.append(i)
+                    break
+            else:
                 break
-        else:
-            break
     final = frozenset(i for i in range(n) if (mask >> i) & 1)
     return CascadeResult(n=n, final_set=final, witness=tuple(witness), sufficient=mask == full)
 
@@ -234,10 +249,10 @@ class _OracleWalk:
     * *Leaf filter.*  With one seed left, a leaf ``v`` can set a player
       beyond itself only if some player ``i`` outside the closed set has an
       arc to ``v`` and ``on[i] + top[i] >= 0`` (``top[i]`` is i's largest
-      out-weight).  Every other leaf closes to ``closed | v``,
-      which is not full: a closed set never leaves exactly one player
-      outside, as that player's out-neighbors would all be at 1 and
-      ``_need`` never exceeds the out-degree.
+      out-weight); the walk ORs their out-masks, built from ``graph.rows``.
+      Every other leaf closes to ``closed | v``, which is not full: a closed
+      set never leaves exactly one player outside, as its out-neighbors
+      would all be at 1 and ``_need`` never exceeds the out-degree.
     * *Subtree bound.*  With ``r`` seeds left, when more than ``r`` players
       are outside the closed set and each has ``on[i] + r * top[i] < 0``,
       no completion sets anyone beyond its own seeds, so none is
@@ -252,7 +267,8 @@ class _OracleWalk:
         self.base, self.on, self.spread = _seed_walk(game, closure_mask(game, 0))
         if self.on:
             self.top = tuple(max(w for _, w in row) for row in game.graph.rows)
-            self.out_masks = game._out_masks
+            # Out-masks, built once: the leaf filter's one OR per near player.
+            self.out_masks = tuple(sum(1 << j for j, _ in row) for row in game.graph.rows)
         self.hits: list[int] = []
 
     def sufficient_sets(self, k: int) -> list[int]:

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 from controlsets import (
+    CascadeResult,
     ChainConfig,
     ChainRun,
     Cnf3,
@@ -115,6 +116,25 @@ def cascade_random_order(game, seed_players, rng: random.Random) -> frozenset[in
             break
         mask |= 1 << rng.choice(eligible)
     return frozenset(i for i in range(n) if (mask >> i) & 1)
+
+
+def cascade_reference(game, seed) -> CascadeResult:
+    """Lowest-index cascade by a rescan from player 0 after every flip: the
+    ``cascade`` every game had before coordination games got a slack heap."""
+    mask = Profile.from_players(game.n, seed).mask
+    n = game.n
+    full = (1 << n) - 1
+    witness = []
+    while mask != full:
+        for i in range(n):
+            if not (mask >> i) & 1 and game.delta_sign(i, mask) >= 0:
+                mask |= 1 << i
+                witness.append(i)
+                break
+        else:
+            break
+    final = frozenset(i for i in range(n) if (mask >> i) & 1)
+    return CascadeResult(n=n, final_set=final, witness=tuple(witness), sufficient=mask == full)
 
 
 def closure_mask_sweep(game, mask: int) -> int:

@@ -357,6 +357,22 @@ class TestStationaryDistribution:
         with pytest.raises(InputError):
             stationary_distribution([[entry]])
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([Fraction(1)], "must be a dict"),
+            ({"a": Fraction(1)}, "columns must be int, got str"),
+            ({0.0: Fraction(1)}, "columns must be int, got float"),
+            ({True: Fraction(1)}, "columns must be int, got bool"),
+        ],
+        ids=["list-row", "str-column", "float-column", "bool-column"],
+    )
+    def test_malformed_rows_refused(self, row, message):
+        # Each once escaped as AttributeError or TypeError.
+        P = chain.TransitionMatrix(states=(Profile.ones(1),), rows=(row,), epsilon=Fraction(1))
+        with pytest.raises(InputError, match=message):
+            stationary_distribution(P)
+
     def test_int_entries_accepted(self):
         P = chain.TransitionMatrix(
             states=(Profile.ones(1), Profile(1, 0)), rows=({1: 1}, {0: 1, 1: 0}), epsilon=Fraction(1)

@@ -69,6 +69,13 @@ class TestVerify:
         assert "sufficient: yes" in out
         assert "witness: 1 2 3" in out
 
+    def test_csv_format(self, capsys, tmp_path):
+        path = tmp_path / "ring.game"
+        path.write_text(RING_GAME)
+        code, out, _ = run_cli(capsys, "verify", str(path), "--set", "0", "--format", "csv")
+        assert code == 0
+        assert out == "sufficient,witness\nyes,1 2 3\n"
+
     def test_empty_seed(self, capsys, tmp_path):
         path = tmp_path / "ring.game"
         path.write_text(RING_GAME)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -182,3 +183,18 @@ class TestSupermodularity:
         rng = random.Random(37)
         g = random_simple_graph(rng, 12, p=0.4)
         assert check_supermodular(majority_game(g))
+
+
+class TestMemory:
+    def test_memory_linear_in_arcs(self):
+        # 30,000 players and 60,000 arcs: one n-bit mask per player would
+        # take about 60 MB, the game's own counters and biases under 2 MB.
+        graph = ring(30000)
+        tracemalloc.start()
+        try:
+            game = majority_game(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert game.n == 30000
+        assert peak < 8 * 2**20

@@ -28,6 +28,7 @@ from controlsets import (
 from controlsets.scs import _OracleWalk, _seed_walk, _undominated, closure_mask
 from conftest import (
     GAME_KINDS,
+    cascade_reference,
     cascade_random_order,
     closure_mask_sweep,
     find_sufficient_within_reference,
@@ -80,6 +81,78 @@ class TestCascade:
         game = majority_game(complete(5))
         assert not replay_witness(game, {0, 1}, (4, 4))
         assert not replay_witness(game, {0}, (1,))
+
+
+class TestCascadeAgainstRescan:
+    """The slack heap of a plain coordination game against the rescan."""
+
+    @staticmethod
+    def seeds(rng, n):
+        yield set()
+        yield set(range(n))
+        for _ in range(12):
+            yield set(rng.sample(range(n), rng.randint(0, n)))
+
+    @pytest.mark.parametrize("kind", GAME_KINDS)
+    def test_random_games(self, kind):
+        # Every kind but "majority" draws Fraction biases.
+        rng = random.Random(f"cascade/{kind}")
+        for _ in range(30):
+            game = random_coordination_game(kind, rng, rng.randint(2, 14))
+            for seed in self.seeds(rng, game.n):
+                assert cascade(game, seed) == cascade_reference(game, seed), (kind, seed)
+
+    def test_biases_at_plus_minus_out_degree(self):
+        # Bias +w needs no on-neighbor (need 0); bias -w needs them all.
+        rng = random.Random("cascade/extreme")
+        for _ in range(30):
+            g = random_weighted_graph(rng, rng.randint(2, 12))
+            biases = [rng.choice((-w, w)) for w in g.out_degrees]
+            game = CoordinationGame(g, biases)
+            assert game._need == tuple(0 if c > 0 else w for c, w in zip(biases, g.out_degrees))
+            for seed in self.seeds(rng, g.n):
+                assert cascade(game, seed) == cascade_reference(game, seed)
+
+    @pytest.mark.parametrize(
+        "graph", [ring(40), path(31), grid(6, 2), tree(BRANCHY_TREE_PARENTS)],
+        ids=["ring", "path", "grid", "tree"],
+    )
+    def test_long_cascades(self, graph):
+        rng = random.Random(f"cascade/long/{graph.n}")
+        game = majority_game(graph)
+        for seed in self.seeds(rng, graph.n):
+            assert cascade(game, seed) == cascade_reference(game, seed)
+
+    def test_table_game(self):
+        rng = random.Random("cascade/table")
+        for _ in range(10):
+            game = random_supermodular_table(rng.randint(2, 7), rng)
+            for seed in self.seeds(rng, game.n):
+                assert cascade(game, seed) == cascade_reference(game, seed)
+
+    def test_instance_delta_sign_is_honoured(self):
+        # Only player 0 may ever flip, whatever the graph says.
+        game = majority_game(ring(6))
+        game.delta_sign = lambda i, mask: -1 if i else 0
+        res = cascade(game, set())
+        assert res == cascade_reference(game, set())
+        assert res.witness == (0,) and not res.sufficient
+
+    def test_plain_coordination_asks_no_sign(self, monkeypatch):
+        game = majority_game(ring(12))
+        expected = cascade_reference(game, {0})
+
+        def no_sign(*args):
+            raise AssertionError("delta_sign called")
+
+        monkeypatch.setattr(CoordinationGame, "delta_sign", no_sign)
+        assert cascade(game, {0}) == expected
+
+    def test_ring_of_100000_finishes(self):
+        # The rescan takes about n**2 / 2 sign calls here: hours at n = 10**5.
+        res = cascade(majority_game(ring(100_000)), {0})
+        assert res.sufficient
+        assert res.witness[:3] == (1, 2, 3) and res.witness[-1] == 99_999
 
 
 class TestConfluence:
