@@ -16,7 +16,8 @@ inline by rejection on its own stream, as ``randrange`` draws it, and the
 cardinality trace is expanded once, after the walk, from a log of the moves
 that cross a trace step.  On a plain coordination game the table is kept
 from the slack counters of ``coordination``.  Where the mean in-degree is
-high for n, every counter sits in one fixed-width lane of a single integer
+high for n (``CoordinationGame._lanes_pay``, the rule the exact searches
+share), every counter sits in one fixed-width lane of a single integer
 (SIMD within a register; Lamport, CACM 1975): a move is one add or subtract
 of the flipped player's packed in-arc weights, and the table is read off the
 lanes' sign bits in C.  On sparser graphs a move updates the in-neighbours'
@@ -55,13 +56,6 @@ MATRIX_STATE_LIMIT = 4096
 DENSE_SOLVE_LIMIT = 1024
 _DRAW_BLOCK_WORDS = 4096  # 32-bit words per block of player draws
 _SCAN_WINDOW = 32  # draws translated by the first look for a marked player
-# One lane move (an add, shift, ``and`` and ``to_bytes`` over n * b bytes)
-# costs about as much as _LANE_BASE_UPDATES + n * b / _LANE_BYTES_PER_UPDATE
-# per-neighbour slack updates in Python (CPython 3.11, timeit), so the slack
-# is packed only when the mean in-degree is at least that; the packed
-# in-rows then take n * n * b <= _LANE_BYTES_PER_UPDATE * arcs bytes.
-_LANE_BASE_UPDATES = 2
-_LANE_BYTES_PER_UPDATE = 40
 
 
 @dataclass(frozen=True)
@@ -154,11 +148,12 @@ def run_search(game: Game, config: ChainConfig) -> ChainRun:
     ``steps``.  A 0/1 table marks the players whose draw does something: a
     downward flip, or an upward coin when epsilon > 0.  For a
     :class:`CoordinationGame` the table is kept exact from the slack
-    counters of ``coordination``.  When the mean in-degree is at least
-    ``_LANE_BASE_UPDATES + n * b / _LANE_BYTES_PER_UPDATE``, the counters
-    share one int, a lane of ``b`` bytes per player, a move adds or
-    subtracts the flipped player's packed in-arc weights, and the table is
-    the lanes' sign bits; the packed rows take n * n * b bytes, at most
+    counters of ``coordination``.  When ``CoordinationGame._lanes_pay``
+    holds (mean in-degree at least ``_LANE_BASE_UPDATES + n * b /
+    _LANE_BYTES_PER_UPDATE``, both constants in ``coordination``), the
+    counters share one int, a lane of ``b`` bytes per player, a move adds
+    or subtracts the flipped player's packed in-arc weights, and the table
+    is the lanes' sign bits; the packed rows take n * n * b bytes, at most
     ``_LANE_BYTES_PER_UPDATE`` per arc, once per game.  Otherwise a move
     steps its in-neighbours' counters one by one.  For any other game a
     player is "unknown" until drawn, and its ``delta_sign`` is then cached
@@ -202,13 +197,12 @@ def run_search(game: Game, config: ChainConfig) -> ChainRun:
     packed = unknown = None
     if _plain_coordination(game):
         slack = game._slack(mask)
-        b = game._lane_bytes
-        spare_arcs = game.graph.arc_count() - _LANE_BASE_UPDATES * n
-        if n * n * b <= _LANE_BYTES_PER_UPDATE * spare_arcs:
+        if game._lanes_pay():
             # Lane j of ``lanes`` holds slack[j] + 2**sign_bit, and slack
             # lies in [-w_j, w_j] with w_j < 2**sign_bit, so ``packed[i]``
             # never carries across lanes.  ``gate`` has bit 0 of each lane
             # whose player may move.
+            b = game._lane_bytes
             sign_bit = 8 * b - 1
             lanes = _pack_lanes(b, n, enumerate(s + (1 << sign_bit) for s in slack))
             packed = game._packed_in_rows()

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: generate, verify, oracle, search, analytic, reduce-sat,
-verify-reduction, experiment.  Exit codes: 0 success, 1 validation error,
-2 internal assertion failure.
+verify-reduction, experiment.  Exit codes: 0 success, 1 validation error
+(usage errors included), 2 internal assertion failure.
 """
 
 from __future__ import annotations
@@ -243,8 +243,13 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # bad input, as for subparsers: exit 1
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="controlsets",
         description="Minimum sufficient control sets in binary supermodular games.",
     )

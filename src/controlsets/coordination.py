@@ -15,15 +15,16 @@ integers, so player ``i`` weakly prefers 1 exactly when its on-neighbor
 weight reaches ``_need[i] = ceil(_sub[i] / _mul[i])``, that is, when its
 *slack* (on-neighbor weight minus ``_need[i]``) is >= 0.  A flip of ``j``
 moves the slack of each in-neighbor by the arc weight, along
-``graph.in_rows``.  ``chain.run_search`` keeps the slack of the walk's
-profile, starting from :meth:`CoordinationGame._slack`: on graphs dense
-enough for it to pay, in one integer with a fixed-width lane per player
-(:meth:`CoordinationGame._packed_in_rows`), and otherwise in a list.
-``scs._seed_walk``, the closure engine of every exact search, runs the
-cascade as a worklist over the counters in O(n + arcs of the players that
-end at 1) (linear-threshold propagation; Kempe, Kleinberg & Tardos, KDD
-2003).  ``scs.cascade``, the ``verify`` path, pops the eligible players
-from a min-heap instead, to keep its lowest-index flip order.
+``graph.in_rows``.  On graphs dense enough for it to pay (the one rule,
+:meth:`CoordinationGame._lanes_pay`), the counters share one integer
+with a fixed-width lane per player, read by ``chain.run_search`` and by
+``scs._seed_walk`` (:meth:`CoordinationGame._packed_in_rows`); otherwise
+they sit in a list.  ``_seed_walk``, the closure engine of every exact
+search, runs the cascade as a worklist over the counters in O(n + arcs
+of the players that end at 1) (linear-threshold propagation; Kempe,
+Kleinberg & Tardos, KDD 2003).  ``scs.cascade``, the ``verify`` path,
+pops the eligible players from a min-heap instead, to keep its
+lowest-index flip order.
 """
 
 from __future__ import annotations
@@ -35,6 +36,14 @@ from ._ratio import as_fraction
 from .errors import InputError
 from .game_core import Game, Rational
 from .graph import WeightedGraph
+
+# One lane move (an add, shift, ``and`` and ``to_bytes`` over n * b bytes)
+# costs about as much as _LANE_BASE_UPDATES + n * b / _LANE_BYTES_PER_UPDATE
+# per-neighbour slack updates in Python (CPython 3.11, timeit), so the slack
+# is packed only when the mean in-degree is at least that; the packed
+# in-rows then take n * n * b <= _LANE_BYTES_PER_UPDATE * arcs bytes.
+_LANE_BASE_UPDATES = 2
+_LANE_BYTES_PER_UPDATE = 40
 
 
 class CoordinationGame(Game):
@@ -103,10 +112,16 @@ class CoordinationGame(Game):
         exactly when ``delta_sign`` is."""
         return [self._on_weight(i, mask) - need for i, need in enumerate(self._need)]
 
+    def _lanes_pay(self) -> bool:
+        """Whether the mean in-degree is at least ``_LANE_BASE_UPDATES + n *
+        b / _LANE_BYTES_PER_UPDATE``, so lanes beat a list of slacks."""
+        spare_arcs = self.graph.arc_count() - _LANE_BASE_UPDATES * self.n
+        return self.n * self.n * self._lane_bytes <= _LANE_BYTES_PER_UPDATE * spare_arcs
+
     def _packed_in_rows(self) -> list[int]:
         """Per player ``i``, the weight of each arc ``j -> i`` in lane ``j``
         of ``_lane_bytes`` bytes, the step of the lane-packed slack when
-        ``i`` flips.  Built on first use and kept for later restarts."""
+        ``i`` flips.  Built on first use and kept for later walks."""
         if self._lane_rows is None:
             b, n = self._lane_bytes, self.n
             self._lane_rows = [_pack_lanes(b, n, row) for row in self.graph.in_rows]

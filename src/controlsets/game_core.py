@@ -27,6 +27,11 @@ SUPERMODULAR_CHECK_LIMIT = 12
 TABLE_GAME_LIMIT = 12
 
 
+def _bit_indices(mask: int) -> list[int]:
+    """Set bits of ``mask`` >= 0, ascending, in one pass over its digits."""
+    return [i for i, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"]
+
+
 @dataclass(frozen=True)
 class Profile:
     """A pure strategy profile: one binary action per player.
@@ -77,7 +82,7 @@ class Profile:
     @property
     def players(self) -> frozenset[int]:
         """The set of players currently playing 1."""
-        return frozenset(i for i in range(self.n) if (self.mask >> i) & 1)
+        return frozenset(_bit_indices(self.mask))
 
     @property
     def weight(self) -> int:

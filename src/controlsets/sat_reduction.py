@@ -441,9 +441,9 @@ def _first_sufficient_encoding(
     prefix's closed mask and counters from :func:`scs._seed_walk`: closure
     is monotone and idempotent in every supermodular game, so closure(P + v)
     is closure(closure(P) + v).  A node already closed adds nothing; any
-    other spreads into a copy of the prefix's counters, which its sibling
-    branch reuses.  A prefix that closes to everything ends the walk: its
-    first completion, every undecided variable at 0, is sufficient.
+    other spreads from the prefix's counters, left unchanged for its
+    sibling.  A prefix that closes to everything ends the walk: its first
+    completion, every undecided variable at 0, is sufficient.
     """
     full = (1 << game.n) - 1
     closed, on, spread = _seed_walk(game, 1 << hub)
@@ -461,8 +461,7 @@ def _first_sufficient_encoding(
         else:
             return None
         if not (closed >> node) & 1:
-            on = on[:]
-            closed = spread(on, closed, [node])
+            closed, on = spread(on, closed, [node])
     return bits
 
 

@@ -10,9 +10,10 @@ deterministic lowest-index order is used to produce reproducible witnesses.
 :func:`_seed_walk` is the one closure engine.  It closes a seed set and
 hands back a ``spread`` step that adds players to a closed set: a
 worklist over the integer slack counters for a plain
-:class:`CoordinationGame` (see ``coordination``), order-free sweeps of
-``delta_sign`` for any other game.  Both reach the same fixed point, and
-:func:`cascade` walks the same counters with a min-heap.
+:class:`CoordinationGame` (see ``coordination``), in the chain's lanes
+where they pay, order-free sweeps of ``delta_sign`` for any other game.
+All reach the same fixed point, and :func:`cascade` walks the same
+counters with a min-heap.
 :func:`closure_mask` is its closed set, and every exact search grows its
 seed sets through ``spread``: closure is monotone and idempotent under
 increasing differences, so closure(P + v) is closure(closure(P) + v).
@@ -39,9 +40,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from ._ratio import as_fraction
-from .coordination import _plain_coordination
+from .coordination import _pack_lanes, _plain_coordination
 from .errors import BudgetError, InputError
-from .game_core import Game, Profile
+from .game_core import Game, Profile, _bit_indices
 from .graph import WeightedGraph, uniformly_at_most_cohesive
 
 ORACLE_CHECK_LIMIT = 5_000_000
@@ -75,28 +76,57 @@ def closure_mask(game: Game, mask: int) -> int:
     return _seed_walk(game, mask)[0]
 
 
-def _seed_walk(game: Game, mask: int) -> tuple[int, list[int], Callable[[list[int], int, list[int]], int]]:
+def _seed_walk(game: Game, mask: int) -> tuple[int, list[int] | int, Callable]:
     """Close ``mask`` and return ``(closed, on, spread)``.
 
-    ``spread(on, closed, queue)`` returns the closure of a closed mask plus
-    the queued players, which must lie outside it, and brings ``on``, the
-    counters of the closed mask, up to date in place.  A search adds a seed
-    by spreading a copy of its prefix's ``on``, which the siblings of that
-    seed reuse unchanged: the copy costs about what undoing the flips on the
-    way back would, with no undo to get wrong.
+    ``spread(on, closed, queue)`` returns ``(closed, on)`` for the closure
+    of a closed mask plus the queued players, which must lie outside it,
+    from ``on``, the counters of the closed mask.  It uses up ``queue`` and
+    leaves ``on`` as it was, for the siblings of a seed to reuse.
 
     A plain :class:`CoordinationGame` runs the counter worklist of
-    ``coordination``: ``on[i]`` is player i's slack, its on-neighbor weight
-    minus ``_need[i]``, each flip adds its weight along its in-arcs, and a
-    player at 0 flips once its slack is >= 0, so a spread costs O(arcs of
-    the players it sets).  Any other game gets ``on == []`` and order-free
-    sweeps of ``delta_sign`` until nobody flips.
+    ``coordination``: a flip adds its weight to its in-neighbors' slack,
+    and a player at 0 flips once its slack is >= 0, so a spread costs
+    O(arcs of the players it sets).  Where ``game._lanes_pay()``, ``on`` is
+    one int: slack[i] + 2**(8b - 1) in lane i of ``game._lane_bytes`` = b
+    bytes, and above the n lanes, at lane i's sign bit, a flag set while i
+    is open (not closed).  A flip clears its flag and adds its packed
+    in-row; the open lanes whose sign bit that turns on are newly eligible.
+    Elsewhere ``on`` is the list of slacks.  Any other game gets ``on ==
+    []`` and order-free sweeps of ``delta_sign`` until nobody flips.
     """
     n = game.n
     if _plain_coordination(game):
+        on = [-need for need in game._need]
+        queue = [i for i in range(n) if (mask >> i) & 1 or on[i] >= 0]
+        if game._lanes_pay():
+            rows, width = game._packed_in_rows(), 8 * game._lane_bytes
+            span = n * width
+            flag = [1 << span + width * i + width - 1 for i in range(n)]
+
+            def spread(on: int, closed: int, queue: list[int]) -> tuple[int, int]:
+                for i in queue:
+                    closed |= 1 << i
+                    on -= flag[i]
+                for j in queue:
+                    grown = on + rows[j]  # slack only rises: changed sign bits turn on
+                    ready = (grown ^ on) & grown >> span
+                    on = grown
+                    while ready:
+                        low = ready & -ready
+                        i = low.bit_length() // width - 1
+                        closed |= 1 << i
+                        on -= low << span
+                        queue.append(i)
+                        ready ^= low
+                return closed, on
+
+            lanes = _pack_lanes(width // 8, n, enumerate(s + (1 << width - 1) for s in on))
+            return (*spread(lanes + sum(flag), 0, queue), spread)
         into = game.graph.in_rows
 
-        def spread(on: list[int], closed: int, queue: list[int]) -> int:
+        def spread(on: list[int], closed: int, queue: list[int]) -> tuple[int, list[int]]:
+            on = on[:]
             for i in queue:
                 closed |= 1 << i
             # The queue grows while it is walked: each flip is queued once.
@@ -106,14 +136,13 @@ def _seed_walk(game: Game, mask: int) -> tuple[int, list[int], Callable[[list[in
                     if a >= 0 and not (closed >> i) & 1:
                         closed |= 1 << i
                         queue.append(i)
-            return closed
+            return closed, on
 
-        on = [-need for need in game._need]
-        return spread(on, 0, [i for i in range(n) if (mask >> i) & 1 or on[i] >= 0]), on, spread
+        return (*spread(on, 0, queue), spread)
     full = (1 << n) - 1
     sign = game.delta_sign
 
-    def spread(on: list[int], closed: int, queue: list[int]) -> int:
+    def spread(on: list[int], closed: int, queue: list[int]) -> tuple[int, list[int]]:
         for i in queue:
             closed |= 1 << i
         changed = True
@@ -123,9 +152,9 @@ def _seed_walk(game: Game, mask: int) -> tuple[int, list[int], Callable[[list[in
                 if not (closed >> i) & 1 and sign(i, closed) >= 0:
                     closed |= 1 << i
                     changed = True
-        return closed
+        return closed, on
 
-    return spread([], mask, []), [], spread
+    return (*spread([], mask, []), spread)
 
 
 def cascade(game: Game, seed) -> CascadeResult:
@@ -161,7 +190,7 @@ def cascade(game: Game, seed) -> CascadeResult:
                     break
             else:
                 break
-    final = frozenset(i for i in range(n) if (mask >> i) & 1)
+    final = frozenset(_bit_indices(mask))
     return CascadeResult(n=n, final_set=final, witness=tuple(witness), sufficient=mask == full)
 
 
@@ -241,34 +270,75 @@ class _OracleWalk:
 
     Sets are visited in the lexicographic order of
     ``itertools.combinations``.  Down each branch the walk carries the
-    prefix's closed mask and counters and adds a seed by spreading a copy
-    of them (:func:`_seed_walk`); a leaf inside the prefix's closure adds
-    nothing and is skipped.  On a plain coordination game, where ``on``
-    holds the slack counters, two exact prunings skip most of the walk:
+    prefix's closed mask and counters and adds a seed by spreading them
+    (:func:`_seed_walk`); a leaf inside the prefix's closure adds nothing
+    and is skipped.  On a plain coordination game, where ``on`` holds the
+    slack counters, two exact prunings skip most of the walk.  With ``r``
+    seeds left, player ``i`` outside the closed set is *near* when
+    ``slack[i] + r * top[i] >= 0`` (``top[i]`` is i's largest out-weight).
 
-    * *Leaf filter.*  With one seed left, a leaf ``v`` can set a player
-      beyond itself only if some player ``i`` outside the closed set has an
-      arc to ``v`` and ``on[i] + top[i] >= 0`` (``top[i]`` is i's largest
-      out-weight); the walk ORs their out-masks, built from ``graph.rows``.
-      Every other leaf closes to ``closed | v``, which is not full: a closed
-      set never leaves exactly one player outside, as its out-neighbors
-      would all be at 1 and ``_need`` never exceeds the out-degree.
-    * *Subtree bound.*  With ``r`` seeds left, when more than ``r`` players
-      are outside the closed set and each has ``on[i] + r * top[i] < 0``,
-      no completion sets anyone beyond its own seeds, so none is
-      sufficient.
+    * *Leaf filter* (``reach``).  With one seed left, a leaf ``v`` can set
+      a player beyond itself only if it has an arc from a near player; the
+      walk ORs their out-masks, built from ``graph.rows``.  Every other
+      leaf closes to ``closed | v``, which is not full: a closed set never
+      leaves exactly one player outside, as its out-neighbors would all be
+      at 1 and ``_need`` never exceeds the out-degree.
+    * *Subtree bound* (``blocked``).  When more than ``r`` players are
+      outside the closed set and none is near, no completion sets anyone
+      beyond its own seeds, so none is sufficient.
+
+    On lanes each is one add: lane i of ``R_r`` holds ``min(r * top[i],
+    need[i])``, and as slack[i] >= -need[i], lane i of ``on + R_r`` has its
+    sign bit set exactly when i is near (if open); it peaks at 2**(8b - 1)
+    plus the out-degree, so no lane carries.
     """
 
     def __init__(self, game: Game):
-        self.n = game.n
-        self.full = (1 << game.n) - 1
+        self.n = n = game.n
+        self.full = (1 << n) - 1
         # The base closure goes through the module name, so a profiler that
         # rebinds ``closure_mask`` sees one call per oracle.
         self.base, self.on, self.spread = _seed_walk(game, closure_mask(game, 0))
-        if self.on:
-            self.top = tuple(max(w for _, w in row) for row in game.graph.rows)
+        self.reach = self.blocked = None
+        if _plain_coordination(game):
+            top = [max(w for _, w in row) for row in game.graph.rows]
             # Out-masks, built once: the leaf filter's one OR per near player.
-            self.out_masks = tuple(sum(1 << j for j, _ in row) for row in game.graph.rows)
+            out_masks = [sum(1 << j for j, _ in row) for row in game.graph.rows]
+            if isinstance(self.on, int):
+                b, need, lifts = game._lane_bytes, game._need, {}  # lifts[r] = R_r
+                width, span = 8 * b, 8 * b * n
+
+                def lift(r: int) -> int:
+                    if r not in lifts:
+                        lifts[r] = _pack_lanes(b, n, enumerate(map(min, [r * t for t in top], need)))
+                    return lifts[r]
+
+                def blocked(on: int, outside: int, r: int) -> bool:
+                    return not (on + lift(r)) & on >> span
+
+                one = lift(1)
+
+                def reach(on: int, outside: int) -> int:
+                    close, mask = (on + one) & on >> span, 0
+                    while close:
+                        low = close & -close
+                        mask |= out_masks[low.bit_length() // width - 1]
+                        close ^= low
+                    return mask
+
+            else:
+
+                def blocked(on: list[int], outside: int, r: int) -> bool:
+                    return all(on[i] + r * top[i] < 0 for i in range(n) if outside >> i & 1)
+
+                def reach(on: list[int], outside: int) -> int:
+                    mask = 0
+                    for i in range(n):
+                        if outside >> i & 1 and on[i] + top[i] >= 0:
+                            mask |= out_masks[i]
+                    return mask
+
+            self.reach, self.blocked = reach, blocked
         self.hits: list[int] = []
 
     def sufficient_sets(self, k: int) -> list[int]:
@@ -279,51 +349,42 @@ class _OracleWalk:
         self._grow(0, self.base, self.on, 0, k)
         return self.hits
 
-    def _grow(self, start: int, closed: int, on: list[int], seeds: int, r: int) -> None:
+    def _grow(self, start: int, closed: int, on, seeds: int, r: int) -> None:
         """Place the remaining ``r`` seeds at indices ``start`` and up."""
-        n, spread = self.n, self.spread
-        outside = self.full ^ closed
+        n, spread, full = self.n, self.spread, self.full
+        outside = full ^ closed
         if r == 1:
             if not outside:
                 self.hits.extend(seeds | (1 << v) for v in range(start, n))
                 return
             cand = outside >> start << start
-            if on:
-                top, out_masks = self.top, self.out_masks
-                reach = 0
-                for i in range(n):
-                    if (outside >> i) & 1 and on[i] + top[i] >= 0:
-                        reach |= out_masks[i]
-                cand &= reach
+            if self.reach:
+                cand &= self.reach(on, outside)
             while cand:
                 low = cand & -cand
-                if spread(on[:], closed, [low.bit_length() - 1]) == self.full:
+                if spread(on, closed, [low.bit_length() - 1])[0] == full:
                     self.hits.append(seeds | low)
                 cand ^= low
             return
-        if on and outside.bit_count() > r and all(
-            on[i] + r * self.top[i] < 0 for i in range(n) if (outside >> i) & 1
-        ):
+        if self.blocked and outside.bit_count() > r and self.blocked(on, outside, r):
             return
         for v in range(start, n - r + 1):
             bit = 1 << v
             if closed & bit:
                 self._grow(v + 1, closed, on, seeds | bit, r - 1)
             else:
-                grown_on = on[:]
-                grown = spread(grown_on, closed, [v])
-                self._grow(v + 1, grown, grown_on, seeds | bit, r - 1)
+                self._grow(v + 1, *spread(on, closed, [v]), seeds | bit, r - 1)
 
 
-def _undominated(n: int, base: int, on: list[int], spread) -> list[int]:
+def _undominated(n: int, base: int, on, spread) -> list[int]:
     """Players outside the closed set ``base`` that no other player
     dominates, ascending: ``v`` is dropped when some ``u`` has ``v`` in the
     closure of ``base | {u}`` and either ``v`` does not reach ``u`` back or
     ``u < v`` (``u = v`` never qualifies).  What is left is the lowest
     index of each maximal class.  ``base``, ``on`` and ``spread`` come from
-    :func:`_seed_walk`; each closure spreads a copy of ``on``."""
+    :func:`_seed_walk`."""
     free = [v for v in range(n) if not (base >> v) & 1]
-    reach = {v: spread(on[:], base, [v]) for v in free}
+    reach = {v: spread(on, base, [v])[0] for v in free}
     return [
         v
         for v in free
@@ -337,8 +398,8 @@ def find_sufficient_within(game: Game, budget: int) -> frozenset[int] | None:
     """Complete decision search: a sufficient set of size <= budget, or None.
 
     Depth-first over the undominated players (see the module docstring) in
-    ascending index order, each seed spreading a copy of its prefix's
-    counters (:func:`_seed_walk`).  A candidate already inside the cascade
+    ascending index order, each seed spreading its prefix's counters
+    (:func:`_seed_walk`).  A candidate already inside the cascade
     closure of the current partial seed is skipped: adding it cannot change
     the closure.  Both prunings keep the search exact for any game with
     increasing differences, whose closure is monotone and idempotent, so
@@ -366,7 +427,7 @@ class _WithinSearch:
         self.budget = budget
         self.chosen: list[int] = []
 
-    def descend(self, start: int, closed: int, on: list[int]) -> frozenset[int] | None:
+    def descend(self, start: int, closed: int, on) -> frozenset[int] | None:
         """Extend the chosen seeds by kept players from index ``start`` on."""
         chosen, kept = self.chosen, self.kept
         if len(chosen) == self.budget:
@@ -375,8 +436,7 @@ class _WithinSearch:
             v = kept[a]
             if (closed >> v) & 1:
                 continue
-            grown_on = on[:]
-            grown = self.spread(grown_on, closed, [v])
+            grown, grown_on = self.spread(on, closed, [v])
             chosen.append(v)
             if grown == self.full:
                 return frozenset(chosen)

@@ -31,6 +31,16 @@ from controlsets.graph import GraphGenerationError, WeightedGraph
 from controlsets.sat_reduction import SAT_VARS_LIMIT, SEARCH_PLAN_LIMIT, _degree_profile_ok
 
 
+def lane_forcings(monkeypatch):
+    """Yield False, then True, with ``CoordinationGame._lanes_pay`` forced
+    to that value: every plain coordination game keeps its slack in a
+    list, then in lanes, whatever the density rule would pick."""
+    for pay in (False, True):
+        with monkeypatch.context() as m:
+            m.setattr(CoordinationGame, "_lanes_pay", lambda self, pay=pay: pay)
+            yield pay
+
+
 def random_simple_graph(rng: random.Random, n: int, p: float = 0.5) -> WeightedGraph:
     """Seeded random simple graph, advancing derived seeds past sink draws."""
     for attempt in range(200):

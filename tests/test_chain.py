@@ -36,6 +36,7 @@ from conftest import (
     closure_mask_sweep,
     detailed_balance_solve_reference,
     is_stochastic_reference,
+    lane_forcings,
     moves_reference,
     random_coordination_game,
     random_simple_graph,
@@ -661,16 +662,11 @@ def _biased_game(rng: random.Random, graph: WeightedGraph):
 def _kernel_runs(game, config, monkeypatch) -> list:
     """``run_search`` fields on every kernel ``game`` may take: on a plain
     coordination game both the per-neighbour loop and the lanes, whichever
-    the degree rule picks, else the one generic kernel."""
+    the density rule (``CoordinationGame._lanes_pay``) picks, else the one
+    generic kernel."""
     if not _plain_coordination(game):
         return [_run_fields(run_search(game, config))]
-    runs = []
-    for bytes_per_update in (0, 10**9):  # never lanes, then always
-        with monkeypatch.context() as m:
-            m.setattr(chain, "_LANE_BASE_UPDATES", 0)
-            m.setattr(chain, "_LANE_BYTES_PER_UPDATE", bytes_per_update)
-            runs.append(_run_fields(run_search(game, config)))
-    return runs
+    return [_run_fields(run_search(game, config)) for _ in lane_forcings(monkeypatch)]
 
 
 KERNEL_GAMES = {

@@ -293,3 +293,36 @@ class TestExperiment:
         assert code == 1
         assert "error:" in err and "worker" in err.lower()
         assert not (tmp_path / "results.csv").exists()
+
+
+class TestUsageErrors:
+    """A usage error is bad input: one ``error:`` line and exit code 1,
+    never 2, which means an internal check failed."""
+
+    @pytest.mark.parametrize(
+        "args, fragment",
+        [
+            (["oracle", "k5.game", "--budget", "abc"], "--budget: invalid int value: 'abc'"),
+            (["search", "k5.game", "--steps", "1.5"], "--steps: invalid int value: '1.5'"),
+            (["experiment", "--n", "8", "--steps", "x"], "--steps: invalid int value: 'x'"),
+            (["frobnicate"], "invalid choice: 'frobnicate'"),
+            (["verify", "k5.game", "--format", "xml"], "invalid choice: 'xml'"),
+            (["generate", "moebius", "5"], "invalid choice: 'moebius'"),
+            ([], "the following arguments are required: command"),
+        ],
+    )
+    def test_exit_one_with_error_line(self, capsys, args, fragment):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and fragment in out.err
+        assert out.err.count("\n") == 1 and "usage:" not in out.err
+
+    @pytest.mark.parametrize("args", [["--help"], ["oracle", "--help"]])
+    def test_help_exits_zero(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: controlsets")

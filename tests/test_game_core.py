@@ -19,6 +19,8 @@ from controlsets import (
     random_supermodular_table,
     ring,
 )
+from controlsets.game_core import _bit_indices
+from controlsets.scs import cascade
 from conftest import random_simple_graph, random_weighted_graph
 
 from fractions import Fraction
@@ -50,6 +52,35 @@ class TestProfile:
 
     def test_flip(self):
         assert Profile.zeros(3).flip(1).bits == (0, 1, 0)
+
+
+class TestBitIndices:
+    """``_bit_indices`` backs ``Profile.players`` and ``cascade``'s final
+    set; it must equal the naive per-bit scan."""
+
+    @staticmethod
+    def naive(mask: int, n: int) -> list[int]:
+        return [i for i in range(n) if (mask >> i) & 1]
+
+    def test_matches_naive_scan(self):
+        rng = random.Random("bit-indices")
+        for n in list(range(1, 70)) + [127, 128, 129, 1000, 1999, 2000]:
+            full = (1 << n) - 1
+            masks = [0, full, 1, 1 << (n - 1), full ^ 1, full >> 1]
+            masks += [rng.getrandbits(n) for _ in range(5)]
+            # Sparse masks: a few bits scattered over n.
+            masks += [sum({1 << rng.randrange(n) for _ in range(3)}) for _ in range(3)]
+            for mask in masks:
+                expected = self.naive(mask, n)
+                assert _bit_indices(mask) == expected
+                assert Profile(n, mask).players == frozenset(expected)
+
+    def test_cascade_final_set(self):
+        # The ring cascades from one seed to all n players.
+        n = 3000
+        result = cascade(majority_game(ring(n)), [0])
+        assert result.final_set == frozenset(range(n))
+        assert cascade(majority_game(ring(n)), Profile(n, 0)).final_set == frozenset()
 
 
 class TestMarginalUtility:

@@ -1,3 +1,4 @@
+import copy
 import gc
 import itertools
 import random
@@ -12,6 +13,7 @@ from controlsets import (
     cascade,
     cohesiveness_crosscheck,
     complete,
+    erdos_renyi,
     find_sufficient_within,
     from_thresholds,
     grid,
@@ -28,12 +30,15 @@ from controlsets import (
 from controlsets.scs import _OracleWalk, _seed_walk, _undominated, closure_mask
 from conftest import (
     GAME_KINDS,
+    _biases,
     cascade_reference,
     cascade_random_order,
     closure_mask_sweep,
     find_sufficient_within_reference,
+    lane_forcings,
     optimal_oracle_reference,
     random_coordination_game,
+    random_directed_graph,
     random_game,
     random_simple_graph,
     random_weighted_graph,
@@ -311,7 +316,7 @@ class TestFindSufficientWithin:
 
 class TestSeedWalk:
     @pytest.mark.parametrize("kind", GAME_KINDS + ("table",))
-    def test_spread_from_a_closed_prefix_matches_sweep(self, kind):
+    def test_spread_from_a_closed_prefix_matches_sweep(self, kind, monkeypatch):
         rng = random.Random(f"spread/{kind}")
         need_zero = 0
         for _ in range(30):
@@ -328,17 +333,23 @@ class TestSeedWalk:
                 game = CoordinationGame(game.graph, biases)
                 need_zero += sum(t <= 0 for t in game._need)
             full = (1 << game.n) - 1
-            for mask in [0] + [rng.randrange(full + 1) for _ in range(5)]:
-                closed, on, spread = _seed_walk(game, mask)
-                assert closed == closure_mask_sweep(game, mask)
-                assert on == ([] if kind == "table" else _seed_walk(game, closed)[1])
-                for v in range(game.n):
-                    if (closed >> v) & 1:
-                        continue
-                    grown_on = on[:]
-                    grown = spread(grown_on, closed, [v])
-                    assert grown == closure_mask_sweep(game, closed | 1 << v)
-                    assert grown_on == _seed_walk(game, grown)[1]
+            masks = [0] + [rng.randrange(full + 1) for _ in range(5)]
+            # Every mask on both representations of the slack (the table
+            # game has neither and is walked twice alike).
+            for mask in masks:
+                for _ in lane_forcings(monkeypatch):
+                    closed, on, spread = _seed_walk(game, mask)
+                    assert closed == closure_mask_sweep(game, mask)
+                    assert on == ([] if kind == "table" else _seed_walk(game, closed)[1])
+                    before = copy.copy(on)
+                    for v in range(game.n):
+                        if (closed >> v) & 1:
+                            continue
+                        grown, grown_on = spread(on, closed, [v])
+                        assert grown == closure_mask_sweep(game, closed | 1 << v)
+                        assert grown_on == _seed_walk(game, grown)[1]
+                        # The prefix's counters are shared by its siblings.
+                        assert on == before
         assert kind == "table" or need_zero > 10
 
 
@@ -457,6 +468,129 @@ class TestOracleWalk:
         assert calls
         del game.delta_sign
         assert res == optimal_oracle(game) == optimal_oracle_reference(game)
+
+
+def lane_game(kind: str, rng: random.Random, n: int) -> CoordinationGame:
+    """A plain coordination game of one of ``LANE_KINDS``: the four
+    ``GAME_KINDS`` (directed graphs among them), "heavy" weights whose
+    out-degrees need two-byte lanes, "edge" weights with out-degrees near
+    the one-byte limit of 127, and "extreme" biases of +-out-degree (need 0
+    and need = out-degree)."""
+    if kind in GAME_KINDS:
+        return random_coordination_game(kind, rng, n)
+    if kind == "extreme":
+        g = random_directed_graph(rng, n) if rng.random() < 0.5 else random_weighted_graph(rng, n)
+        return CoordinationGame(g, [rng.choice((-w, w)) for w in g.out_degrees])
+    g = random_weighted_graph(rng, n, max_w={"heavy": 200, "edge": 40}[kind])
+    return CoordinationGame(g, _biases(rng, g))
+
+
+LANE_KINDS = GAME_KINDS + ("heavy", "edge", "extreme")
+
+
+def decode_lanes(game, on: int) -> tuple[list[int], int]:
+    """Slack and closed mask held by the lane-packed counters ``on``."""
+    width = 8 * game._lane_bytes
+    lane = (1 << width) - 1
+    slack = [(on >> width * i & lane) - (1 << width - 1) for i in range(game.n)]
+    opened = on >> width * game.n
+    closed = sum(1 << i for i in range(game.n) if not opened >> width * i + width - 1 & 1)
+    return slack, closed
+
+
+class TestLaneWalk:
+    """The exact searches on lane-packed slack against the list and the
+    from-scratch references, with the density rule forced either way."""
+
+    @pytest.mark.parametrize("kind", LANE_KINDS)
+    def test_oracle_matches_reference_on_both_representations(self, kind, monkeypatch):
+        rng = random.Random(f"lanes/oracle/{kind}")
+        widths = set()
+        for _ in range(10):
+            game = lane_game(kind, rng, rng.randint(2, 9))
+            widths.add(game._lane_bytes)
+            expected = [optimal_oracle_reference(game, b) for b in range(game.n + 1)]
+            for pay in lane_forcings(monkeypatch):
+                assert isinstance(_OracleWalk(game).on, int) == pay
+                for budget in range(game.n + 1):
+                    assert optimal_oracle(game, budget) == expected[budget], (pay, budget)
+        assert widths == ({2} if kind == "heavy" else {1})
+
+    @pytest.mark.parametrize("kind", LANE_KINDS)
+    def test_prunings_match_their_definition(self, kind, monkeypatch):
+        # Near players are those outside with slack + r * top >= 0; the
+        # leaf filter is the OR of their out-masks, and the subtree bound
+        # holds when there is none.
+        rng = random.Random(f"lanes/prunings/{kind}")
+        for _ in range(12):
+            game = lane_game(kind, rng, rng.randint(2, 10))
+            n, full = game.n, (1 << game.n) - 1
+            top = [max(w for _, w in row) for row in game.graph.rows]
+            out_masks = [sum(1 << j for j, _ in row) for row in game.graph.rows]
+            for mask in [0] + [rng.randrange(full + 1) for _ in range(6)]:
+                for pay in lane_forcings(monkeypatch):
+                    walk = _OracleWalk(game)
+                    closed, on, _ = _seed_walk(game, mask)
+                    slack = game._slack(closed)
+                    if pay:
+                        assert decode_lanes(game, on) == (slack, closed)
+                    outside = full ^ closed
+                    for r in range(1, n + 1):
+                        near = [i for i in range(n) if outside >> i & 1 and slack[i] + r * top[i] >= 0]
+                        assert walk.blocked(on, outside, r) == (not near), (pay, r)
+                        if r == 1:
+                            reach = 0
+                            for i in near:
+                                reach |= out_masks[i]
+                            assert walk.reach(on, outside) == reach, pay
+
+    @pytest.mark.parametrize("kind", LANE_KINDS)
+    def test_decision_search_agrees_on_both_representations(self, kind, monkeypatch):
+        rng = random.Random(f"lanes/within/{kind}")
+        for _ in range(8):
+            game = lane_game(kind, rng, rng.randint(2, 9))
+            base = closure_mask_sweep(game, 0)
+            kept = undominated_reference(game, base)
+            for budget in range(game.n + 1):
+                expected = find_sufficient_within_reference(game, budget, kept)
+                for _ in lane_forcings(monkeypatch):
+                    assert _undominated(game.n, *_seed_walk(game, base)) == kept
+                    assert find_sufficient_within(game, budget) == expected
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: complete(12), lambda: erdos_renyi(20, 0.4, seed=1), lambda: complete(60)],
+        ids=["K12", "er20-0.4", "K60"],
+    )
+    def test_dense_game_packs(self, make):
+        game = majority_game(make())
+        walk = _OracleWalk(game)
+        assert isinstance(walk.on, int) and game._lane_rows is not None
+        assert decode_lanes(game, walk.on) == (game._slack(walk.base), walk.base)
+
+    @pytest.mark.parametrize("make", [lambda: ring(1500), lambda: path(300)], ids=["ring1500", "path300"])
+    def test_sparse_game_keeps_the_list(self, make):
+        # One lane add costs O(n) there, against O(2) list updates.
+        game = majority_game(make())
+        walk = _OracleWalk(game)
+        assert walk.on == game._slack(walk.base) and game._lane_rows is None
+
+    def test_other_games_take_the_sweep(self):
+        class Wrapped(CoordinationGame):
+            pass
+
+        overridden = majority_game(complete(8))
+        overridden.delta_sign = overridden.delta_sign
+        games = [
+            random_supermodular_table(6, random.Random("lanes/table")),
+            Wrapped(complete(8), [0] * 8),
+            overridden,
+        ]
+        for game in games:
+            walk = _OracleWalk(game)
+            assert walk.on == [] and walk.reach is None and walk.blocked is None
+            assert getattr(game, "_lane_rows", None) is None
+            assert optimal_oracle(game) == optimal_oracle_reference(game)
 
 
 def test_weighted_graph_fixture_needs_two_nodes():
