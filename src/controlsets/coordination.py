@@ -22,9 +22,11 @@ with a fixed-width lane per player, read by ``chain.run_search`` and by
 they sit in a list.  ``_seed_walk``, the closure engine of every exact
 search, runs the cascade as a worklist over the counters in O(n + arcs
 of the players that end at 1) (linear-threshold propagation; Kempe,
-Kleinberg & Tardos, KDD 2003).  ``scs.cascade``, the ``verify`` path,
-pops the eligible players from a min-heap instead, to keep its
-lowest-index flip order.
+Kleinberg & Tardos, KDD 2003).  A player that closes is parked: its
+counter drops by 1 + the total weight, and a slack never exceeds the
+out-degree, so only open players reach 0.  ``scs.cascade``, the
+``verify`` path, pops the eligible players from a min-heap instead, to
+keep its lowest-index flip order.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Sequence
 
 from ._ratio import as_fraction
 from .errors import InputError
-from .game_core import Game, Rational
+from .game_core import Game, Rational, _bit_indices
 from .graph import WeightedGraph
 
 # One lane move (an add, shift, ``and`` and ``to_bytes`` over n * b bytes)
@@ -101,16 +103,16 @@ class CoordinationGame(Game):
 
     def delta_sign(self, i: int, mask: int) -> int:
         v = self._on_weight(i, mask) * self._mul[i] - self._sub[i]
-        if v > 0:
-            return 1
-        if v < 0:
-            return -1
-        return 0
+        return (v > 0) - (v < 0)
 
     def _slack(self, mask: int) -> list[int]:
-        """Per-player on-neighbor weight minus need at ``mask``: each is >= 0
-        exactly when ``delta_sign`` is."""
-        return [self._on_weight(i, mask) - need for i, need in enumerate(self._need)]
+        """Per-player on-neighbor weight minus need at ``mask``, summed along
+        the in-arcs of its set bits: each is >= 0 exactly when ``delta_sign`` is."""
+        slack, into = [-need for need in self._need], self.graph.in_rows
+        for j in _bit_indices(mask):
+            for i, w in into[j]:
+                slack[i] += w
+        return slack
 
     def _lanes_pay(self) -> bool:
         """Whether the mean in-degree is at least ``_LANE_BASE_UPDATES + n *

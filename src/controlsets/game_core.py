@@ -116,11 +116,7 @@ class Game:
     def delta_sign(self, i: int, mask: int) -> int:
         """Sign of the marginal utility: 1, 0, or -1."""
         v = self.marginal_mask(i, mask)
-        if v > 0:
-            return 1
-        if v < 0:
-            return -1
-        return 0
+        return (v > 0) - (v < 0)
 
     def _check_player(self, i: int) -> None:
         if not 0 <= i < self.n:

@@ -113,8 +113,8 @@ class WeightedGraph:
         return sum(len(row) for row in self.rows)
 
     def is_symmetric(self) -> bool:
-        table = {(i, j): w for i, j, w in self.arcs()}
-        return all(table.get((j, i)) == w for (i, j), w in table.items())
+        # Both sorted by neighbor, no repeats: equal iff each arc has its mirror.
+        return self.rows == self.in_rows
 
     def undirected_edges(self) -> tuple[tuple[int, int, int], ...]:
         """Edges as (i, j, w) with i < j; only valid for symmetric graphs."""

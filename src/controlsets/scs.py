@@ -86,13 +86,17 @@ def _seed_walk(game: Game, mask: int) -> tuple[int, list[int] | int, Callable]:
 
     A plain :class:`CoordinationGame` runs the counter worklist of
     ``coordination``: a flip adds its weight to its in-neighbors' slack,
-    and a player at 0 flips once its slack is >= 0, so a spread costs
+    and an open player flips once its slack is >= 0, so a spread costs
     O(arcs of the players it sets).  Where ``game._lanes_pay()``, ``on`` is
     one int: slack[i] + 2**(8b - 1) in lane i of ``game._lane_bytes`` = b
     bytes, and above the n lanes, at lane i's sign bit, a flag set while i
     is open (not closed).  A flip clears its flag and adds its packed
     in-row; the open lanes whose sign bit that turns on are newly eligible.
-    Elsewhere ``on`` is the list of slacks.  Any other game gets ``on ==
+    Elsewhere ``on`` is the list of slacks, but a player that closes (seed,
+    queued or reached) is parked: ``shut = -1 - sum(out_degrees)`` is added
+    to its counter.  need[i] lies in [0, w_i], so a slack is at most the
+    out-degree w_i and a parked counter stays below 0: the worklist tests
+    ``a >= 0`` alone, with no ``closed`` read.  Any other game gets ``on ==
     []`` and order-free sweeps of ``delta_sign`` until nobody flips.
     """
     n = game.n
@@ -123,17 +127,19 @@ def _seed_walk(game: Game, mask: int) -> tuple[int, list[int] | int, Callable]:
 
             lanes = _pack_lanes(width // 8, n, enumerate(s + (1 << width - 1) for s in on))
             return (*spread(lanes + sum(flag), 0, queue), spread)
-        into = game.graph.in_rows
+        into, shut = game.graph.in_rows, -1 - sum(game.graph.out_degrees)
 
         def spread(on: list[int], closed: int, queue: list[int]) -> tuple[int, list[int]]:
             on = on[:]
             for i in queue:
                 closed |= 1 << i
+                on[i] += shut
             # The queue grows while it is walked: each flip is queued once.
             for j in queue:
                 for i, w in into[j]:
                     a = on[i] = on[i] + w
-                    if a >= 0 and not (closed >> i) & 1:
+                    if a >= 0:
+                        on[i] = a + shut
                         closed |= 1 << i
                         queue.append(i)
             return closed, on
@@ -163,22 +169,24 @@ def cascade(game: Game, seed) -> CascadeResult:
 
     A plain coordination game pops a min-heap over the slack counters, in
     O(arcs * log n); slack only rises, so the top is the lowest eligible
-    player.  Other games rescan: (n-s)(n-s+1)/2 sign calls for s seeds.
+    player, and the seeds, parked below 0 (:func:`_seed_walk`), never
+    cross 0.  Other games rescan: (n-s)(n-s+1)/2 sign calls for s seeds.
     """
     mask = _seed_mask(game, seed)
     n = game.n
     full = (1 << n) - 1
     witness: list[int] = []
     if _plain_coordination(game):
-        slack = game._slack(mask)
-        ready = [i for i in range(n) if not (mask >> i) & 1 and slack[i] >= 0]  # sorted: a heap
+        slack, shut = game._slack(mask), -1 - sum(game.graph.out_degrees)
+        for i in _bit_indices(mask):
+            slack[i] += shut
+        ready = [i for i, s in enumerate(slack) if s >= 0]  # sorted: a heap
         while ready:
             i = heapq.heappop(ready)
-            mask |= 1 << i
             witness.append(i)
             for j, w in game.graph.in_rows[i]:
                 s = slack[j] = slack[j] + w
-                if 0 <= s < w and not (mask >> j) & 1:
+                if 0 <= s < w:
                     heapq.heappush(ready, j)
     else:
         sign = game.delta_sign
@@ -190,8 +198,8 @@ def cascade(game: Game, seed) -> CascadeResult:
                     break
             else:
                 break
-    final = frozenset(_bit_indices(mask))
-    return CascadeResult(n=n, final_set=final, witness=tuple(witness), sufficient=mask == full)
+    final = frozenset(_bit_indices(mask)).union(witness)
+    return CascadeResult(n=n, final_set=final, witness=tuple(witness), sufficient=len(final) == n)
 
 
 def is_sufficient(game: Game, seed) -> bool:
@@ -204,9 +212,7 @@ def replay_witness(game: Game, seed, witness: Iterable[int]) -> bool:
     weakly-improving switch at its turn.  Used to validate witnesses."""
     mask = _seed_mask(game, seed)
     for i in witness:
-        if (mask >> i) & 1:
-            return False
-        if game.delta_sign(i, mask) < 0:
+        if (mask >> i) & 1 or game.delta_sign(i, mask) < 0:
             return False
         mask |= 1 << i
     return True

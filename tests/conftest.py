@@ -109,6 +109,19 @@ def random_game(rng: random.Random, n: int):
     return random_supermodular_table(min(n, 8), rng)
 
 
+def is_symmetric_reference(g: WeightedGraph) -> bool:
+    """Symmetry from a table of every arc: the check ``is_symmetric`` made
+    before it compared the out-rows with the in-rows."""
+    table = {(i, j): w for i, j, w in g.arcs()}
+    return all(table.get((j, i)) == w for (i, j), w in table.items())
+
+
+def slack_reference(game: CoordinationGame, mask: int) -> list[int]:
+    """Per-player slack read off ``mask`` one out-neighbor at a time: the
+    ``_slack`` coordination games had before it walked the seeds' in-arcs."""
+    return [game._on_weight(i, mask) - need for i, need in enumerate(game._need)]
+
+
 def cascade_random_order(game, seed_players, rng: random.Random) -> frozenset[int]:
     """Cascade that flips a uniformly random eligible player each step;
     independent of the package's lowest-index rule."""

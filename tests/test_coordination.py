@@ -15,7 +15,14 @@ from controlsets import (
     marginal_utility,
     ring,
 )
-from conftest import random_directed_graph, random_simple_graph, random_weighted_graph
+from conftest import (
+    GAME_KINDS,
+    random_coordination_game,
+    random_directed_graph,
+    random_simple_graph,
+    random_weighted_graph,
+    slack_reference,
+)
 
 
 def utility(graph, biases, i, bits):
@@ -144,6 +151,16 @@ def test_slack_sign_matches_delta_sign():
                 assert (slack[i] >= 0) == (sign >= 0), (i, mask)
                 ties += sign == 0
     assert ties > 50
+
+
+@pytest.mark.parametrize("kind", GAME_KINDS)
+def test_slack_matches_the_on_weight_definition(kind):
+    rng = random.Random(f"slack/{kind}")
+    for _ in range(30):
+        game = random_coordination_game(kind, rng, rng.randint(2, 12))
+        full = (1 << game.n) - 1
+        for mask in [0, full] + [rng.randrange(full + 1) for _ in range(10)]:
+            assert game._slack(mask) == slack_reference(game, mask), (kind, mask)
 
 
 class TestSignMatchesThresholdBranch:

@@ -22,6 +22,7 @@ from controlsets import (
 )
 from controlsets.graph import GraphFormatError, GraphGenerationError, _grid_coords
 from conftest import (
+    is_symmetric_reference,
     max_min_cohesion_brute,
     random_directed_graph,
     random_simple_graph,
@@ -167,6 +168,27 @@ class TestInvariants:
         assert not g2.is_symmetric()
         with pytest.raises(InputError):
             g2.undirected_edges()
+
+    @pytest.mark.parametrize("kind", ["undirected", "directed", "asymmetric-weight"])
+    def test_symmetry_matches_the_arc_table(self, kind):
+        # Equal out- and in-rows against the arc table on random graphs; an
+        # asymmetric-weight graph has every reverse arc, one with another weight.
+        rng = random.Random(f"symmetric/{kind}")
+        verdicts = set()
+        for _ in range(40):
+            n = rng.randint(2, 9)
+            if kind == "directed":
+                g = random_directed_graph(rng, n)
+            else:
+                g = random_weighted_graph(rng, n)
+            if kind == "asymmetric-weight":
+                arcs = {(i, j): w for i, j, w in g.arcs()}
+                arc = rng.choice(sorted(arcs))
+                arcs[arc] += rng.randint(1, 3)
+                g = WeightedGraph(n, arcs)
+            assert g.is_symmetric() == is_symmetric_reference(g), (kind, g.rows)
+            verdicts.add(g.is_symmetric())
+        assert verdicts == {"undirected": {True}, "directed": {True, False}}.get(kind, {False})
 
 
 class TestAlphaCohesive:

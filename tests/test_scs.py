@@ -10,6 +10,7 @@ from controlsets import (
     BudgetError,
     CoordinationGame,
     InputError,
+    WeightedGraph,
     cascade,
     cohesiveness_crosscheck,
     complete,
@@ -591,6 +592,83 @@ class TestLaneWalk:
             assert walk.on == [] and walk.reach is None and walk.blocked is None
             assert getattr(game, "_lane_rows", None) is None
             assert optimal_oracle(game) == optimal_oracle_reference(game)
+
+
+class OnceQueue(list):
+    """A spread's queue that fails as soon as a player is queued twice,
+    where a walk that re-queues players would otherwise grow it forever."""
+
+    def append(self, i):
+        assert i not in self, f"player {i} queued twice"
+        super().append(i)
+
+
+class TestParkedCounters:
+    """The list spread parks a player that closes below zero: every open
+    player's counter is its slack, and a closed one never crosses 0 again."""
+
+    @staticmethod
+    def assert_parked(game, closed, on, expected):
+        assert closed == expected
+        slack = game._slack(closed)
+        for i in range(game.n):
+            if (closed >> i) & 1:
+                assert on[i] < 0, i
+            else:
+                assert on[i] == slack[i], i
+
+    @pytest.mark.parametrize("kind", LANE_KINDS)
+    def test_open_counters_are_the_slack(self, kind, monkeypatch):
+        # Queues of one to three outside players, so that some queued seed
+        # has negative slack that the spread later lifts to >= 0.
+        monkeypatch.setattr(CoordinationGame, "_lanes_pay", lambda self: False)
+        rng = random.Random(f"parked/{kind}")
+        crossed = 0
+        for _ in range(25):
+            game = lane_game(kind, rng, rng.randint(2, 10))
+            full = (1 << game.n) - 1
+            for mask in [0] + [rng.randrange(full + 1) for _ in range(4)]:
+                closed, on, spread = _seed_walk(game, mask)
+                self.assert_parked(game, closed, on, closure_mask_sweep(game, mask))
+                outside = [v for v in range(game.n) if not (closed >> v) & 1]
+                for _ in range(4 if outside else 0):
+                    queue = rng.sample(outside, rng.randint(1, min(3, len(outside))))
+                    grown, grown_on = spread(on, closed, OnceQueue(queue))
+                    self.assert_parked(
+                        game, grown, grown_on, closure_mask_sweep(game, closed | sum(1 << v for v in queue))
+                    )
+                    after = game._slack(grown)
+                    crossed += sum(on[v] < 0 <= after[v] for v in queue)
+        assert crossed > 100
+
+    def test_requeued_seed_is_not_counted_twice(self):
+        # Path 1 - 0 - 2 with leaves 3, 4, 5 on 2, majority rule.  Seeds 0
+        # and 1 each need one on-neighbor, and each gets it from the other.
+        # An unparked seed would close again, be walked twice and lift 2
+        # (need 2 of 4) to 0, and with it the leaves.
+        game = majority_game(WeightedGraph.from_edges(6, [(0, 1), (0, 2), (2, 3), (2, 4), (2, 5)]))
+        closed, on, spread = _seed_walk(game, 0)
+        assert closed == 0
+        self.assert_parked(game, *spread(on, closed, OnceQueue([0, 1])), 0b11)
+        self.assert_parked(game, *_seed_walk(game, 0b11)[:2], 0b11)
+        assert closure_mask(game, 0b11) == closure_mask_sweep(game, 0b11) == 0b11
+        assert cascade(game, {0, 1}) == cascade_reference(game, {0, 1})
+
+    def test_closed_player_is_not_walked_twice(self):
+        # Directed, with no cycle among the players that close: 1 and 2
+        # listen to the seed 0, 1 also to 2, and 3 needs 2 from 1 and 4.
+        # 1 closes first; 2's flip lifts it again, and a counter left at its
+        # slack would walk 1 a second time and close 3.
+        arcs = {(0, 4): 1, (1, 0): 1, (1, 2): 1, (2, 0): 1, (3, 1): 1, (3, 4): 1, (4, 5): 1, (5, 4): 1}
+        g = WeightedGraph(6, arcs)
+        # need = (w - bias) / 2: 1 for players 0-2, 2 for 3, 1 for 4 and 5.
+        game = CoordinationGame(g, [-1, 0, -1, -2, -1, -1])
+        assert game._need == (1, 1, 1, 2, 1, 1)
+        closed, on, spread = _seed_walk(game, 0)
+        assert closed == 0
+        self.assert_parked(game, *spread(on, closed, OnceQueue([0])), 0b111)
+        assert closure_mask(game, 1) == closure_mask_sweep(game, 1) == 0b111
+        assert cascade(game, {0}) == cascade_reference(game, {0})
 
 
 def test_weighted_graph_fixture_needs_two_nodes():
