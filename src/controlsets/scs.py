@@ -102,7 +102,8 @@ def _seed_walk(game: Game, mask: int) -> tuple[int, list[int] | int, Callable]:
     n = game.n
     if _plain_coordination(game):
         on = [-need for need in game._need]
-        queue = [i for i in range(n) if (mask >> i) & 1 or on[i] >= 0]
+        queue = _bit_indices(mask)
+        queue += {i for i, a in enumerate(on) if a >= 0}.difference(queue)  # each player once
         if game._lanes_pay():
             rows, width = game._packed_in_rows(), 8 * game._lane_bytes
             span = n * width

@@ -29,6 +29,7 @@ from controlsets import (
 from controlsets.errors import BudgetError
 from controlsets.graph import GraphGenerationError, WeightedGraph
 from controlsets.sat_reduction import SAT_VARS_LIMIT, SEARCH_PLAN_LIMIT, _degree_profile_ok
+from controlsets.scs import _seed_walk
 
 
 def lane_forcings(monkeypatch):
@@ -271,6 +272,30 @@ def random_cnf3(rng: random.Random, max_vars: int = 6, max_clauses: int = 6) -> 
         vs = rng.sample(range(1, nv + 1), 3)
         clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
     return Cnf3(nv, tuple(clauses))
+
+
+def first_sufficient_encoding_reference(game, hub: int, false_nodes, true_nodes) -> int | None:
+    """The gadget walk with no cut: every prefix in counting order, each
+    node one spread from its parent's closure, stopping on the first
+    prefix that closes to everything (its all-0 completion)."""
+    full = (1 << game.n) - 1
+    closed, on, spread = _seed_walk(game, 1 << hub)
+    bits, left = 0, len(true_nodes)
+    # The 1-branches still to walk: (node, variables left, bits, prefix
+    # closure, prefix counters).
+    pending = []
+    while closed != full:
+        if left:
+            left -= 1
+            pending.append((true_nodes[left], left, bits | 1 << left, closed, on))
+            node = false_nodes[left]
+        elif pending:
+            node, left, bits, closed, on = pending.pop()
+        else:
+            return None
+        if not (closed >> node) & 1:
+            closed, on = spread(on, closed, [node])
+    return bits
 
 
 def verify_reduction_reference(cnf: Cnf3, search_limit: int = SEARCH_PLAN_LIMIT) -> ReductionReport:

@@ -18,11 +18,19 @@ from controlsets import (
     parse_cnf,
     verify_reduction,
 )
-from controlsets.sat_reduction import CnfFormatError, _first_sufficient_encoding, format_labels
+from controlsets.game_core import random_supermodular_table
+from controlsets.sat_reduction import (
+    SAT_VARS_LIMIT,
+    CnfFormatError,
+    _first_sufficient_encoding,
+    format_labels,
+)
 from controlsets.scs import _seed_walk, _undominated
 from conftest import (
     closure_mask_sweep,
     find_sufficient_within_reference,
+    first_sufficient_encoding_reference,
+    lane_forcings,
     random_cnf3,
     random_simple_graph,
     random_weighted_graph,
@@ -373,6 +381,50 @@ def _only_all_ones_cnf() -> Cnf3:
     return Cnf3(4, tuple(clauses))
 
 
+# Clauses (i, +-(i mod 16 + 1), +-((i + 1) mod 16 + 1)) over all four sign
+# pairs: a variable at 0 falsifies one of its four, so all-ones is the only
+# model and the last of the 2**16 assignments in counting order.
+ONLY_ONES_16 = Cnf3(
+    SAT_VARS_LIMIT,
+    tuple(
+        (i, sa * (i % 16 + 1), sb * ((i + 1) % 16 + 1))
+        for i in range(1, 17)
+        for sa in (1, -1)
+        for sb in (1, -1)
+    ),
+)
+
+
+def planted_cnf3(rng: random.Random, nv: int, m: int) -> Cnf3:
+    """``m`` random 3-clauses over ``nv`` >= 4 variables, each satisfied by
+    one assignment drawn from the last sixteenth of counting order."""
+    model = rng.randrange(15 << nv - 4, 1 << nv)
+    clauses = []
+    while len(clauses) < m:
+        clause = tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nv + 1), 3))
+        if any((lit > 0) == bool(model >> abs(lit) - 1 & 1) for lit in clause):
+            clauses.append(clause)
+    return Cnf3(nv, tuple(clauses))
+
+
+def count_spreads(monkeypatch, target: str) -> list[int]:
+    """Patch ``_seed_walk`` in module ``target`` so that every ``spread`` it
+    hands out counts its calls into the returned one-item list."""
+    calls = [0]
+
+    def counted(game, mask):
+        closed, on, spread = _seed_walk(game, mask)
+
+        def counted_spread(on, closed, queue):
+            calls[0] += 1
+            return spread(on, closed, queue)
+
+        return closed, on, counted_spread
+
+    monkeypatch.setattr(f"{target}._seed_walk", counted)
+    return calls
+
+
 class TestEncodedWalk:
     """The depth-first walk over assignment-encoded seed sets against the
     per-assignment scan it replaces (``verify_reduction_reference``)."""
@@ -437,21 +489,51 @@ class TestEncodedWalk:
         monkeypatch.undo()
         assert report == verify_reduction_reference(cnf)
 
-    @pytest.mark.parametrize("weighted", [False, True], ids=["majority", "weighted"])
-    def test_walk_matches_brute_force_on_any_game(self, weighted):
-        # Nodes of different pairs may coincide and may already be closed,
-        # which no gadget produces; the walk needs only monotone closure.
-        rng = random.Random(f"walk/any/{weighted}")
-        found = 0
+    @pytest.mark.parametrize("planted", [True, False], ids=["planted", "random"])
+    def test_walk_matches_reference_on_gadgets(self, planted, monkeypatch):
+        # Up to 12 variables, on the list and on lanes; the walk's answer is
+        # also the formula's first model: an encoded set is sufficient
+        # exactly when its assignment satisfies the formula.
+        rng = random.Random(f"walk/gadgets/{planted}")
+        verdicts = set()
+        for _ in range(24):
+            nv = rng.randint(4, 12)
+            m = rng.randint(nv, 6 * nv)
+            if planted:
+                cnf = planted_cnf3(rng, nv, m)
+            else:
+                draws = [rng.sample(range(1, nv + 1), 3) for _ in range(m)]
+                cnf = Cnf3(nv, tuple(tuple(rng.choice((v, -v)) for v in vs) for vs in draws))
+            gadget = build_gadget(cnf)
+            args = (gadget.game, gadget.hub, gadget.false_nodes, gadget.true_nodes)
+            expected = cnf._first_model(range(1 << nv))
+            for pay in lane_forcings(monkeypatch):
+                assert _first_sufficient_encoding(*args) == expected, pay
+            assert first_sufficient_encoding_reference(*args) == expected
+            verdicts.add(expected is not None)
+        assert verdicts == ({True} if planted else {True, False})
+
+    @pytest.mark.parametrize("kind", ["majority", "weighted", "table"])
+    def test_walk_matches_brute_force_on_any_game(self, kind, monkeypatch):
+        # Pair nodes may coincide with each other or with the hub and may
+        # already be closed, which no gadget produces; the walk needs only
+        # monotone closure.  Table games take the delta_sign sweep.
+        rng = random.Random(f"walk/any/{kind}")
+        found = coincide = 0
         for _ in range(150):
-            n = rng.randint(6, 14)
-            graph = random_weighted_graph(rng, n) if weighted else random_simple_graph(rng, n)
-            game = majority_game(graph)
-            full = (1 << n) - 1
+            if kind == "table":
+                game = random_supermodular_table(rng.randint(3, 8), rng)
+            else:
+                n = rng.randint(6, 14)
+                graph = random_weighted_graph(rng, n) if kind == "weighted" else random_simple_graph(rng, n)
+                game = majority_game(graph)
+            n, full = game.n, (1 << game.n) - 1
             nv = rng.randint(1, 4)
             hub = rng.randrange(n)
+            base = [v for v in range(n) if closure_mask_sweep(game, 1 << hub) >> v & 1]
             false_nodes = [rng.randrange(n) for _ in range(nv)]
-            true_nodes = [rng.randrange(n) for _ in range(nv)]
+            true_nodes = [rng.choice((rng.randrange(n), false_nodes[i], rng.choice(base))) for i in range(nv)]
+            coincide += sum(t == f or t == hub for t, f in zip(true_nodes, false_nodes))
             expected = None
             for bits in range(1 << nv):
                 seed = 1 << hub
@@ -460,9 +542,23 @@ class TestEncodedWalk:
                 if closure_mask_sweep(game, seed) == full:
                     expected = bits
                     break
-            assert _first_sufficient_encoding(game, hub, false_nodes, true_nodes) == expected
+            args = (game, hub, false_nodes, true_nodes)
+            assert first_sufficient_encoding_reference(*args) == expected
+            for pay in lane_forcings(monkeypatch) if kind != "table" else (None,):
+                assert _first_sufficient_encoding(*args) == expected, pay
             found += expected is not None
-        assert 40 < found < 130
+        assert 40 < found < 130 and coincide > 200
+
+    def test_cut_drops_most_spreads(self, monkeypatch):
+        # The first model is the last assignment, so the reference walks
+        # every prefix; the cut drops each branch as soon as a 0 is set.
+        gadget = build_gadget(ONLY_ONES_16)
+        args = (gadget.game, gadget.hub, gadget.false_nodes, gadget.true_nodes)
+        walk = count_spreads(monkeypatch, "controlsets.sat_reduction")
+        assert _first_sufficient_encoding(*args) == (1 << SAT_VARS_LIMIT) - 1
+        reference = count_spreads(monkeypatch, "conftest")
+        assert first_sufficient_encoding_reference(*args) == (1 << SAT_VARS_LIMIT) - 1
+        assert 0 < 10 * walk[0] < reference[0]
 
 
 class TestArgumentTypes:

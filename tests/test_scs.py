@@ -641,6 +641,29 @@ class TestParkedCounters:
                     crossed += sum(on[v] < 0 <= after[v] for v in queue)
         assert crossed > 100
 
+    @pytest.mark.parametrize("kind", LANE_KINDS)
+    def test_first_walk_queues_each_seed_once(self, kind, monkeypatch):
+        # Seeds whose need is 0 (all "extreme" games have some) are eligible
+        # before the walk starts; queued twice, a list seed would be parked
+        # twice and a lane flag cleared twice, borrowing from its neighbor's.
+        rng = random.Random(f"parked/first/{kind}")
+        eligible_seeds = 0
+        for _ in range(20):
+            game = lane_game(kind, rng, rng.randint(2, 10))
+            shut, ready = -1 - sum(game.graph.out_degrees), [i for i, need in enumerate(game._need) if not need]
+            for mask in [0, sum(1 << i for i in ready)] + [rng.randrange(1 << game.n) for _ in range(4)]:
+                expected = closure_mask_sweep(game, mask)
+                slack = game._slack(expected)
+                eligible_seeds += sum(mask >> i & 1 for i in ready)
+                for pay in lane_forcings(monkeypatch):
+                    closed, on, _ = _seed_walk(game, mask)
+                    if pay:
+                        assert decode_lanes(game, on) == (slack, expected)
+                    else:
+                        assert closed == expected
+                        assert on == [a + shut * (expected >> i & 1) for i, a in enumerate(slack)]
+        assert eligible_seeds > 20 or kind != "extreme"
+
     def test_requeued_seed_is_not_counted_twice(self):
         # Path 1 - 0 - 2 with leaves 3, 4, 5 on 2, majority rule.  Seeds 0
         # and 1 each need one on-neighbor, and each gets it from the other.
