@@ -17,11 +17,12 @@ cardinality trace is expanded once, after the walk, from a log of the moves
 that cross a trace step.  On a plain coordination game the table is kept
 from the slack counters of ``coordination``.  Where the mean in-degree is
 high for n (``CoordinationGame._lanes_pay``, the rule the exact searches
-share), every counter sits in one fixed-width lane of a single integer
-(SIMD within a register; Lamport, CACM 1975): a move is one add or subtract
-of the flipped player's packed in-arc weights, and the table is read off the
-lanes' sign bits in C.  On sparser graphs a move updates the in-neighbours'
-counters one by one, which is cheaper there.
+share), every counter sits in one fixed-width lane of a single integer,
+laid out in ``coordination`` (SIMD within a register; Lamport, CACM 1975):
+a move is one add or subtract of the flipped player's packed in-arc
+weights, and the table is read off the lanes' sign bits in C.  On sparser
+graphs a move updates the in-neighbours' counters one by one, which is
+cheaper there.
 
 For small instances one depth-first walk from all-1 (``_moves``) maps each
 reachable profile to its admissible players; on a plain coordination game
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._ratio import as_fraction
-from .coordination import _pack_lanes, _plain_coordination
+from .coordination import _lane_slack, _pack_lanes, _plain_coordination
 from .errors import BudgetError, InputError, InternalCheckError
 from .game_core import Game, Profile
 
@@ -148,14 +149,7 @@ def run_search(game: Game, config: ChainConfig) -> ChainRun:
     ``steps``.  A 0/1 table marks the players whose draw does something: a
     downward flip, or an upward coin when epsilon > 0.  For a
     :class:`CoordinationGame` the table is kept exact from the slack
-    counters of ``coordination``.  When ``CoordinationGame._lanes_pay``
-    holds (mean in-degree at least ``_LANE_BASE_UPDATES + n * b /
-    _LANE_BYTES_PER_UPDATE``, both constants in ``coordination``), the
-    counters share one int, a lane of ``b`` bytes per player, a move adds
-    or subtracts the flipped player's packed in-arc weights, and the table
-    is the lanes' sign bits; the packed rows take n * n * b bytes, at most
-    ``_LANE_BYTES_PER_UPDATE`` per arc, once per game.  Otherwise a move
-    steps its in-neighbours' counters one by one.  For any other game a
+    counters, in lanes or a list (module docstring).  For any other game a
     player is "unknown" until drawn, and its ``delta_sign`` is then cached
     until the next move, so signs are never evaluated more than once per
     step.  The next marked draw is found by a look at the
@@ -198,13 +192,11 @@ def run_search(game: Game, config: ChainConfig) -> ChainRun:
     if _plain_coordination(game):
         slack = game._slack(mask)
         if game._lanes_pay():
-            # Lane j of ``lanes`` holds slack[j] + 2**sign_bit, and slack
-            # lies in [-w_j, w_j] with w_j < 2**sign_bit, so ``packed[i]``
-            # never carries across lanes.  ``gate`` has bit 0 of each lane
-            # whose player may move.
+            # ``lanes`` is laid out as ``coordination`` says; ``gate`` has
+            # bit 0 of each lane whose player may move.
             b = game._lane_bytes
             sign_bit = 8 * b - 1
-            lanes = _pack_lanes(b, n, enumerate(s + (1 << sign_bit) for s in slack))
+            lanes = _lane_slack(game, slack)
             packed = game._packed_in_rows()
             gate = _pack_lanes(b, n, ((j, 1) for j in range(n) if up or mask >> j & 1))
             table_bytes = (256 if small else n) * b

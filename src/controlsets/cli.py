@@ -8,6 +8,8 @@ verify-reduction, experiment.  Exit codes: 0 success, 1 validation error
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import sys
 
 from ._ratio import format_rational, parse_rational
@@ -41,6 +43,13 @@ def _write_out(text: str, out: str | None) -> None:
             fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {out!r}: {exc}") from None
+
+
+def _write_csv(header: list[str], rows, out: str | None = None) -> None:
+    """Write CSV quoted by the csv module, as ``experiments.rows_to_csv``."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    _write_out(buf.getvalue(), out)
 
 
 def _parse_ints(spec: str, what: str) -> list[int]:
@@ -108,8 +117,7 @@ def cmd_verify(args) -> int:
     result = cascade(game, seed)
     if args.format == "csv":
         witness = " ".join(str(i) for i in result.witness)
-        print("sufficient,witness")
-        print(f"{'yes' if result.sufficient else 'no'},{witness}")
+        _write_csv(["sufficient", "witness"], [["yes" if result.sufficient else "no", witness]])
     else:
         print(f"sufficient: {'yes' if result.sufficient else 'no'}")
         print(f"witness: {' '.join(str(i) for i in result.witness) or '-'}")
@@ -120,13 +128,12 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     game = parse_game(_read(args.game))
     result = optimal_oracle(game, budget=args.budget)
-    if not result.found:
-        print(f"minimum: none within budget {result.budget}")
-        return 0
     if args.format == "csv":
-        print("min_size,sets")
         sets = ";".join(_fmt_set(s) for s in result.optimal_sets)
-        print(f"{result.min_size},{sets}")
+        # No set within the budget: min_size None and sets "" write empty.
+        _write_csv(["min_size", "sets"], [[result.min_size, sets]])
+    elif not result.found:
+        print(f"minimum: none within budget {result.budget}")
     else:
         print(f"minimum: {result.min_size}")
         print(f"optimal-sets: {len(result.optimal_sets)}")
@@ -145,12 +152,10 @@ def cmd_search(args) -> int:
     players = best.best_profile.players
     sufficient = is_sufficient(game, players)
     if args.emit_trace:
-        lines = ["step,cardinality"]
-        lines += [f"{t},{c}" for t, c in best.cardinality_trace]
-        _write_out("\n".join(lines) + "\n", args.emit_trace)
+        _write_csv(["step", "cardinality"], best.cardinality_trace, args.emit_trace)
     if args.format == "csv":
-        print("best_size,best_step,sufficient,set")
-        print(f"{best.best_size},{best.best_step},{'yes' if sufficient else 'no'},{_fmt_set(players)}")
+        row = [best.best_size, best.best_step, "yes" if sufficient else "no", _fmt_set(players)]
+        _write_csv(["best_size", "best_step", "sufficient", "set"], [row])
     else:
         print(f"best-size: {best.best_size}")
         print(f"best-set: {_fmt_set(players) or '(empty)'}")
@@ -173,8 +178,7 @@ def cmd_analytic(args) -> int:
     dist = ThresholdDistribution(tuple(values))
     m, chosen = analytic_min_size(dist)
     if args.format == "csv":
-        print("min_size,set")
-        print(f"{m},{_fmt_set(chosen)}")
+        _write_csv(["min_size", "set"], [[m, _fmt_set(chosen)]])
     else:
         print(f"minimum: {m}")
         print(f"set: {_fmt_set(chosen) or '(empty)'}")
@@ -269,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cascade a seed set on a game file")
     p.add_argument("game")
-    p.add_argument("--set", required=True, help="comma-separated player indices ('' for empty)")
+    p.add_argument("--set", required=True, help="comma-separated player indices ('' or 'none' for empty)")
     p.add_argument("--format", choices=["plain", "csv"], default="plain")
     p.set_defaults(fn=cmd_verify)
 

@@ -15,11 +15,7 @@ integers, so player ``i`` weakly prefers 1 exactly when its on-neighbor
 weight reaches ``_need[i] = ceil(_sub[i] / _mul[i])``, that is, when its
 *slack* (on-neighbor weight minus ``_need[i]``) is >= 0.  A flip of ``j``
 moves the slack of each in-neighbor by the arc weight, along
-``graph.in_rows``.  On graphs dense enough for it to pay (the one rule,
-:meth:`CoordinationGame._lanes_pay`), the counters share one integer
-with a fixed-width lane per player, read by ``chain.run_search`` and by
-``scs._seed_walk`` (:meth:`CoordinationGame._packed_in_rows`); otherwise
-they sit in a list.  ``_seed_walk``, the closure engine of every exact
+``graph.in_rows``.  ``scs._seed_walk``, the closure engine of every exact
 search, runs the cascade as a worklist over the counters in O(n + arcs
 of the players that end at 1) (linear-threshold propagation; Kempe,
 Kleinberg & Tardos, KDD 2003).  A player that closes is parked: its
@@ -27,12 +23,22 @@ counter drops by 1 + the total weight, and a slack never exceeds the
 out-degree, so only open players reach 0.  ``scs.cascade``, the
 ``verify`` path, pops the eligible players from a min-heap instead, to
 keep its lowest-index flip order.
+
+On graphs dense enough for it to pay (the one rule,
+:meth:`CoordinationGame._lanes_pay`), the counters share one integer,
+laid out here alone (:func:`_lane_slack`): lane i, of ``_lane_bytes`` = b
+bytes, holds slack[i] + 2**(8b - 1).  A slack lies in [-w_i, w_i] and w_i
+< 2**(8b - 1), so adding a packed in-row (``_packed_in_rows``) never
+carries across lanes, and lane i's top (*sign*) bit is set exactly when
+slack[i] >= 0.  The closure engine on lanes (:func:`_lane_walk`) parks no
+counter: above the n lanes, at lane i's sign bit, it keeps a flag set
+while i is open.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ._ratio import as_fraction
 from .errors import InputError
@@ -115,8 +121,7 @@ class CoordinationGame(Game):
         return slack
 
     def _lanes_pay(self) -> bool:
-        """Whether the mean in-degree is at least ``_LANE_BASE_UPDATES + n *
-        b / _LANE_BYTES_PER_UPDATE``, so lanes beat a list of slacks."""
+        """Whether lanes beat a list of slacks (the rule at ``_LANE_BASE_UPDATES``)."""
         spare_arcs = self.graph.arc_count() - _LANE_BASE_UPDATES * self.n
         return self.n * self.n * self._lane_bytes <= _LANE_BYTES_PER_UPDATE * spare_arcs
 
@@ -136,6 +141,75 @@ def _pack_lanes(b: int, n: int, values) -> int:
     for j, v in values:
         buf[b * j:b * j + b] = v.to_bytes(b, "little")
     return int.from_bytes(buf, "little")
+
+
+def _lane_slack(game: CoordinationGame, slack) -> int:
+    """The slack counters ``slack`` packed in lanes (module docstring)."""
+    b = game._lane_bytes
+    return _pack_lanes(b, game.n, enumerate(s + (1 << 8 * b - 1) for s in slack))
+
+
+def _lane_walk(game: CoordinationGame, slack: list[int], queue: list[int]) -> tuple[int, int, Callable]:
+    """``scs._seed_walk`` on lanes: ``(closed, on, spread)`` from the empty
+    set's ``slack`` and first ``queue``.  A flip clears its open flag and
+    adds its packed in-row; the open lanes whose sign bit that turns on are
+    newly eligible."""
+    n, rows, width = game.n, game._packed_in_rows(), 8 * game._lane_bytes
+    span = n * width
+    flag = [1 << span + width * i + width - 1 for i in range(n)]
+
+    def spread(on: int, closed: int, queue: list[int]) -> tuple[int, int]:
+        for i in queue:
+            closed |= 1 << i
+            on -= flag[i]
+        for j in queue:
+            grown = on + rows[j]  # slack only rises: changed sign bits turn on
+            ready = (grown ^ on) & grown >> span
+            on = grown
+            while ready:
+                low = ready & -ready
+                i = low.bit_length() // width - 1
+                closed |= 1 << i
+                on -= low << span
+                queue.append(i)
+                ready ^= low
+        return closed, on
+
+    return (*spread(_lane_slack(game, slack) + sum(flag), 0, queue), spread)
+
+
+def _lane_prunings(game: CoordinationGame) -> tuple[Callable, Callable]:
+    """``(reach, blocked)``, the leaf filter and subtree bound of
+    ``scs._OracleWalk`` on the counters of :func:`_lane_walk`.  Lane i of
+    ``lift(r)`` holds ``min(r * top[i], need[i])``; as slack[i] >=
+    -need[i], lane i of ``on + lift(r)`` has its sign bit set exactly when
+    i is near (if open), and peaks at 2**(8b - 1) plus the out-degree, so
+    no lane carries."""
+    n, b, need, rows = game.n, game._lane_bytes, game._need, game.graph.rows
+    width, span = 8 * b, 8 * b * n
+    top = [max(w for _, w in row) for row in rows]
+    out_masks = [sum(1 << j for j, _ in row) for row in rows]
+    lifts: dict[int, int] = {}
+
+    def lift(r: int) -> int:
+        if r not in lifts:
+            lifts[r] = _pack_lanes(b, n, enumerate(map(min, [r * t for t in top], need)))
+        return lifts[r]
+
+    def blocked(on: int, r: int) -> bool:
+        return not (on + lift(r)) & on >> span
+
+    one = lift(1)
+
+    def reach(on: int) -> int:
+        close, mask = (on + one) & on >> span, 0
+        while close:
+            low = close & -close
+            mask |= out_masks[low.bit_length() // width - 1]
+            close ^= low
+        return mask
+
+    return reach, blocked
 
 
 def _plain_coordination(game: Game) -> bool:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from ._ratio import as_fraction
-from .coordination import _pack_lanes, _plain_coordination
+from .coordination import _lane_prunings, _lane_walk, _plain_coordination
 from .errors import BudgetError, InputError
 from .game_core import Game, Profile, _bit_indices
 from .graph import WeightedGraph, uniformly_at_most_cohesive
@@ -85,19 +85,13 @@ def _seed_walk(game: Game, mask: int) -> tuple[int, list[int] | int, Callable]:
     leaves ``on`` as it was, for the siblings of a seed to reuse.
 
     A plain :class:`CoordinationGame` runs the counter worklist of
-    ``coordination``: a flip adds its weight to its in-neighbors' slack,
-    and an open player flips once its slack is >= 0, so a spread costs
-    O(arcs of the players it sets).  Where ``game._lanes_pay()``, ``on`` is
-    one int: slack[i] + 2**(8b - 1) in lane i of ``game._lane_bytes`` = b
-    bytes, and above the n lanes, at lane i's sign bit, a flag set while i
-    is open (not closed).  A flip clears its flag and adds its packed
-    in-row; the open lanes whose sign bit that turns on are newly eligible.
-    Elsewhere ``on`` is the list of slacks, but a player that closes (seed,
-    queued or reached) is parked: ``shut = -1 - sum(out_degrees)`` is added
-    to its counter.  need[i] lies in [0, w_i], so a slack is at most the
-    out-degree w_i and a parked counter stays below 0: the worklist tests
-    ``a >= 0`` alone, with no ``closed`` read.  Any other game gets ``on ==
-    []`` and order-free sweeps of ``delta_sign`` until nobody flips.
+    ``coordination``, in O(arcs of the players a spread sets).  ``on`` is
+    the lanes of ``coordination._lane_walk`` where ``game._lanes_pay()``,
+    else the list of slacks with each closed player (seed, queued or
+    reached) parked: ``shut = -1 - sum(out_degrees)`` is added to its
+    counter, so the worklist tests ``a >= 0`` alone, with no ``closed``
+    read.  Any other game gets ``on == []`` and order-free sweeps of
+    ``delta_sign`` until nobody flips.
     """
     n = game.n
     if _plain_coordination(game):
@@ -105,29 +99,7 @@ def _seed_walk(game: Game, mask: int) -> tuple[int, list[int] | int, Callable]:
         queue = _bit_indices(mask)
         queue += {i for i, a in enumerate(on) if a >= 0}.difference(queue)  # each player once
         if game._lanes_pay():
-            rows, width = game._packed_in_rows(), 8 * game._lane_bytes
-            span = n * width
-            flag = [1 << span + width * i + width - 1 for i in range(n)]
-
-            def spread(on: int, closed: int, queue: list[int]) -> tuple[int, int]:
-                for i in queue:
-                    closed |= 1 << i
-                    on -= flag[i]
-                for j in queue:
-                    grown = on + rows[j]  # slack only rises: changed sign bits turn on
-                    ready = (grown ^ on) & grown >> span
-                    on = grown
-                    while ready:
-                        low = ready & -ready
-                        i = low.bit_length() // width - 1
-                        closed |= 1 << i
-                        on -= low << span
-                        queue.append(i)
-                        ready ^= low
-                return closed, on
-
-            lanes = _pack_lanes(width // 8, n, enumerate(s + (1 << width - 1) for s in on))
-            return (*spread(lanes + sum(flag), 0, queue), spread)
+            return _lane_walk(game, on, queue)
         into, shut = game.graph.in_rows, -1 - sum(game.graph.out_degrees)
 
         def spread(on: list[int], closed: int, queue: list[int]) -> tuple[int, list[int]]:
@@ -279,8 +251,9 @@ class _OracleWalk:
     ``itertools.combinations``.  Down each branch the walk carries the
     prefix's closed mask and counters and adds a seed by spreading them
     (:func:`_seed_walk`); a leaf inside the prefix's closure adds nothing
-    and is skipped.  On a plain coordination game, where ``on`` holds the
-    slack counters, two exact prunings skip most of the walk.  With ``r``
+    and is skipped.  On lanes two exact prunings skip most of the walk
+    (``coordination._lane_prunings``); on a list of slacks they cost more
+    than they cut, so a list walk runs without them.  With ``r``
     seeds left, player ``i`` outside the closed set is *near* when
     ``slack[i] + r * top[i] >= 0`` (``top[i]`` is i's largest out-weight).
 
@@ -293,11 +266,6 @@ class _OracleWalk:
     * *Subtree bound* (``blocked``).  When more than ``r`` players are
       outside the closed set and none is near, no completion sets anyone
       beyond its own seeds, so none is sufficient.
-
-    On lanes each is one add: lane i of ``R_r`` holds ``min(r * top[i],
-    need[i])``, and as slack[i] >= -need[i], lane i of ``on + R_r`` has its
-    sign bit set exactly when i is near (if open); it peaks at 2**(8b - 1)
-    plus the out-degree, so no lane carries.
     """
 
     def __init__(self, game: Game):
@@ -306,46 +274,7 @@ class _OracleWalk:
         # The base closure goes through the module name, so a profiler that
         # rebinds ``closure_mask`` sees one call per oracle.
         self.base, self.on, self.spread = _seed_walk(game, closure_mask(game, 0))
-        self.reach = self.blocked = None
-        if _plain_coordination(game):
-            top = [max(w for _, w in row) for row in game.graph.rows]
-            # Out-masks, built once: the leaf filter's one OR per near player.
-            out_masks = [sum(1 << j for j, _ in row) for row in game.graph.rows]
-            if isinstance(self.on, int):
-                b, need, lifts = game._lane_bytes, game._need, {}  # lifts[r] = R_r
-                width, span = 8 * b, 8 * b * n
-
-                def lift(r: int) -> int:
-                    if r not in lifts:
-                        lifts[r] = _pack_lanes(b, n, enumerate(map(min, [r * t for t in top], need)))
-                    return lifts[r]
-
-                def blocked(on: int, outside: int, r: int) -> bool:
-                    return not (on + lift(r)) & on >> span
-
-                one = lift(1)
-
-                def reach(on: int, outside: int) -> int:
-                    close, mask = (on + one) & on >> span, 0
-                    while close:
-                        low = close & -close
-                        mask |= out_masks[low.bit_length() // width - 1]
-                        close ^= low
-                    return mask
-
-            else:
-
-                def blocked(on: list[int], outside: int, r: int) -> bool:
-                    return all(on[i] + r * top[i] < 0 for i in range(n) if outside >> i & 1)
-
-                def reach(on: list[int], outside: int) -> int:
-                    mask = 0
-                    for i in range(n):
-                        if outside >> i & 1 and on[i] + top[i] >= 0:
-                            mask |= out_masks[i]
-                    return mask
-
-            self.reach, self.blocked = reach, blocked
+        self.reach, self.blocked = _lane_prunings(game) if isinstance(self.on, int) else (None, None)
         self.hits: list[int] = []
 
     def sufficient_sets(self, k: int) -> list[int]:
@@ -366,14 +295,14 @@ class _OracleWalk:
                 return
             cand = outside >> start << start
             if self.reach:
-                cand &= self.reach(on, outside)
+                cand &= self.reach(on)
             while cand:
                 low = cand & -cand
                 if spread(on, closed, [low.bit_length() - 1])[0] == full:
                     self.hits.append(seeds | low)
                 cand ^= low
             return
-        if self.blocked and outside.bit_count() > r and self.blocked(on, outside, r):
+        if self.blocked and outside.bit_count() > r and self.blocked(on, r):
             return
         for v in range(start, n - r + 1):
             bit = 1 << v

@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 
 import pytest
@@ -202,6 +204,63 @@ class TestSearch:
         assert code == 0
         # 100 * n^2 = 1600 steps for n = 4.
         assert trace.read_text().splitlines()[-1].startswith("1600,")
+
+
+class TestCsvFormat:
+    """Every ``--format csv`` output parses with ``csv.reader`` into rows as
+    wide as the header, with a set of several players in one field."""
+
+    @staticmethod
+    def parse(text: str) -> list[list[str]]:
+        rows = list(csv.reader(io.StringIO(text)))
+        assert all(len(row) == len(rows[0]) for row in rows)
+        return rows
+
+    @pytest.fixture
+    def k7(self, capsys, tmp_path):
+        path = tmp_path / "k7.game"
+        path.write_text(run_cli(capsys, "generate", "complete", "7", "--as-game")[1])
+        return str(path)
+
+    def test_oracle(self, capsys, k7):
+        code, out, _ = run_cli(capsys, "oracle", k7, "--format", "csv")
+        assert code == 0
+        [header, [size, sets]] = self.parse(out)
+        assert header == ["min_size", "sets"] and size == "3"
+        assert len({frozenset(s.split(",")) for s in sets.split(";")}) == 35
+
+    def test_oracle_indeterminate_row_is_empty(self, capsys, k7):
+        code, out, _ = run_cli(capsys, "oracle", k7, "--budget", "1", "--format", "csv")
+        assert code == 0
+        assert self.parse(out) == [["min_size", "sets"], ["", ""]]
+
+    def test_search_and_trace(self, capsys, k7, tmp_path):
+        trace = tmp_path / "trace.csv"
+        code, out, _ = run_cli(capsys, "search", k7, "--format", "csv", "--emit-trace", str(trace))
+        assert code == 0
+        [header, [size, _, sufficient, players]] = self.parse(out)
+        assert header == ["best_size", "best_step", "sufficient", "set"]
+        assert size == "3" and sufficient == "yes" and len(players.split(",")) == 3
+        assert self.parse(trace.read_text())[0] == ["step", "cardinality"]
+
+    def test_verify(self, capsys, k7):
+        code, out, _ = run_cli(capsys, "verify", k7, "--set", "0,1,2", "--format", "csv")
+        assert code == 0
+        assert self.parse(out) == [["sufficient", "witness"], ["yes", "3 4 5 6"]]
+
+    def test_analytic(self, capsys, tmp_path):
+        path = tmp_path / "thetas.txt"
+        path.write_text("1\n1\n1\n1/2\n0.9\n")
+        code, out, _ = run_cli(capsys, "analytic", str(path), "--format", "csv")
+        assert code == 0
+        assert self.parse(out) == [["min_size", "set"], ["3", "2,3,4"]]
+
+    def test_table_game_row_unquoted(self, capsys, tmp_path):
+        path = tmp_path / "table.game"
+        path.write_text("game table\nplayers 3\n" + "".join(f"delta {i} -2 0 0 2\n" for i in range(3)))
+        code, out, _ = run_cli(capsys, "oracle", str(path), "--format", "csv")
+        assert code == 0
+        assert out == "min_size,sets\n1,0;1;2\n"
 
 
 class TestAnalytic:

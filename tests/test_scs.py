@@ -517,11 +517,30 @@ class TestLaneWalk:
                     assert optimal_oracle(game, budget) == expected[budget], (pay, budget)
         assert widths == ({2} if kind == "heavy" else {1})
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: grid(4, 2),
+            lambda: erdos_renyi(22, 0.15, seed=2),
+            lambda: erdos_renyi(22, 0.15, seed=4),
+            lambda: tree([-1] + [(i - 1) // 2 for i in range(1, 19)]),
+        ],
+        ids=["grid4x2", "er22-s2", "er22-s4", "tree19"],
+    )
+    def test_small_sparse_oracles_on_both_representations(self, make, monkeypatch):
+        # Games where the density rule's choice was measured close: the
+        # first three take lanes, the binary tree the list.
+        game = majority_game(make())
+        expected = [optimal_oracle_reference(game, b) for b in range(5)]
+        for _ in lane_forcings(monkeypatch):
+            for budget in range(5):
+                assert optimal_oracle(game, budget) == expected[budget], budget
+
     @pytest.mark.parametrize("kind", LANE_KINDS)
     def test_prunings_match_their_definition(self, kind, monkeypatch):
         # Near players are those outside with slack + r * top >= 0; the
         # leaf filter is the OR of their out-masks, and the subtree bound
-        # holds when there is none.
+        # holds when there is none.  A walk on the list has neither.
         rng = random.Random(f"lanes/prunings/{kind}")
         for _ in range(12):
             game = lane_game(kind, rng, rng.randint(2, 10))
@@ -531,19 +550,21 @@ class TestLaneWalk:
             for mask in [0] + [rng.randrange(full + 1) for _ in range(6)]:
                 for pay in lane_forcings(monkeypatch):
                     walk = _OracleWalk(game)
+                    if not pay:
+                        assert walk.reach is None and walk.blocked is None
+                        continue
                     closed, on, _ = _seed_walk(game, mask)
                     slack = game._slack(closed)
-                    if pay:
-                        assert decode_lanes(game, on) == (slack, closed)
+                    assert decode_lanes(game, on) == (slack, closed)
                     outside = full ^ closed
                     for r in range(1, n + 1):
                         near = [i for i in range(n) if outside >> i & 1 and slack[i] + r * top[i] >= 0]
-                        assert walk.blocked(on, outside, r) == (not near), (pay, r)
+                        assert walk.blocked(on, r) == (not near), r
                         if r == 1:
                             reach = 0
                             for i in near:
                                 reach |= out_masks[i]
-                            assert walk.reach(on, outside) == reach, pay
+                            assert walk.reach(on) == reach
 
     @pytest.mark.parametrize("kind", LANE_KINDS)
     def test_decision_search_agrees_on_both_representations(self, kind, monkeypatch):
