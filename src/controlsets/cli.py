@@ -18,7 +18,7 @@ from .complete_graph import ThresholdDistribution, analytic_min_size
 from .errors import InputError, InternalCheckError
 from .experiments import ExperimentSpec, best_of_restarts, emit_outputs, run_experiment
 from .gamefile import format_game, parse_game
-from .graph import format_graph, generate
+from .graph import _text_lines, format_graph, generate
 from .coordination import from_thresholds
 from .sat_reduction import build_gadget, format_labels, parse_cnf, verify_reduction
 from .scs import cascade, is_sufficient, optimal_oracle
@@ -165,16 +165,12 @@ def cmd_search(args) -> int:
 
 
 def cmd_analytic(args) -> int:
-    text = _read(args.thresholds)
     values = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for no, line in _text_lines(_read(args.thresholds)):
         try:
             values.append(parse_rational(line))
         except InputError as exc:
-            raise InputError(f"line {lineno}: {exc}") from None
+            raise InputError(f"line {no}: {exc}") from None
     dist = ThresholdDistribution(tuple(values))
     m, chosen = analytic_min_size(dist)
     if args.format == "csv":

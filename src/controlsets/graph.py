@@ -9,10 +9,12 @@ cohesiveness check peels over them in O(arcs) (Morris 2000).
 Text format (round-trips bit-exactly through :func:`format_graph`)::
 
     graph <n> <m> directed|undirected
-    i j w        # m lines, 0-based endpoints, positive integer weight
+    i j w
 
-An undirected line ``i j w`` stands for both arcs.  Blank lines and lines
-starting with ``#`` are ignored.
+The header is followed by ``m`` edge lines with 0-based endpoints and a
+positive integer weight; an undirected line ``i j w`` stands for both
+arcs.  Blank lines and lines starting with ``#`` are ignored, and errors
+name the file line.
 """
 
 from __future__ import annotations
@@ -337,53 +339,57 @@ def uniformly_at_most_cohesive(g: WeightedGraph, members, theta) -> bool:
 # text format
 
 
-def parse_graph(text: str) -> WeightedGraph:
-    """Parse the graph text format; errors carry 1-based line numbers."""
-    header = None
-    body: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = (lineno, line)
-        else:
-            body.append((lineno, line))
-    if header is None:
-        raise GraphFormatError("empty graph file")
-    lineno, line = header
+def _text_lines(text: str, comment: str = "#") -> list[tuple[int, str]]:
+    """``(file line number, stripped line)`` for every line of ``text`` that
+    is neither blank nor starts with ``comment``; every text format reads
+    its lines through here, so every error can name its file line."""
+    lines = ((no, raw.strip()) for no, raw in enumerate(text.splitlines(), 1))
+    return [(no, line) for no, line in lines if line and not line.startswith(comment)]
+
+
+def _read_graph(lines: list[tuple[int, str]], whole: bool = False):
+    """Read a ``graph <n> <m> <mode>`` header and its ``m`` edge lines off
+    the front of ``lines`` (from :func:`_text_lines`).  Returns the graph
+    and the lines left over; with ``whole`` none may be left."""
+    if not lines:
+        raise GraphFormatError("file ends before the header 'graph <n> <m> directed|undirected'")
+    head, line = lines[0]
     parts = line.split()
     if len(parts) != 4 or parts[0] != "graph":
-        raise GraphFormatError(
-            f"line {lineno}: expected header 'graph <n> <m> directed|undirected'"
-        )
+        raise GraphFormatError(f"line {head}: expected header 'graph <n> <m> directed|undirected'")
     try:
         n, m = int(parts[1]), int(parts[2])
     except ValueError:
-        raise GraphFormatError(f"line {lineno}: n and m must be integers") from None
+        raise GraphFormatError(f"line {head}: n and m must be integers") from None
     if parts[3] not in ("directed", "undirected"):
-        raise GraphFormatError(f"line {lineno}: mode must be 'directed' or 'undirected'")
-    directed = parts[3] == "directed"
-    if len(body) != m:
+        raise GraphFormatError(f"line {head}: mode must be 'directed' or 'undirected'")
+    given = len(lines) - 1
+    if not 0 <= m <= given or (whole and m != given):
         raise GraphFormatError(
-            f"header declares {m} edges but file has {len(body)} edge lines"
+            f"line {head}: header declares {m} edges but file has {given} edge lines"
         )
     edges = []
-    for lineno, line in body:
+    for no, line in lines[1 : m + 1]:
         toks = line.split()
         if len(toks) != 3:
-            raise GraphFormatError(f"line {lineno}: expected 'i j w'")
+            raise GraphFormatError(f"line {no}: expected 'i j w'")
         try:
             i, j, w = int(toks[0]), int(toks[1]), int(toks[2])
         except ValueError:
-            raise GraphFormatError(f"line {lineno}: endpoints and weight must be integers") from None
+            raise GraphFormatError(f"line {no}: endpoints and weight must be integers") from None
         if w <= 0:
-            raise GraphFormatError(f"line {lineno}: weight must be positive, got {w}")
+            raise GraphFormatError(f"line {no}: weight must be positive, got {w}")
         edges.append((i, j, w))
     try:
-        return WeightedGraph.from_edges(n, edges, directed=directed)
+        graph = WeightedGraph.from_edges(n, edges, directed=parts[3] == "directed")
     except InputError as exc:
-        raise GraphFormatError(str(exc)) from None
+        raise GraphFormatError(f"line {head}: {exc}") from None
+    return graph, lines[m + 1 :]
+
+
+def parse_graph(text: str) -> WeightedGraph:
+    """Parse the graph text format; errors carry 1-based line numbers."""
+    return _read_graph(_text_lines(text), whole=True)[0]
 
 
 def format_graph(g: WeightedGraph) -> str:

@@ -38,11 +38,12 @@ from typing import Iterable, Sequence
 from .coordination import majority_game
 from .errors import BudgetError, InputError, InternalCheckError
 from .game_core import Game
-from .graph import WeightedGraph
+from .graph import WeightedGraph, _text_lines
 from .scs import _seed_walk, find_sufficient_within, is_sufficient
 
 SAT_VARS_LIMIT = 16
 SEARCH_PLAN_LIMIT = 3_000_000
+GADGET_NODE_LIMIT = 500_000
 
 
 class CnfFormatError(InputError):
@@ -158,10 +159,7 @@ def parse_cnf(text: str) -> Cnf3:
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
     pending_line = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+    for lineno, line in _text_lines(text, comment="c"):
         if line == "%":
             break
         if line.startswith("p"):
@@ -237,17 +235,21 @@ def build_gadget(cnf: Cnf3) -> GadgetGraph:
     """Construct the reduction graph for a formula.
 
     Sizes are forced by construction: ``2(v+1) + 5m`` nodes and
-    ``(v+1) + 8m`` edges for ``v`` variables and ``m`` clauses.
+    ``(v+1) + 8m`` edges for ``v`` variables and ``m`` clauses.  More than
+    ``GADGET_NODE_LIMIT`` nodes raise :class:`BudgetError` before anything
+    is built.
     """
     nv = cnf.num_vars
     m = cnf.num_clauses
+    total = 2 * (nv + 1) + 5 * m
+    if total > GADGET_NODE_LIMIT:
+        raise BudgetError(f"gadget would have {total} nodes, over the limit of {GADGET_NODE_LIMIT}")
     clause_nodes = tuple(range(m))
     true_nodes = tuple(range(m, m + nv))
     false_nodes = tuple(range(m + nv, m + 2 * nv))
     hub = m + 2 * nv
     var_leaves = tuple(range(hub + 1, hub + 1 + 3 * m))
-    hub_leaves = tuple(range(hub + 1 + 3 * m, hub + 1 + 3 * m + m + 1))
-    total = hub + 1 + 3 * m + m + 1
+    hub_leaves = tuple(range(hub + 1 + 3 * m, total))
 
     names = (
         [f"clause{j + 1}" for j in range(m)]

@@ -296,6 +296,15 @@ class TestReduction:
         assert g.n == 13
         assert lpath.read_text().splitlines()[0] == "0 clause1"
 
+    def test_reduce_sat_refuses_a_huge_header(self, capsys, tmp_path):
+        cnf = tmp_path / "huge.cnf"
+        cnf.write_text("p cnf 1000000000 1\n1 2 3 0\n")
+        code, out, err = run_cli(
+            capsys, "reduce-sat", str(cnf), "--out-graph", os.devnull, "--out-labels", os.devnull
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "nodes" in err
+
     def test_verify_reduction(self, capsys, tmp_path):
         cnf = tmp_path / "f.cnf"
         cnf.write_text(self.CNF)

@@ -18,6 +18,7 @@ from controlsets import (
     parse_cnf,
     verify_reduction,
 )
+from controlsets import sat_reduction
 from controlsets.game_core import random_supermodular_table
 from controlsets.sat_reduction import (
     SAT_VARS_LIMIT,
@@ -198,6 +199,20 @@ class TestGadget:
             tracemalloc.stop()
         assert gadget.graph.n == 40007
         assert peak < 60 * 2**20
+
+    def test_huge_header_refused_before_building(self):
+        # 2,000,000,007 nodes: refused in O(1), not a MemoryError.
+        cnf = parse_cnf("p cnf 1000000000 1\n1 2 3 0\n")
+        with pytest.raises(BudgetError, match="2000000007 nodes"):
+            build_gadget(cnf)
+
+    def test_node_limit_is_inclusive(self, monkeypatch):
+        # 2(v + 1) + 5m nodes: v = 3, m = 1 gives 13.
+        monkeypatch.setattr(sat_reduction, "GADGET_NODE_LIMIT", 13)
+        assert build_gadget(SINGLE_CLAUSE).graph.n == 13
+        monkeypatch.setattr(sat_reduction, "GADGET_NODE_LIMIT", 12)
+        with pytest.raises(BudgetError, match="13 nodes"):
+            build_gadget(SINGLE_CLAUSE)
 
 
 class TestAssignmentMap:
