@@ -263,6 +263,64 @@ class TestCsvFormat:
         assert out == "min_size,sets\n1,0;1;2\n"
 
 
+# Fixture files of the golden test: the 4-ring majority game, K4 majority,
+# the 4-ring with threshold 0 (the empty set suffices) and threshold lists.
+GOLDEN_FILES = {
+    "ring.game": RING_GAME,
+    "k4.game": "game coordination\nplayers 4\ngraph 4 6 undirected\n"
+    "0 1 1\n0 2 1\n0 3 1\n1 2 1\n1 3 1\n2 3 1\n",
+    "zero.game": RING_GAME + "".join(f"theta {i} 0\n" for i in range(4)),
+    "mixed.txt": "1\n0.9\n# noise\n\n1/2\n1\n",
+    "zeros.txt": "0\n0\n",
+}
+
+GOLDEN = [
+    ("verify ring.game --set 0", "sufficient: yes\nwitness: 1 2 3\nfinal-size: 4/4\n"),
+    ("verify ring.game --set none", "sufficient: no\nwitness: -\nfinal-size: 0/4\n"),
+    ("verify ring.game --set 0 --format csv", "sufficient,witness\nyes,1 2 3\n"),
+    ("verify k4.game --set 2 --format csv", "sufficient,witness\nno,\n"),
+    (
+        "oracle k4.game",
+        "minimum: 2\noptimal-sets: 6\n  0,1\n  0,2\n  0,3\n  1,2\n  1,3\n  2,3\n",
+    ),
+    ("oracle k4.game --format csv", 'min_size,sets\n2,"0,1;0,2;0,3;1,2;1,3;2,3"\n'),
+    ("oracle k4.game --budget 1", "minimum: none within budget 1\n"),
+    ("oracle k4.game --budget 1 --format csv", "min_size,sets\n,\n"),
+    ("oracle zero.game", "minimum: 0\noptimal-sets: 1\n  (empty)\n"),
+    ("oracle zero.game --format csv", "min_size,sets\n0,\n"),
+    (
+        "search k4.game --steps 300 --seed 7",
+        "best-size: 2\nbest-set: 1,2\nbest-step: 2\nsufficient: yes\n",
+    ),
+    (
+        "search k4.game --steps 300 --seed 7 --format csv",
+        'best_size,best_step,sufficient,set\n2,2,yes,"1,2"\n',
+    ),
+    (
+        "search zero.game --steps 50 --seed 1",
+        "best-size: 0\nbest-set: (empty)\nbest-step: 10\nsufficient: yes\n",
+    ),
+    ("search zero.game --steps 50 --seed 1 --format csv", "best_size,best_step,sufficient,set\n0,10,yes,\n"),
+    ("analytic mixed.txt", "minimum: 2\nset: 2,3\nthresholds-sorted: 1/2 9/10 1 1\n"),
+    ("analytic mixed.txt --format csv", 'min_size,set\n2,"2,3"\n'),
+    ("analytic zeros.txt", "minimum: 0\nset: (empty)\nthresholds-sorted: 0 0\n"),
+    ("analytic zeros.txt --format csv", "min_size,set\n0,\n"),
+]
+
+
+class TestGoldenOutput:
+    """The exact stdout of the report commands, plain and CSV, on fixed
+    files: found, indeterminate and empty answers alike."""
+
+    @pytest.mark.parametrize("command, expected", GOLDEN, ids=[c for c, _ in GOLDEN])
+    def test_stdout(self, capsys, tmp_path, command, expected):
+        for name, text in GOLDEN_FILES.items():
+            (tmp_path / name).write_text(text)
+        sub, name, *rest = command.split()
+        code, out, err = run_cli(capsys, sub, str(tmp_path / name), *rest)
+        assert (code, out, err) == (0, expected, "")
+
+
 class TestAnalytic:
     def test_thresholds_file(self, capsys, tmp_path):
         path = tmp_path / "thetas.txt"
