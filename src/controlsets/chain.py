@@ -8,34 +8,14 @@ of profiles whose supports are sufficient control sets, it is reversible
 with stationary weight ``epsilon ** (number of ones)``, and as epsilon
 shrinks the stationary law piles onto the minimum-cardinality profiles.
 
-Most steps are self-loops.  ``run_search`` skips them with its outputs
-unchanged: it draws players in blocks on the same random stream, keeps a
-table of the players whose draw can move the walk, and jumps to the next
-such draw, crediting the skipped steps in bulk.  The epsilon-coin is drawn
-inline by rejection on its own stream, as ``randrange`` draws it, and the
-cardinality trace is expanded once, after the walk, from a log of the moves
-that cross a trace step.  On a plain coordination game the table is kept
-from the slack counters of ``coordination``.  Where the mean in-degree is
-high for n (``CoordinationGame._lanes_pay``, the rule the exact searches
-share), every counter sits in one fixed-width lane of a single integer,
-laid out in ``coordination`` (SIMD within a register; Lamport, CACM 1975):
-a move is one add or subtract of the flipped player's packed in-arc
-weights, and the table is read off the lanes' sign bits in C.  On sparser
-graphs a move updates the in-neighbours' counters one by one, which is
-cheaper there.
+Most steps are self-loops, and :func:`run_search` skips them on the same
+random streams, so its outputs are those of the plain step-by-step loop.
 
-For small instances one depth-first walk from all-1 (``_moves``) maps each
-reachable profile to its admissible players; on a plain coordination game
-it carries the slack counters down the walk and asks no ``delta_sign``.
-The reachable and absorbing profile sets and the exact rational transition
-matrix are all read off it, so the stationary claims can be checked
-exactly.  The stationary vector is solved from detailed balance along a
-spanning tree and certified on every edge (Kolmogorov's criterion; Kelly,
-*Reversibility and Stochastic Networks*, 1979), fraction-free: pi is kept
-as integer pairs, each edge is one integer cross-multiplication, and the
-``Fraction``s are built once, at the end.  A chain that fails the
-certificate falls back to a Gauss-Jordan solve over the same sparse rows,
-and only that fallback is bounded by ``DENSE_SOLVE_LIMIT``.
+For small instances :func:`_moves` maps each reachable profile to its
+admissible players.  The reachable and absorbing profile sets and the exact
+rational transition matrix are read off it, and
+:func:`stationary_distribution` solves for the stationary vector in exact
+rationals, so the stationary claims can be checked.
 """
 
 from __future__ import annotations
@@ -138,29 +118,30 @@ def _player_draws(rng: random.Random, n: int):
 def run_search(game: Game, config: ChainConfig) -> ChainRun:
     """Simulate the walk and keep the minimum-cardinality profile visited.
 
-    Deterministic given ``config.seed``.  The trace stores the cardinality
-    at step 0 and every ceil(steps / trace_points)-th step thereafter.
+    Deterministic given ``config.seed``: every output equals that of a loop
+    drawing ``randrange(n)`` and evaluating ``delta_sign`` at every step.
+    The trace stores the cardinality at step 0 and every
+    ceil(steps / trace_points)-th step thereafter.
 
-    Most steps are self-loops, and the kernel skips them on the same
-    random streams, so every output equals that of a loop drawing
-    ``randrange(n)`` and evaluating ``delta_sign`` at every step.  Player
-    draws come in blocks of at most ``_DRAW_BLOCK_WORDS`` words, equal to
-    successive ``randrange(n)`` calls, so memory does not grow with
-    ``steps``.  A 0/1 table marks the players whose draw does something: a
-    downward flip, or an upward coin when epsilon > 0.  For a
-    :class:`CoordinationGame` the table is kept exact from the slack
-    counters, in lanes or a list (module docstring).  For any other game a
-    player is "unknown" until drawn, and its ``delta_sign`` is then cached
-    until the next move, so signs are never evaluated more than once per
-    step.  The next marked draw is found by a look at the
-    next draw, then by translating the block through the table (a per-draw
-    scan when n > 255), and the steps skipped on the way enter the visit
-    counts in bulk.  A move that crosses a trace step logs where
-    the walk sat since the last one; the trace is expanded from that log
-    once, after the walk, and the log has at most one entry per trace step.
-    The coin stream is drawn exactly when the plain loop draws it, inline:
-    ``den.bit_length()`` bits, redrawn while the value is >= den, which is
-    how CPython's ``randrange(den)`` draws, so the stream is the same.
+    Player draws come in blocks of at most ``_DRAW_BLOCK_WORDS`` words
+    (:func:`_player_draws`), so memory does not grow with ``steps``.  A 0/1
+    table ``marked`` has a 1 for each player whose draw cannot be skipped:
+    it flips the player down, draws the coin to flip it up, or finds its
+    sign unknown.  A plain coordination game keeps it exact from the slack
+    counters of ``coordination``.  Where the mean in-degree pays for it
+    (``CoordinationGame._lanes_pay``, the rule the exact searches share) the
+    counters sit in lanes of one integer (SIMD within a register; Lamport,
+    CACM 1975): a move is one add or subtract of the flipped player's packed
+    in-row, and the table is read off the lanes' sign bits in C.  On sparser
+    graphs a move updates the in-neighbours' counters one by one.  Any other
+    game marks a player unknown until drawn and caches its ``delta_sign``
+    until the next move.  The next marked draw is found by a look at the
+    next draw, then by translating growing windows of the block through the
+    table (draw by draw when n > 255); the steps skipped on the way enter
+    the visit counts in bulk.  A move that crosses a trace step logs where
+    the walk sat since the last one, and the trace is expanded from that log
+    after the walk.  The coin is drawn inline, exactly when the plain loop
+    draws it.
     """
     n = game.n
     steps = config.steps if config.steps is not None else 100 * n * n
@@ -185,8 +166,6 @@ def run_search(game: Game, config: ChainConfig) -> ChainRun:
     visits: dict[int, int] | None = {} if config.record_visits else None
     min_states: set[int] | None = {mask} if config.collect_min_states else None
 
-    # marked[i] is 1 when a draw of player i cannot be skipped: it flips i
-    # down, draws the coin to flip i up, or finds i's sign still unknown.
     small = n <= 255
     packed = unknown = None
     if _plain_coordination(game):
@@ -228,9 +207,6 @@ def run_search(game: Game, config: ChainConfig) -> ChainRun:
             block = draw_players(min(_DRAW_BLOCK_WORDS, steps - base))
             pos, size = 0, len(block)
             continue
-        # Find the next marked draw: look at the next one, then translate
-        # growing windows of the block through the table, or go on draw by
-        # draw when n > 255.
         hit = pos
         if not marked[block[hit]]:
             hit += 1
@@ -334,13 +310,10 @@ def _moves(game: Game, max_states: int | None = None) -> dict[int, int]:
     flips to its admissible players, those whose marginal is >= 0 there.
 
     One depth-first walk from all-1; a player at 1 in the result may flip
-    down, one at 0 may flip up.  On a plain coordination game a stack entry
-    carries its parent's slack counters and the player whose flip leads to
-    it.  A popped state not yet seen copies the parent's slack and lowers it
-    along the flipped player's in-arcs, and its admissible players are
-    those with slack >= 0.  Any other game asks ``delta_sign`` once per
-    player and state.  The walk raises ``BudgetError`` as soon as it finds
-    more than ``max_states`` states.
+    down, one at 0 may flip up.  On a plain coordination game a state's
+    slack counters are its parent's, lowered along the flipped player's
+    in-arcs; any other game asks ``delta_sign`` once per player and state.
+    More than ``max_states`` states raise ``BudgetError``.
     """
     n = game.n
     if n > ENUMERATION_NODE_LIMIT:
@@ -454,9 +427,10 @@ def stationary_distribution(matrix) -> tuple[Fraction, ...]:
     is turned into sparse rows, and the rows are checked once, up front, to
     be nonnegative, in range and summing to exactly 1.  The search walk is
     reversible, so the vector is first fixed along a BFS spanning tree from
-    state 0 by pi(b) / pi(a) = P(a, b) / P(b, a).  It is returned only
-    with a certificate: every state reached, and
-    pi(a) P(a, b) == pi(b) P(b, a) on every nonzero off-diagonal entry.
+    state 0 by pi(b) / pi(a) = P(a, b) / P(b, a) (Kolmogorov's criterion;
+    Kelly, *Reversibility and Stochastic Networks*, 1979).  It is returned
+    only with a certificate: every state reached, and pi(a) P(a, b) ==
+    pi(b) P(b, a) on every nonzero off-diagonal entry.
     Such a pi is positive and stationary on an irreducible chain, hence the
     unique answer.  A chain that fails the certificate and in which state 0
     does not reach every state is reducible, and is rejected as such without

@@ -46,7 +46,8 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _write_csv(header: list[str], rows, out: str | None = None) -> None:
-    """Write CSV quoted by the csv module, as ``experiments.rows_to_csv``."""
+    """Write CSV quoted by the csv module, each row ending in LF
+    (``experiments.rows_to_csv`` keeps the module's CRLF)."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     _write_out(buf.getvalue(), out)
@@ -111,34 +112,35 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _report(args, lines: list[str], header: list[str], row: list) -> None:
+    """Print the plain ``lines``, or with ``--format csv`` the ``header``
+    and the one ``row``."""
+    if args.format == "csv":
+        _write_csv(header, [row])
+    else:
+        print("\n".join(lines))
+
+
 def cmd_verify(args) -> int:
     game = parse_game(_read(args.game))
-    seed = _parse_set(args.set)
-    result = cascade(game, seed)
-    if args.format == "csv":
-        witness = " ".join(str(i) for i in result.witness)
-        _write_csv(["sufficient", "witness"], [["yes" if result.sufficient else "no", witness]])
-    else:
-        print(f"sufficient: {'yes' if result.sufficient else 'no'}")
-        print(f"witness: {' '.join(str(i) for i in result.witness) or '-'}")
-        print(f"final-size: {len(result.final_set)}/{game.n}")
+    result = cascade(game, _parse_set(args.set))
+    sufficient = "yes" if result.sufficient else "no"
+    witness = " ".join(str(i) for i in result.witness)
+    size = f"{len(result.final_set)}/{game.n}"
+    lines = [f"sufficient: {sufficient}", f"witness: {witness or '-'}", f"final-size: {size}"]
+    _report(args, lines, ["sufficient", "witness"], [sufficient, witness])
     return 0
 
 
 def cmd_oracle(args) -> int:
     game = parse_game(_read(args.game))
     result = optimal_oracle(game, budget=args.budget)
-    if args.format == "csv":
-        sets = ";".join(_fmt_set(s) for s in result.optimal_sets)
-        # No set within the budget: min_size None and sets "" write empty.
-        _write_csv(["min_size", "sets"], [[result.min_size, sets]])
-    elif not result.found:
-        print(f"minimum: none within budget {result.budget}")
-    else:
-        print(f"minimum: {result.min_size}")
-        print(f"optimal-sets: {len(result.optimal_sets)}")
-        for s in result.optimal_sets:
-            print(f"  {_fmt_set(s) or '(empty)'}")
+    sets = [_fmt_set(s) for s in result.optimal_sets]
+    lines = [f"minimum: none within budget {result.budget}"]
+    if result.found:
+        lines = [f"minimum: {result.min_size}", f"optimal-sets: {len(sets)}", *(f"  {s or '(empty)'}" for s in sets)]
+    # No set within the budget: min_size None and sets "" write an empty row.
+    _report(args, lines, ["min_size", "sets"], [result.min_size, ";".join(sets)])
     return 0
 
 
@@ -149,18 +151,13 @@ def cmd_search(args) -> int:
     # Only --emit-trace reads the cardinality trace.
     trace_points = ChainConfig.trace_points if args.emit_trace else 1
     best = best_of_restarts(game, epsilon, steps, args.seed, args.restarts, trace_points)
-    players = best.best_profile.players
-    sufficient = is_sufficient(game, players)
+    players = _fmt_set(best.best_profile.players)
+    sufficient = "yes" if is_sufficient(game, best.best_profile) else "no"
     if args.emit_trace:
         _write_csv(["step", "cardinality"], best.cardinality_trace, args.emit_trace)
-    if args.format == "csv":
-        row = [best.best_size, best.best_step, "yes" if sufficient else "no", _fmt_set(players)]
-        _write_csv(["best_size", "best_step", "sufficient", "set"], [row])
-    else:
-        print(f"best-size: {best.best_size}")
-        print(f"best-set: {_fmt_set(players) or '(empty)'}")
-        print(f"best-step: {best.best_step}")
-        print(f"sufficient: {'yes' if sufficient else 'no'}")
+    size, step = best.best_size, best.best_step
+    lines = [f"best-size: {size}", f"best-set: {players or '(empty)'}", f"best-step: {step}", f"sufficient: {sufficient}"]
+    _report(args, lines, ["best_size", "best_step", "sufficient", "set"], [size, step, sufficient, players])
     return 0
 
 
@@ -173,12 +170,10 @@ def cmd_analytic(args) -> int:
             raise InputError(f"line {no}: {exc}") from None
     dist = ThresholdDistribution(tuple(values))
     m, chosen = analytic_min_size(dist)
-    if args.format == "csv":
-        _write_csv(["min_size", "set"], [[m, _fmt_set(chosen)]])
-    else:
-        print(f"minimum: {m}")
-        print(f"set: {_fmt_set(chosen) or '(empty)'}")
-        print(f"thresholds-sorted: {' '.join(format_rational(t) for t in dist.thetas)}")
+    chosen = _fmt_set(chosen)
+    thetas = " ".join(format_rational(t) for t in dist.thetas)
+    lines = [f"minimum: {m}", f"set: {chosen or '(empty)'}", f"thresholds-sorted: {thetas}"]
+    _report(args, lines, ["min_size", "set"], [m, chosen])
     return 0
 
 
@@ -270,13 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="cascade a seed set on a game file")
     p.add_argument("game")
     p.add_argument("--set", required=True, help="comma-separated player indices ('' or 'none' for empty)")
-    p.add_argument("--format", choices=["plain", "csv"], default="plain")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("oracle", help="exhaustive minimum control set")
     p.add_argument("game")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--format", choices=["plain", "csv"], default="plain")
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("search", help="randomized reversible-walk search")
@@ -286,12 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", default="0")
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--emit-trace", default=None, help="write step,cardinality CSV here")
-    p.add_argument("--format", choices=["plain", "csv"], default="plain")
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("analytic", help="closed-form optimum on the complete graph")
     p.add_argument("thresholds", help="file with one rational threshold per line")
-    p.add_argument("--format", choices=["plain", "csv"], default="plain")
     p.set_defaults(fn=cmd_analytic)
 
     p = sub.add_parser("reduce-sat", help="build the gadget graph for a DIMACS 3-CNF")
@@ -316,6 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=None)
     p.set_defaults(fn=cmd_experiment)
 
+    for name in ("verify", "oracle", "search", "analytic"):  # the commands that print through _report
+        sub.choices[name].add_argument("--format", choices=["plain", "csv"], default="plain")
     return parser
 
 

@@ -20,9 +20,8 @@ search, runs the cascade as a worklist over the counters in O(n + arcs
 of the players that end at 1) (linear-threshold propagation; Kempe,
 Kleinberg & Tardos, KDD 2003).  A player that closes is parked: its
 counter drops by 1 + the total weight, and a slack never exceeds the
-out-degree, so only open players reach 0.  ``scs.cascade``, the
-``verify`` path, pops the eligible players from a min-heap instead, to
-keep its lowest-index flip order.
+out-degree, so only open players reach 0 and the worklist reads no
+closed mask.
 
 On graphs dense enough for it to pay (the one rule,
 :meth:`CoordinationGame._lanes_pay`), the counters share one integer,
@@ -54,6 +53,15 @@ _LANE_BASE_UPDATES = 2
 _LANE_BYTES_PER_UPDATE = 40
 
 
+class _PlayerRangeError(InputError):
+    """A player's bias or threshold outside its range; ``player`` is the
+    player, for a file reader to name the value's line."""
+
+    def __init__(self, what: str, player: int, low, high, got):
+        super().__init__(f"{what} of player {player} must lie in [{low}, {high}], got {got}")
+        self.player = player
+
+
 class CoordinationGame(Game):
     kind = "coordination"
 
@@ -77,9 +85,7 @@ class CoordinationGame(Game):
         degrees = graph.out_degrees
         for i, (p, q, w) in enumerate(zip(nums, dens, degrees)):
             if not -w * q <= p <= w * q:
-                raise InputError(
-                    f"bias of player {i} must lie in [-{w}, {w}], got {biases[i]}"
-                )
+                raise _PlayerRangeError("bias", i, -w, w, biases[i])
         self.graph = graph
         self.biases = biases
         # Integer comparison data: sign(delta) = sign(2*q*a - (w*q - p))
@@ -235,7 +241,7 @@ def from_thresholds(graph: WeightedGraph, thetas: Sequence) -> CoordinationGame:
         raise InputError(f"got {len(thetas)} thresholds for a graph with {graph.n} nodes")
     for i, t in enumerate(thetas):
         if not 0 <= t <= 1:
-            raise InputError(f"threshold of player {i} must lie in [0, 1], got {t}")
+            raise _PlayerRangeError("threshold", i, 0, 1, t)
     biases = [graph.out_degrees[i] * (1 - 2 * t) for i, t in enumerate(thetas)]
     return CoordinationGame(graph, biases)
 

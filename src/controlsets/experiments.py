@@ -44,10 +44,10 @@ def edge_probability(family: str, n: int) -> float:
 class ExperimentSpec:
     """One sweep: a family, the n values to visit, and the chain protocol.
 
-    ``steps=None`` means 100*n^2 per row.  ``restarts`` independent walks
-    run per row and the best result is kept; set it to 1 to replicate a
-    single-walk protocol.  The oracle runs only for n up to
-    ``oracle_cutoff``.
+    ``steps=None`` takes the chain's default (:class:`ChainConfig`).
+    ``restarts`` independent walks run per row and the best result is kept;
+    set it to 1 to replicate a single-walk protocol.  The oracle runs only
+    for n up to ``oracle_cutoff``.
     """
 
     family: str = "dense"
@@ -142,8 +142,7 @@ def run_row(spec: ExperimentSpec, n: int, trial: int) -> ResultRow:
             coverage=None, runtime_ms=ms, skipped=True,
         )
     game = majority_game(graph)
-    steps = spec.steps if spec.steps is not None else 100 * n * n
-    best = best_of_restarts(game, spec.epsilon, steps, seed, spec.restarts, trace_points=1)
+    best = best_of_restarts(game, spec.epsilon, spec.steps, seed, spec.restarts, trace_points=1)
     chain_set = best.best_profile.players
     if not is_sufficient(game, best.best_profile):
         raise InternalCheckError(
@@ -203,18 +202,9 @@ def rows_to_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(CSV_COLUMNS)
-    for r in rows:
-        writer.writerow(
-            [
-                r.n,
-                repr(r.p),
-                r.trial,
-                "" if r.chain_size is None else r.chain_size,
-                "" if r.oracle_size is None else r.oracle_size,
-                "" if r.coverage is None else repr(float(r.coverage)),
-                r.runtime_ms,
-            ]
-        )
+    for r in rows:  # the csv module writes None as an empty field
+        coverage = None if r.coverage is None else repr(float(r.coverage))
+        writer.writerow([r.n, repr(r.p), r.trial, r.chain_size, r.oracle_size, coverage, r.runtime_ms])
     return buf.getvalue()
 
 

@@ -132,16 +132,12 @@ def _extremal_violation(game: Game) -> str | None:
     player that shows it, or None when both are."""
     full = (1 << game.n) - 1
     for i in range(game.n):
-        if game.marginal_mask(i, 0) > 0:
-            return (
-                f"player {i} strictly prefers action 1 when everyone plays 0; "
-                f"the all-0 profile must be an equilibrium"
-            )
-        if game.marginal_mask(i, full) < 0:
-            return (
-                f"player {i} strictly prefers action 0 when everyone plays 1; "
-                f"the all-1 profile must be an equilibrium"
-            )
+        for plays, mask, sign in ((0, 0, 1), (1, full, -1)):
+            if sign * game.marginal_mask(i, mask) > 0:
+                return (
+                    f"player {i} strictly prefers action {1 - plays} when everyone plays {plays}; "
+                    f"the all-{plays} profile must be an equilibrium"
+                )
     return None
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._ratio import format_rational, parse_rational
-from .coordination import CoordinationGame, coordination_game, from_thresholds
+from .coordination import CoordinationGame, _PlayerRangeError, coordination_game, from_thresholds
 from .errors import InputError
 from .game_core import TABLE_GAME_LIMIT, Game, TableGame, check_supermodular
 from .graph import _read_graph, _text_lines, format_graph
@@ -63,9 +63,9 @@ def parse_game(text: str) -> Game:
     return _parse_table(n, lines[2:])
 
 
-def _player_row(no: int, line: str, keys: tuple[str, ...], n: int, width: int, rows: dict) -> str:
+def _player_row(no: int, line: str, keys: tuple[str, ...], n: int, width: int, rows: dict) -> tuple[str, int]:
     """Read ``<key> <i>`` and ``width`` rationals from file line ``no`` into
-    ``rows[i]``; returns the key."""
+    ``rows[i]``; returns the key and ``i``."""
     toks = line.split()
     if len(toks) < 2 or toks[0] not in keys:
         raise GameFormatError(f"line {no}: expected '{'/'.join(keys)} <i> <values>'")
@@ -85,7 +85,7 @@ def _player_row(no: int, line: str, keys: tuple[str, ...], n: int, width: int, r
         rows[i] = tuple(parse_rational(v) for v in toks[2:])
     except InputError as exc:
         raise GameFormatError(f"line {no}: {exc}") from None
-    return toks[0]
+    return toks[0], i
 
 
 def _parse_coordination(n: int, lines: list[tuple[int, str]]) -> CoordinationGame:
@@ -99,19 +99,20 @@ def _parse_coordination(n: int, lines: list[tuple[int, str]]) -> CoordinationGam
         )
     style = None
     values: dict[int, tuple[Fraction]] = {}
+    line_of: dict[int, int] = {}
     for no, line in rest:
-        key = _player_row(no, line, ("bias", "theta"), n, 1, values)
+        key, i = _player_row(no, line, ("bias", "theta"), n, 1, values)
         if style not in (None, key):
             raise GameFormatError(f"line {no}: cannot mix 'bias' and 'theta' lines in one game")
-        style = key
+        style, line_of[i] = key, no
     default = (Fraction(1, 2) if style == "theta" else Fraction(0),)
     column = [values.get(i, default)[0] for i in range(n)]
     try:
         if style == "theta":
             return from_thresholds(graph, column)
         return coordination_game(graph, column)
-    except InputError as exc:
-        raise GameFormatError(str(exc)) from None
+    except _PlayerRangeError as exc:  # an unlisted player's default is in range
+        raise GameFormatError(f"line {line_of[exc.player]}: {exc}") from None
 
 
 def _parse_table(n: int, lines: list[tuple[int, str]]) -> TableGame:

@@ -3,8 +3,7 @@
 Graphs carry nonnegative integer weights, no self-loops, and no sinks
 (every node has positive out-degree).  The undirected families used by the
 generators are stored as symmetric directed matrices; nothing downstream
-assumes symmetry.  Each graph also keeps its in-arcs (``in_rows``); the
-cohesiveness check peels over them in O(arcs) (Morris 2000).
+assumes symmetry.  Each graph also keeps its in-arcs (``in_rows``).
 
 Text format (round-trips bit-exactly through :func:`format_graph`)::
 
@@ -176,11 +175,7 @@ def grid(k: int, d: int) -> WeightedGraph:
 
 
 def _grid_coords(idx: int, k: int, d: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(d):
-        out.append(idx % k)
-        idx //= k
-    return tuple(out)
+    return tuple(idx // k**h % k for h in range(d))
 
 
 def grid_layer(k: int, d: int, level: int) -> frozenset[int]:
@@ -233,15 +228,8 @@ def erdos_renyi(n: int, p: float, seed) -> WeightedGraph:
     if not 0 < p <= 1:
         raise InputError(f"edge probability must be in (0, 1], got {p}")
     rng = random.Random(seed)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.append((i, j))
-    touched = set()
-    for i, j in edges:
-        touched.add(i)
-        touched.add(j)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    touched = {v for edge in edges for v in edge}
     if len(touched) != n:
         isolated = sorted(set(range(n)) - touched)
         raise GraphGenerationError(
@@ -394,12 +382,8 @@ def parse_graph(text: str) -> WeightedGraph:
 
 def format_graph(g: WeightedGraph) -> str:
     """Canonical text form; symmetric graphs are written undirected."""
-    if g.is_symmetric():
-        edges = g.undirected_edges()
-        lines = [f"graph {g.n} {len(edges)} undirected"]
-        lines += [f"{i} {j} {w}" for i, j, w in edges]
-    else:
-        arcs = sorted(g.arcs())
-        lines = [f"graph {g.n} {len(arcs)} directed"]
-        lines += [f"{i} {j} {w}" for i, j, w in arcs]
+    symmetric = g.is_symmetric()
+    edges = g.undirected_edges() if symmetric else sorted(g.arcs())
+    lines = [f"graph {g.n} {len(edges)} {'undirected' if symmetric else 'directed'}"]
+    lines += [f"{i} {j} {w}" for i, j, w in edges]
     return "\n".join(lines) + "\n"

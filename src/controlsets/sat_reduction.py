@@ -13,24 +13,14 @@ satisfiable.  Node classes:
   nodes.
 
 :class:`GadgetGraph` is the one object that knows the node layout, and the
-assignment/control-set maps take it first.  :func:`verify_reduction` builds
-it once per formula and checks the equivalence by two independent routes.
-The formula side tries the assignments in counting order, each packed into
-an integer, against per-clause ``(pos, neg)`` bitmasks, the one clause rule
-:meth:`Cnf3.satisfied_by` also uses.  The game side walks the
-assignment-encoded seed sets depth-first on the closure engine of ``scs``
-(:func:`_first_sufficient_encoding`), resuming each closure from the
-parent's and dropping every branch whose optimistic closure (both nodes of
-each undecided variable added) is not full, as DPLL drops a branch with a
-falsified clause.  The walk relies only on closure being monotone and
-idempotent, which holds for every supermodular game, and reads neither the
-formula nor how the gadget is built.  When no encoded set is sufficient,
-the complete branch-and-bound search decides.
+assignment/control-set maps take it first.  :func:`verify_reduction`
+checks the equivalence on one formula by two independent routes.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -232,13 +222,9 @@ class GadgetGraph:
 
 
 def build_gadget(cnf: Cnf3) -> GadgetGraph:
-    """Construct the reduction graph for a formula.
-
-    Sizes are forced by construction: ``2(v+1) + 5m`` nodes and
-    ``(v+1) + 8m`` edges for ``v`` variables and ``m`` clauses.  More than
-    ``GADGET_NODE_LIMIT`` nodes raise :class:`BudgetError` before anything
-    is built.
-    """
+    """The reduction graph of a formula, with ``(v+1) + 8m`` edges besides
+    the nodes of the module docstring; more than ``GADGET_NODE_LIMIT``
+    nodes raise :class:`BudgetError` before anything is built."""
     nv = cnf.num_vars
     m = cnf.num_clauses
     total = 2 * (nv + 1) + 5 * m
@@ -406,31 +392,16 @@ class ReductionReport:
 
 
 def _degree_profile_ok(gadget: GadgetGraph) -> bool:
-    cnf = gadget.cnf
-    g = gadget.graph
-    pos = [0] * (cnf.num_vars + 1)
-    neg = [0] * (cnf.num_vars + 1)
-    for clause in cnf.clauses:
-        for lit in clause:
-            if lit > 0:
-                pos[lit] += 1
-            else:
-                neg[-lit] += 1
-    m = cnf.num_clauses
-    for v in gadget.clause_nodes:
-        if g.out_degrees[v] != 4:
-            return False
-    for leaf in gadget.var_leaves + gadget.hub_leaves:
-        if g.out_degrees[leaf] != 1:
-            return False
-    if g.out_degrees[gadget.hub] != 2 * m + 1:
-        return False
-    for i in range(cnf.num_vars):
-        if g.out_degrees[gadget.true_nodes[i]] != 2 * pos[i + 1] + 1:
-            return False
-        if g.out_degrees[gadget.false_nodes[i]] != 2 * neg[i + 1] + 1:
-            return False
-    return True
+    """Whether each node has its built degree: 4 at a clause node, 1 at a
+    leaf, ``2m + 1`` at the hub and ``2k + 1`` at a var node whose literal
+    occurs ``k`` times."""
+    occurs = Counter(lit for clause in gadget.cnf.clauses for lit in clause)
+    leaves = gadget.var_leaves + gadget.hub_leaves
+    expected = dict.fromkeys(gadget.clause_nodes, 4) | dict.fromkeys(leaves, 1)
+    expected[gadget.hub] = 2 * gadget.cnf.num_clauses + 1
+    for var, (t, f) in enumerate(zip(gadget.true_nodes, gadget.false_nodes), 1):
+        expected[t], expected[f] = 2 * occurs[var] + 1, 2 * occurs[-var] + 1
+    return tuple(map(expected.get, range(gadget.graph.n))) == gadget.graph.out_degrees
 
 
 def _first_sufficient_encoding(
@@ -438,17 +409,18 @@ def _first_sufficient_encoding(
 ) -> int | None:
     """The first packed assignment ``bits``, in counting order, whose seed
     set ``{hub}`` plus ``true_nodes[i]`` or ``false_nodes[i]`` per bit ``i``
-    is sufficient, or None.  There is at least one variable.
+    is sufficient, or None.  There is at least one variable.  The walk reads
+    neither the formula nor how the gadget is built, and is exact in every
+    supermodular game (``test_walk_matches_brute_force_on_any_game``).
 
     Depth-first: the last variable is decided first and 0 is tried before
     1, which is counting order.  Each node of the walk keeps a ladder of
-    closures from :func:`scs._seed_walk`, filled as needed: rung ``j`` closes
-    the node's seeds plus both nodes of every variable ``i < j``.  Closure is
-    monotone and idempotent in every supermodular game, so a child's rung
-    ``j`` is its chosen node spread from the parent's rung ``j`` (no spread
-    when that node is already closed), and the root's rungs add one pair at
-    a time.  A child that sets variable ``k`` is entered only if its rung
-    ``k``, its seeds plus both nodes of every undecided variable, closes to
+    closures, filled as needed: rung ``j`` closes the node's seeds plus both
+    nodes of every variable ``i < j``.  As closure is monotone and
+    idempotent, a child's rung ``j`` is its chosen node spread from the
+    parent's rung ``j``, and the root's rungs add one pair at a time.  A
+    child that sets variable ``k`` is entered only if its rung ``k``, its
+    seeds plus both nodes of every undecided variable, closes to
     everything: each completion closes to a subset of it.  A leaf's rung 0
     is its encoded set's real closure.  A node fills at most ``left + 1``
     rungs for ``left`` undecided variables, so a formula that lets nothing
@@ -492,22 +464,19 @@ def _first_sufficient_encoding(
     return None
 
 
-def verify_reduction(cnf: Cnf3, search_limit: int = SEARCH_PLAN_LIMIT) -> ReductionReport:
+def verify_reduction(cnf: Cnf3) -> ReductionReport:
     """Check, on one instance, that satisfiability coincides with the
     existence of a control set of size ``num_vars + 1`` on the gadget.
 
-    The formula side enumerates all assignments.  The game side first walks
-    the assignment-encoded seed sets depth-first in the same counting order
-    (:func:`_first_sufficient_encoding`), cutting each branch whose seeds
-    plus both nodes of every undecided variable do not close to everything,
-    so the set reported is the first sufficient one (cascade-verified, so no
-    step trusts the construction).
-    Only if none works does the complete branch-and-bound search run, its
-    planned work guarded by ``search_limit`` (an int).  The round trip of
-    the satisfying assignment closes its encoded set from scratch.
+    The formula side tries the assignments in counting order against
+    per-clause bitmasks (:meth:`Cnf3._first_model`).  The game side walks
+    the encoded seed sets in the same order on the closure engine
+    (:func:`_first_sufficient_encoding`), so the set reported is the first
+    sufficient one; only if none is does :func:`find_sufficient_within`
+    decide, when it plans at most ``SEARCH_PLAN_LIMIT`` seed sets.  The
+    round trip of the satisfying assignment closes its encoded set from
+    scratch.
     """
-    if type(search_limit) is not int:
-        raise InputError(f"search limit must be an int, got {search_limit!r}")
     if cnf.num_vars > SAT_VARS_LIMIT:
         raise BudgetError(
             f"assignment enumeration limited to {SAT_VARS_LIMIT} variables, "
@@ -519,9 +488,8 @@ def verify_reduction(cnf: Cnf3, search_limit: int = SEARCH_PLAN_LIMIT) -> Reduct
     s = cnf.target_size
     m = cnf.num_clauses
 
-    node_count = n
     edge_count = len(gadget.graph.undirected_edges())
-    sizes_ok = node_count == 2 * s + 5 * m and edge_count == s + 8 * m
+    sizes_ok = n == 2 * s + 5 * m and edge_count == s + 8 * m
     degrees_ok = _degree_profile_ok(gadget)
 
     nv = cnf.num_vars
@@ -532,10 +500,10 @@ def verify_reduction(cnf: Cnf3, search_limit: int = SEARCH_PLAN_LIMIT) -> Reduct
     sufficient_set = None if first is None else assignment_to_control_set(gadget, _unpack_assignment(first, nv))
     if sufficient_set is None:
         planned = math.comb(n, s)
-        if planned > search_limit:
+        if planned > SEARCH_PLAN_LIMIT:
             raise BudgetError(
                 f"exhaustive control-set search would plan {planned} seed sets "
-                f"(gadget has {n} nodes, target {s}), over the limit of {search_limit}"
+                f"(gadget has {n} nodes, target {s}), over the limit of {SEARCH_PLAN_LIMIT}"
             )
         sufficient_set = find_sufficient_within(game, s)
 
@@ -556,7 +524,7 @@ def verify_reduction(cnf: Cnf3, search_limit: int = SEARCH_PLAN_LIMIT) -> Reduct
         control_within_target=control_within,
         sufficient_set=sufficient_set,
         target_size=s,
-        node_count=node_count,
+        node_count=n,
         edge_count=edge_count,
         sizes_ok=sizes_ok,
         degrees_ok=degrees_ok,

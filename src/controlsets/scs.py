@@ -4,32 +4,14 @@ A player set S is a *sufficient control set* when forcing S to action 1 and
 letting everyone else take weakly-improving best responses carries the whole
 population to all-1.  The verifier is the monotone cascade: repeatedly flip
 a 0-player whose marginal is >= 0 (indifferent players do flip).  Under
-increasing differences the fixed point does not depend on flip order, so a
-deterministic lowest-index order is used to produce reproducible witnesses.
+increasing differences the fixed point does not depend on flip order, so
+:func:`cascade` flips the lowest index first, for reproducible witnesses.
 
-:func:`_seed_walk` is the one closure engine.  It closes a seed set and
-hands back a ``spread`` step that adds players to a closed set: a
-worklist over the integer slack counters for a plain
-:class:`CoordinationGame` (see ``coordination``), in the chain's lanes
-where they pay, order-free sweeps of ``delta_sign`` for any other game.
-All reach the same fixed point, and :func:`cascade` walks the same
-counters with a min-heap.
-:func:`closure_mask` is its closed set, and every exact search grows its
-seed sets through ``spread``: closure is monotone and idempotent under
-increasing differences, so closure(P + v) is closure(closure(P) + v).
-
-Exact search comes in two flavors.  :func:`optimal_oracle` enumerates seed
-sets by ascending cardinality and returns *all* optimal sets, walking them
-depth-first and pruning exactly.  :func:`find_sufficient_within` is a
-complete branch-and-bound decision procedure for "is there a sufficient set
-of size <= budget" that prunes seeds already absorbed by the cascade of the
-current partial seed.  It searches only undominated seeds.  Node ``v`` is
-dominated by ``u`` when ``v`` lies in the closure of ``{u}``: any
-sufficient set containing ``v`` stays sufficient with ``u`` in its place
-(Ackerman, Ben-Zwi & Wolfovitz, TCS 2010).  Keeping the lowest index of
-each maximal class of mutually dominating nodes therefore loses no verdict,
-though the set found may differ from the one an unpruned search would
-return.
+:func:`_seed_walk` is the one closure engine, and every exact search grows
+its seed sets through its ``spread``: closure is monotone and idempotent
+under increasing differences, so closure(P + v) is closure(closure(P) + v).
+:func:`optimal_oracle` returns *all* optimal sets, and
+:func:`find_sufficient_within` decides whether one of size <= budget exists.
 """
 
 from __future__ import annotations
@@ -65,8 +47,7 @@ class CascadeResult:
 
 def _seed_mask(game: Game, seed) -> int:
     if isinstance(seed, Profile):
-        if seed.n != game.n:
-            raise InputError(f"profile has {seed.n} players, game has {game.n}")
+        game._check_profile(seed)
         return seed.mask
     return Profile.from_players(game.n, seed).mask
 
@@ -85,13 +66,10 @@ def _seed_walk(game: Game, mask: int) -> tuple[int, list[int] | int, Callable]:
     leaves ``on`` as it was, for the siblings of a seed to reuse.
 
     A plain :class:`CoordinationGame` runs the counter worklist of
-    ``coordination``, in O(arcs of the players a spread sets).  ``on`` is
-    the lanes of ``coordination._lane_walk`` where ``game._lanes_pay()``,
-    else the list of slacks with each closed player (seed, queued or
-    reached) parked: ``shut = -1 - sum(out_degrees)`` is added to its
-    counter, so the worklist tests ``a >= 0`` alone, with no ``closed``
-    read.  Any other game gets ``on == []`` and order-free sweeps of
-    ``delta_sign`` until nobody flips.
+    ``coordination`` in O(arcs of the players a spread sets), on the lanes
+    of ``coordination._lane_walk`` where ``game._lanes_pay()``, else on a
+    list of slacks in which each closed player is parked.  Any other game
+    gets ``on == []`` and order-free sweeps of ``delta_sign``.
     """
     n = game.n
     if _plain_coordination(game):
@@ -142,8 +120,8 @@ def cascade(game: Game, seed) -> CascadeResult:
 
     A plain coordination game pops a min-heap over the slack counters, in
     O(arcs * log n); slack only rises, so the top is the lowest eligible
-    player, and the seeds, parked below 0 (:func:`_seed_walk`), never
-    cross 0.  Other games rescan: (n-s)(n-s+1)/2 sign calls for s seeds.
+    player, and the seeds, parked below 0, never cross 0.  Other games
+    rescan: (n-s)(n-s+1)/2 sign calls for s seeds.
     """
     mask = _seed_mask(game, seed)
     n = game.n
@@ -213,26 +191,24 @@ def _check_budget(budget, n: int) -> None:
         raise InputError(f"budget must lie in [0, {n}], got {budget}")
 
 
-def optimal_oracle(game: Game, budget: int | None = None, max_checks: int = ORACLE_CHECK_LIMIT) -> OracleResult:
+def optimal_oracle(game: Game, budget: int | None = None) -> OracleResult:
     """Enumerate seed sets by ascending cardinality; on the first size with
     a sufficient set, collect every sufficient set of that size, in the
     order of ``itertools.combinations``.
 
     ``checked`` counts every seed set of each size up to the hit size (or
-    budget), and that planned total is guarded by ``max_checks``.  The sets
-    are walked by :class:`_OracleWalk`, which closes only the sets its
-    exact prunings leave.  Like :func:`find_sufficient_within`, the walk
-    is exact for any game with increasing differences.
+    budget); more than ``ORACLE_CHECK_LIMIT`` planned raise
+    :class:`BudgetError`.  The sets are walked by :class:`_OracleWalk`.
     """
     n = game.n
     if budget is None:
         budget = n
     _check_budget(budget, n)
     planned = sum(math.comb(n, k) for k in range(budget + 1))
-    if planned > max_checks:
+    if planned > ORACLE_CHECK_LIMIT:
         raise BudgetError(
             f"oracle would enumerate {planned} seed sets (n={n}, budget={budget}), "
-            f"over the limit of {max_checks}"
+            f"over the limit of {ORACLE_CHECK_LIMIT}"
         )
     walk = _OracleWalk(game)
     checked = 0
@@ -245,27 +221,26 @@ def optimal_oracle(game: Game, budget: int | None = None, max_checks: int = ORAC
 
 
 class _OracleWalk:
-    """Depth-first walk over the k-sets of a game.
+    """Depth-first walk over the k-sets of a game, in the order of
+    ``itertools.combinations``, each seed spread from its prefix's closure.
 
-    Sets are visited in the lexicographic order of
-    ``itertools.combinations``.  Down each branch the walk carries the
-    prefix's closed mask and counters and adds a seed by spreading them
-    (:func:`_seed_walk`); a leaf inside the prefix's closure adds nothing
-    and is skipped.  On lanes two exact prunings skip most of the walk
-    (``coordination._lane_prunings``); on a list of slacks they cost more
-    than they cut, so a list walk runs without them.  With ``r``
-    seeds left, player ``i`` outside the closed set is *near* when
-    ``slack[i] + r * top[i] >= 0`` (``top[i]`` is i's largest out-weight).
+    On lanes two prunings skip most of the walk (computed by
+    ``coordination._lane_prunings``; on a list of slacks they cost more
+    than they cut).  With ``r`` seeds left, player ``i`` outside the closed
+    set is *near* when ``slack[i] + r * top[i] >= 0``, ``top[i]`` being its
+    largest out-weight: r seeds raise its slack by at most ``r * top[i]``.
 
     * *Leaf filter* (``reach``).  With one seed left, a leaf ``v`` can set
-      a player beyond itself only if it has an arc from a near player; the
-      walk ORs their out-masks, built from ``graph.rows``.  Every other
-      leaf closes to ``closed | v``, which is not full: a closed set never
-      leaves exactly one player outside, as its out-neighbors would all be
-      at 1 and ``_need`` never exceeds the out-degree.
+      a player beyond itself only if it has an arc from a near player.
+      Every other leaf closes to ``closed | v``, which is not full: a closed
+      set never leaves exactly one player outside, as its out-neighbors
+      would all be at 1 and ``_need`` never exceeds the out-degree.
     * *Subtree bound* (``blocked``).  When more than ``r`` players are
       outside the closed set and none is near, no completion sets anyone
       beyond its own seeds, so none is sufficient.
+
+    ``test_prunings_match_their_definition`` and
+    ``test_subtree_bound_at_its_edge`` check both against their definition.
     """
 
     def __init__(self, game: Game):
@@ -314,11 +289,9 @@ class _OracleWalk:
 
 def _undominated(n: int, base: int, on, spread) -> list[int]:
     """Players outside the closed set ``base`` that no other player
-    dominates, ascending: ``v`` is dropped when some ``u`` has ``v`` in the
-    closure of ``base | {u}`` and either ``v`` does not reach ``u`` back or
-    ``u < v`` (``u = v`` never qualifies).  What is left is the lowest
-    index of each maximal class.  ``base``, ``on`` and ``spread`` come from
-    :func:`_seed_walk`."""
+    dominates (:func:`find_sufficient_within`), ascending: ``v`` is dropped
+    when some ``u`` has ``v`` in the closure of ``base | {u}`` and either
+    ``v`` does not reach ``u`` back or ``u < v``."""
     free = [v for v in range(n) if not (base >> v) & 1]
     reach = {v: spread(on, base, [v])[0] for v in free}
     return [
@@ -333,15 +306,20 @@ def _undominated(n: int, base: int, on, spread) -> list[int]:
 def find_sufficient_within(game: Game, budget: int) -> frozenset[int] | None:
     """Complete decision search: a sufficient set of size <= budget, or None.
 
-    Depth-first over the undominated players (see the module docstring) in
-    ascending index order, each seed spreading its prefix's counters
-    (:func:`_seed_walk`).  A candidate already inside the cascade
-    closure of the current partial seed is skipped: adding it cannot change
-    the closure.  Both prunings keep the search exact for any game with
-    increasing differences, whose closure is monotone and idempotent, so
-    the verdict is that of the full search; a set returned is sufficient
-    and within the budget, but may differ from the one the full search
-    would return first.
+    Depth-first in ascending index order, each seed spread from its
+    prefix's closure, with two prunings that keep the verdict of the full
+    search in any game with increasing differences; the set returned may
+    differ from the one the full search finds first.
+
+    * A candidate inside the closure of the chosen seeds is skipped: by
+      idempotence, adding it changes nothing.
+    * Only undominated players are seeds.  ``v`` is dominated by ``u``
+      when ``v`` lies in the closure of ``{u}``: by monotonicity, any
+      sufficient set holding ``v`` stays sufficient with ``u`` in its place
+      (Ackerman, Ben-Zwi & Wolfovitz, TCS 2010), so the lowest index of
+      each maximal class of mutually dominating players is kept.
+
+    ``TestDominancePruning`` checks the verdicts and the kept players.
     """
     n = game.n
     _check_budget(budget, n)
@@ -386,19 +364,12 @@ class _WithinSearch:
 def cohesiveness_crosscheck(g: WeightedGraph, theta, seed) -> bool:
     """Decide sufficiency for a homogeneous-threshold game on ``g`` purely
     graph-theoretically: the complement of the seed must hold together no
-    more tightly than ``1 - theta`` in every subset.
-
-    Runs the peeling of :func:`uniformly_at_most_cohesive` in O(arcs) with
-    no size limit, and never runs the cascade, so it agrees with
-    :func:`is_sufficient` on the corresponding coordination game by an
-    independent route; the two are compared in tests.
+    more tightly than ``1 - theta`` in every subset
+    (:func:`uniformly_at_most_cohesive`).  It never runs the cascade, so
+    tests compare it with :func:`is_sufficient` as an independent route.
     """
     t = as_fraction(theta)
     if not 0 <= t <= 1:
         raise InputError(f"threshold must lie in [0, 1], got {t}")
-    members = set(range(g.n))
-    for p in seed:
-        if not 0 <= p < g.n:
-            raise InputError(f"player {p} out of range for n={g.n}")
-        members.discard(p)
-    return uniformly_at_most_cohesive(g, members, 1 - t)
+    outside = (1 << g.n) - 1 ^ Profile.from_players(g.n, seed).mask
+    return uniformly_at_most_cohesive(g, _bit_indices(outside), 1 - t)

@@ -28,7 +28,7 @@ from controlsets import (
 )
 from controlsets.errors import BudgetError
 from controlsets.graph import GraphGenerationError, WeightedGraph
-from controlsets.sat_reduction import SAT_VARS_LIMIT, SEARCH_PLAN_LIMIT, _degree_profile_ok
+from controlsets.sat_reduction import SAT_VARS_LIMIT, SEARCH_PLAN_LIMIT
 from controlsets.scs import _seed_walk
 
 
@@ -298,7 +298,27 @@ def first_sufficient_encoding_reference(game, hub: int, false_nodes, true_nodes)
     return bits
 
 
-def verify_reduction_reference(cnf: Cnf3, search_limit: int = SEARCH_PLAN_LIMIT) -> ReductionReport:
+def gadget_degrees_reference(gadget) -> bool:
+    """Whether every node has the degree its name gives it, counted from
+    the clauses: ``clause<j>`` 4, a leaf 1, the hub ``2m + 1``, and
+    ``var_true<v>`` (``var_false<v>``) one more than twice the number of
+    clauses holding ``v`` (``-v``)."""
+    clauses = gadget.cnf.clauses
+
+    def expected(name: str) -> int:
+        if name.startswith("clause"):
+            return 4
+        if "leaf" in name:
+            return 1
+        if name == "hub":
+            return 2 * len(clauses) + 1
+        sign, var = (1, name[8:]) if name.startswith("var_true") else (-1, name[9:])
+        return 2 * sum(sign * int(var) in clause for clause in clauses) + 1
+
+    return all(gadget.graph.out_degree(v) == expected(name) for v, name in enumerate(gadget.names))
+
+
+def verify_reduction_reference(cnf: Cnf3) -> ReductionReport:
     """The reduction check with every assignment tried on its own: the
     formula side tests each clause literal by literal, and the game side
     closes each assignment-encoded seed set from scratch, in counting order
@@ -322,7 +342,7 @@ def verify_reduction_reference(cnf: Cnf3, search_limit: int = SEARCH_PLAN_LIMIT)
     encoded = (assignment_to_control_set(gadget, a) for a in assignments)
     sufficient_set = next((c for c in encoded if is_sufficient(game, c)), None)
     if sufficient_set is None:
-        if math.comb(n, s) > search_limit:
+        if math.comb(n, s) > SEARCH_PLAN_LIMIT:
             raise BudgetError("exhaustive control-set search over the limit")
         sufficient_set = find_sufficient_within(game, s)
     roundtrip_ok = None
@@ -341,7 +361,7 @@ def verify_reduction_reference(cnf: Cnf3, search_limit: int = SEARCH_PLAN_LIMIT)
         node_count=n,
         edge_count=edge_count,
         sizes_ok=n == 2 * s + 5 * m and edge_count == s + 8 * m,
-        degrees_ok=_degree_profile_ok(gadget),
+        degrees_ok=gadget_degrees_reference(gadget),
         roundtrip_ok=roundtrip_ok,
         agree=(satisfying is not None) == (sufficient_set is not None),
     )

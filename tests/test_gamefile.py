@@ -63,8 +63,10 @@ class TestCoordinationFormat:
             parse_game(text)
 
     def test_bias_out_of_bounds_surfaces(self):
-        with pytest.raises(GameFormatError, match="player 0"):
+        with pytest.raises(GameFormatError, match=r"^line 8: bias of player 0 must lie in \[-2, 2\], got 9$"):
             parse_game(RING_MAJORITY + "bias 0 9\n")
+        with pytest.raises(GameFormatError, match=r"^line 10: threshold of player 2 must lie in \[0, 1\], got 3/2$"):
+            parse_game(RING_MAJORITY + "theta 0 1\n# note\ntheta 2 3/2\n")
 
     def test_value_errors_carry_line_numbers(self):
         with pytest.raises(GameFormatError, match="line 8"):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 
@@ -20,6 +21,7 @@ from controlsets import (
 )
 from controlsets import sat_reduction
 from controlsets.game_core import random_supermodular_table
+from controlsets.graph import WeightedGraph
 from controlsets.sat_reduction import (
     SAT_VARS_LIMIT,
     CnfFormatError,
@@ -31,6 +33,7 @@ from conftest import (
     closure_mask_sweep,
     find_sufficient_within_reference,
     first_sufficient_encoding_reference,
+    gadget_degrees_reference,
     lane_forcings,
     random_cnf3,
     random_simple_graph,
@@ -369,6 +372,52 @@ class TestVerifyReduction:
         assert report.agree
         assert calls == [cnf]
 
+    @staticmethod
+    def tamper(monkeypatch, edit) -> list:
+        """Make ``verify_reduction`` build each gadget with its edge list
+        passed through ``edit(gadget, edges)``; returns the gadgets built."""
+        built = []
+
+        def build(cnf):
+            gadget = build_gadget(cnf)
+            edges = edit(gadget, list(gadget.graph.undirected_edges()))
+            built.append(dataclasses.replace(gadget, graph=WeightedGraph.from_edges(gadget.graph.n, edges)))
+            return built[-1]
+
+        monkeypatch.setattr("controlsets.sat_reduction.build_gadget", build)
+        return built
+
+    def test_moved_edge_fails_degrees(self, monkeypatch):
+        # The hub's edge to its first leaf moves to the clause node: the
+        # counts hold, the hub and the clause node get the wrong degrees.
+        def move(gadget, edges):
+            edges.remove((gadget.hub, gadget.hub_leaves[0], 1))
+            return edges + [(gadget.clause_nodes[0], gadget.hub_leaves[0])]
+
+        built = self.tamper(monkeypatch, move)
+        report = verify_reduction(SINGLE_CLAUSE)
+        assert report.sizes_ok and not report.degrees_ok
+        assert not gadget_degrees_reference(built[0])
+
+    def test_removed_edge_fails_sizes(self, monkeypatch):
+        def remove(gadget, edges):
+            edges.remove((gadget.clause_nodes[0], gadget.hub, 1))
+            return edges
+
+        built = self.tamper(monkeypatch, remove)
+        report = verify_reduction(SINGLE_CLAUSE)
+        assert report.edge_count == 11 and not report.sizes_ok and not report.degrees_ok
+        assert not gadget_degrees_reference(built[0])
+
+    def test_search_plan_limit_is_inclusive(self, monkeypatch):
+        # No encoded set of UNSAT_8 is sufficient, so the exact search
+        # plans C(48, 4) = 194,580 seed sets.
+        monkeypatch.setattr(sat_reduction, "SEARCH_PLAN_LIMIT", 194_580)
+        assert verify_reduction(UNSAT_8).agree
+        monkeypatch.setattr(sat_reduction, "SEARCH_PLAN_LIMIT", 194_579)
+        with pytest.raises(BudgetError, match="plan 194580 seed sets .* limit of 194579$"):
+            verify_reduction(UNSAT_8)
+
     def test_variable_budget(self):
         clauses = tuple((i + 1, i + 2, i + 3) for i in range(1, 16, 3))
         cnf = Cnf3(18, clauses)
@@ -575,9 +624,3 @@ class TestEncodedWalk:
         assert first_sufficient_encoding_reference(*args) == (1 << SAT_VARS_LIMIT) - 1
         assert 0 < 10 * walk[0] < reference[0]
 
-
-class TestArgumentTypes:
-    @pytest.mark.parametrize("limit", ["x", True, 2.0, None])
-    def test_search_limit_must_be_int(self, limit):
-        with pytest.raises(InputError, match="search limit must be an int"):
-            verify_reduction(SINGLE_CLAUSE, search_limit=limit)

@@ -28,6 +28,7 @@ from controlsets import (
     ring,
     tree,
 )
+from controlsets import scs
 from controlsets.scs import _OracleWalk, _seed_walk, _undominated, closure_mask
 from conftest import (
     GAME_KINDS,
@@ -260,6 +261,15 @@ class TestOptimalOracle:
         game = majority_game(complete(40))
         with pytest.raises(BudgetError, match="enumerate"):
             optimal_oracle(game)
+
+    def test_plan_limit_is_inclusive(self, monkeypatch):
+        # Budget 2 on K6 plans 1 + 6 + 15 = 22 seed sets.
+        game = majority_game(complete(6))
+        monkeypatch.setattr(scs, "ORACLE_CHECK_LIMIT", 22)
+        assert optimal_oracle(game, budget=2).checked == 22
+        monkeypatch.setattr(scs, "ORACLE_CHECK_LIMIT", 21)
+        with pytest.raises(BudgetError, match="enumerate 22 seed sets .* limit of 21$"):
+            optimal_oracle(game, budget=2)
 
     @pytest.mark.parametrize("budget", [True, "x", 2.0])
     def test_budget_must_be_an_int(self, budget):
@@ -781,6 +791,19 @@ class TestCohesivenessCrosscheck:
 
     def test_triangle_empty_seed(self):
         assert not cohesiveness_crosscheck(complete(3), Fraction(1, 2), set())
+
+    @pytest.mark.parametrize(
+        "theta, seed, message",
+        [
+            (Fraction(1, 2), {1, 4}, "player 4 out of range for n=4"),
+            (Fraction(1, 2), {-1}, "player -1 out of range for n=4"),
+            (Fraction(3, 2), {0}, r"threshold must lie in \[0, 1\], got 3/2"),
+            (-1, {0}, r"threshold must lie in \[0, 1\], got -1"),
+        ],
+    )
+    def test_bad_input_raises_one_error(self, theta, seed, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            cohesiveness_crosscheck(ring(4), theta, seed)
 
     @pytest.mark.parametrize("family", [ring, complete])
     def test_no_size_limit(self, family):
