@@ -57,7 +57,6 @@ from .graph import (
     complete,
     erdos_renyi,
     format_graph,
-    generate,
     grid,
     grid_layer,
     parse_graph,
@@ -135,7 +134,6 @@ __all__ = [
     "format_game",
     "format_graph",
     "from_thresholds",
-    "generate",
     "grid",
     "grid_layer",
     "is_sufficient",

@@ -32,6 +32,14 @@ def as_fraction(value) -> Fraction:
     raise InputError(f"expected a rational number, got {type(value).__name__}")
 
 
+def as_ratio(value, what: str) -> Fraction:
+    """:func:`as_fraction`, refusing values outside [0, 1] as ``what``."""
+    v = as_fraction(value)
+    if not 0 <= v <= 1:
+        raise InputError(f"{what} must lie in [0, 1], got {v}")
+    return v
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse '3', '-2/7', '0.25' or '5e-3' into an exact Fraction; tokens
     past ``RATIONAL_DIGITS_LIMIT`` are refused before any big-number work."""

@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._ratio import as_fraction
+from ._ratio import as_fraction, as_ratio
 from .coordination import _lane_slack, _pack_lanes, _plain_coordination
 from .errors import BudgetError, InputError, InternalCheckError
 from .game_core import Game, Profile
@@ -58,9 +58,7 @@ class ChainConfig:
     trace_points: int = 10_000
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
-        if not 0 <= self.epsilon <= 1:
-            raise InputError(f"epsilon must lie in [0, 1], got {self.epsilon}")
+        object.__setattr__(self, "epsilon", as_ratio(self.epsilon, "epsilon"))
         if self.steps is not None and self.steps < 1:
             raise InputError(f"steps must be >= 1, got {self.steps}")
         if self.trace_points < 1:
@@ -380,12 +378,11 @@ class TransitionMatrix:
         return self.rows[a].get(b, Fraction(0))
 
 
-def transition_matrix(game: Game, epsilon, max_states: int = MATRIX_STATE_LIMIT) -> TransitionMatrix:
-    """Exact rational transition matrix over the reachable profile set."""
-    eps = as_fraction(epsilon)
-    if not 0 <= eps <= 1:
-        raise InputError(f"epsilon must lie in [0, 1], got {eps}")
-    moves = _moves(game, max_states)
+def transition_matrix(game: Game, epsilon) -> TransitionMatrix:
+    """Exact rational transition matrix over the reachable profile set,
+    which may hold at most ``MATRIX_STATE_LIMIT`` states."""
+    eps = as_ratio(epsilon, "epsilon")
+    moves = _moves(game, MATRIX_STATE_LIMIT)
     masks = sorted(moves, key=lambda m: (m.bit_count(), m))
     index = {m: a for a, m in enumerate(masks)}
     n = game.n

@@ -18,7 +18,7 @@ from .complete_graph import ThresholdDistribution, analytic_min_size
 from .errors import InputError, InternalCheckError
 from .experiments import ExperimentSpec, best_of_restarts, emit_outputs, run_experiment
 from .gamefile import format_game, parse_game
-from .graph import _text_lines, format_graph, generate
+from .graph import _text_lines, complete, erdos_renyi, format_graph, grid, path, ring, tree
 from .coordination import from_thresholds
 from .sat_reduction import build_gadget, format_labels, parse_cnf, verify_reduction
 from .scs import cascade, is_sufficient, optimal_oracle
@@ -78,31 +78,26 @@ def _fmt_set(players) -> str:
     return ",".join(str(p) for p in sorted(players))
 
 
-# CLI family -> (graph.generate family, keyword parameters from the parsed
-# arguments, and the option it needs with the message when that is missing).
+# CLI family -> (its builder called on the parsed arguments, and the option
+# it needs with the message when that is missing).
 _GENERATORS = {
-    "complete": ("complete", lambda a: {"n": a.n}, None),
-    "ring": ("ring", lambda a: {"n": a.n}, None),
-    "path": ("path", lambda a: {"n": a.n}, None),
-    "grid": ("grid", lambda a: {"k": a.n, "d": a.d}, ("d", "grid needs --d (dimension)")),
+    "complete": (lambda a: complete(a.n), None),
+    "ring": (lambda a: ring(a.n), None),
+    "path": (lambda a: path(a.n), None),
+    "grid": (lambda a: grid(a.n, a.d), ("d", "grid needs --d (dimension)")),
     "tree": (
-        "tree",
-        lambda a: {"parents": _parse_ints(a.parents, "--parents")},
+        lambda a: tree(_parse_ints(a.parents, "--parents")),
         ("parents", "tree needs --parents, e.g. --parents -1,0,0,1"),
     ),
-    "er": (
-        "erdos_renyi",
-        lambda a: {"n": a.n, "p": a.p, "seed": a.seed},
-        ("p", "er needs --p (edge probability)"),
-    ),
+    "er": (lambda a: erdos_renyi(a.n, a.p, a.seed), ("p", "er needs --p (edge probability)")),
 }
 
 
 def cmd_generate(args) -> int:
-    family, params, needs = _GENERATORS[args.family]
+    build, needs = _GENERATORS[args.family]
     if needs and getattr(args, needs[0]) in (None, ""):
         raise InputError(needs[1])
-    g = generate(family, **params(args))
+    g = build(args)
     if args.as_game:
         theta = parse_rational(args.theta)
         game = from_thresholds(g, [theta] * g.n)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._ratio import as_fraction
+from ._ratio import as_ratio
 from .errors import BudgetError, InputError, InternalCheckError
 from .graph import complete
 from .coordination import from_thresholds
@@ -36,13 +36,10 @@ class ThresholdDistribution:
     thetas: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "thetas", tuple(as_fraction(t) for t in self.thetas))
-        if len(self.thetas) < 2:
+        thetas = sorted(as_ratio(t, "threshold") for t in self.thetas)
+        if len(thetas) < 2:
             raise InputError("complete-graph games need at least 2 players")
-        for t in self.thetas:
-            if not 0 <= t <= 1:
-                raise InputError(f"thresholds must lie in [0, 1], got {t}")
-        object.__setattr__(self, "thetas", tuple(sorted(self.thetas)))
+        object.__setattr__(self, "thetas", tuple(thetas))
 
     @property
     def n(self) -> int:
@@ -51,9 +48,7 @@ class ThresholdDistribution:
 
 def cdf(dist: ThresholdDistribution, z) -> Fraction:
     """Fraction of players with threshold at most z (exact)."""
-    z = as_fraction(z)
-    if not 0 <= z <= 1:
-        raise InputError(f"z must lie in [0, 1], got {z}")
+    z = as_ratio(z, "z")
     return Fraction(sum(1 for t in dist.thetas if t <= z), dist.n)
 
 
@@ -91,15 +86,16 @@ def analytic_min_size(dist: ThresholdDistribution) -> tuple[int, frozenset[int]]
     return m, frozenset(by_size[:m])
 
 
-def crosscheck_complete(dist: ThresholdDistribution, limit: int = CROSSCHECK_LIMIT) -> bool:
+def crosscheck_complete(dist: ThresholdDistribution) -> bool:
     """Validate the closed form against the exhaustive oracle.
 
     Builds the induced complete-graph game, compares the analytic minimum
     with the oracle's, and verifies the analytic set actually cascades.
-    A mismatch raises with a full instance dump.
+    A mismatch raises with a full instance dump; ``n`` may be at most
+    ``CROSSCHECK_LIMIT``.
     """
-    if dist.n > limit:
-        raise BudgetError(f"crosscheck limited to n <= {limit}, got n={dist.n}")
+    if dist.n > CROSSCHECK_LIMIT:
+        raise BudgetError(f"crosscheck limited to n <= {CROSSCHECK_LIMIT}, got n={dist.n}")
     m, chosen = analytic_min_size(dist)
     graph = complete(dist.n)
     game = from_thresholds(graph, dist.thetas)

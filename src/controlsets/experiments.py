@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._ratio import as_fraction
+from ._ratio import as_ratio
 from .chain import ChainConfig, ChainRun, run_search
 from .coordination import majority_game
 from .errors import InputError, InternalCheckError
@@ -30,6 +30,9 @@ from .scs import closure_mask, is_sufficient, optimal_oracle
 CSV_COLUMNS = ("n", "p", "trial", "chain_size", "oracle_size", "coverage", "runtime_ms")
 
 FAMILIES = ("dense", "sparse")
+
+# Derived seeds a row tries before it is skipped as having no valid graph.
+SEED_ADVANCE_LIMIT = 20
 
 
 def edge_probability(family: str, n: int) -> float:
@@ -58,10 +61,9 @@ class ExperimentSpec:
     restarts: int = 10
     oracle_cutoff: int = 16
     master_seed: int | str = 0
-    max_seed_advances: int = 20
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
+        object.__setattr__(self, "epsilon", as_ratio(self.epsilon, "epsilon"))
         object.__setattr__(self, "n_values", tuple(self.n_values))
         if self.family not in FAMILIES:
             raise InputError(f"unknown family {self.family!r}; choose from {FAMILIES}")
@@ -92,6 +94,8 @@ class ResultRow:
 def degree_heuristic(game: Game, g: WeightedGraph, k: int) -> tuple[frozenset[int], Fraction]:
     """Seed the k highest out-degree nodes (ties to the lower index), run
     the cascade, and report the fraction of nodes converted."""
+    if g.n != game.n:
+        raise InputError(f"graph has {g.n} nodes but the game has {game.n} players")
     if not 1 <= k <= g.n:
         raise InputError(f"k must lie in [1, {g.n}], got {k}")
     ranked = sorted(range(g.n), key=lambda i: (-g.out_degrees[i], i))
@@ -102,7 +106,7 @@ def degree_heuristic(game: Game, g: WeightedGraph, k: int) -> tuple[frozenset[in
 
 def _generate_graph(spec: ExperimentSpec, n: int, trial: int):
     p = edge_probability(spec.family, n)
-    for attempt in range(spec.max_seed_advances):
+    for attempt in range(SEED_ADVANCE_LIMIT):
         seed = f"{spec.master_seed}/{spec.family}/n{n}/t{trial}/a{attempt}"
         try:
             return erdos_renyi(n, p, seed), p, seed

@@ -259,11 +259,11 @@ class CustomGame(Game):
         return self._fn(i, mask)
 
 
-def random_supermodular_table(n: int, rng, low: int = -8, high: int = 8) -> TableGame:
+def random_supermodular_table(n: int, rng) -> TableGame:
     """Fixture generator: a random game with increasing differences.
 
-    Draws random integer marginals per player, then assigns them in
-    ascending order along a linear extension of the subset lattice
+    Draws random integer marginals in [-8, 8] per player, then assigns
+    them in ascending order along a linear extension of the subset lattice
     (popcount, then value), which forces monotonicity.  Values are shifted
     so the all-0 and all-1 profiles stay equilibria.
     """
@@ -273,7 +273,7 @@ def random_supermodular_table(n: int, rng, low: int = -8, high: int = 8) -> Tabl
     order = sorted(range(half), key=lambda m: (m.bit_count(), m))
     tables = []
     for _ in range(n):
-        vals = sorted(rng.randint(low, high) for _ in range(half))
+        vals = sorted(rng.randint(-8, 8) for _ in range(half))
         shift = (vals[0] + vals[-1] + 1) // 2
         row = [0] * half
         for pos, om in enumerate(order):

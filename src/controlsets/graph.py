@@ -240,29 +240,6 @@ def erdos_renyi(n: int, p: float, seed) -> WeightedGraph:
     return WeightedGraph.from_edges(n, edges)
 
 
-_FAMILIES = {
-    "complete": complete,
-    "ring": ring,
-    "path": path,
-    "grid": grid,
-    "tree": tree,
-    "erdos_renyi": erdos_renyi,
-}
-
-
-def generate(family: str, **params) -> WeightedGraph:
-    """Build a graph of a named generator family from keyword parameters,
-    e.g. ``generate("grid", k=3, d=2)``.  The CLI's ``generate`` command
-    builds through it."""
-    try:
-        fn = _FAMILIES[family]
-    except KeyError:
-        raise InputError(
-            f"unknown graph family {family!r}; choose from {sorted(_FAMILIES)}"
-        ) from None
-    return fn(**params)
-
-
 # ---------------------------------------------------------------------------
 # cohesiveness
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from ._ratio import as_fraction
+from ._ratio import as_ratio
 from .coordination import _lane_prunings, _lane_walk, _plain_coordination
 from .errors import BudgetError, InputError
 from .game_core import Game, Profile, _bit_indices
@@ -368,8 +368,6 @@ def cohesiveness_crosscheck(g: WeightedGraph, theta, seed) -> bool:
     (:func:`uniformly_at_most_cohesive`).  It never runs the cascade, so
     tests compare it with :func:`is_sufficient` as an independent route.
     """
-    t = as_fraction(theta)
-    if not 0 <= t <= 1:
-        raise InputError(f"threshold must lie in [0, 1], got {t}")
+    t = as_ratio(theta, "threshold")
     outside = (1 << g.n) - 1 ^ Profile.from_players(g.n, seed).mask
     return uniformly_at_most_cohesive(g, _bit_indices(outside), 1 - t)

@@ -288,13 +288,16 @@ class TestTransitionMatrix:
             assert list(P.rows) == rows
             assert [list(r) for r in P.rows] == [list(r) for r in rows]
 
-    def test_max_states_bounds_the_walk(self):
+    def test_max_states_bounds_the_walk(self, monkeypatch):
         game = majority_game(complete(6))
-        assert transition_matrix(game, Fraction(1, 3), max_states=42).size == 42
+        monkeypatch.setattr(chain, "MATRIX_STATE_LIMIT", 42)
+        assert transition_matrix(game, Fraction(1, 3)).size == 42
+        monkeypatch.setattr(chain, "MATRIX_STATE_LIMIT", 41)
         with pytest.raises(BudgetError, match="more than 41 states, over the limit of 41"):
-            transition_matrix(game, Fraction(1, 3), max_states=41)
+            transition_matrix(game, Fraction(1, 3))
+        monkeypatch.setattr(chain, "MATRIX_STATE_LIMIT", 50)
         with pytest.raises(BudgetError, match="more than 50 states"):
-            transition_matrix(majority_game(complete(16)), Fraction(1, 3), max_states=50)
+            transition_matrix(majority_game(complete(16)), Fraction(1, 3))
 
     def test_rows_sum_to_one_exactly(self):
         P = transition_matrix(majority_game(ring(4)), Fraction(3, 10))

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from controlsets import cli, parse_game, parse_graph
+from controlsets import cli, complete, erdos_renyi, grid, parse_game, parse_graph, path, ring, tree
 from controlsets.cli import main
 from controlsets.experiments import best_of_restarts
 
@@ -26,6 +26,36 @@ def run_cli(capsys, *args):
 
 
 class TestGenerate:
+    @pytest.mark.parametrize(
+        "args, graph",
+        [
+            (["complete", "5"], complete(5)),
+            (["ring", "6"], ring(6)),
+            (["path", "4"], path(4)),
+            (["grid", "3", "--d", "2"], grid(3, 2)),
+            (["tree", "--parents=-1,0,0,1,1"], tree([-1, 0, 0, 1, 1])),
+            (["er", "12", "--p", "0.4", "--seed", "3"], erdos_renyi(12, 0.4, "3")),
+        ],
+        ids=["complete", "ring", "path", "grid", "tree", "er"],
+    )
+    def test_each_family_matches_its_builder(self, capsys, args, graph):
+        code, out, _ = run_cli(capsys, "generate", *args)
+        assert code == 0
+        assert parse_graph(out) == graph
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["grid", "3"], "grid needs --d (dimension)"),
+            (["er", "5"], "er needs --p (edge probability)"),
+            (["tree"], "tree needs --parents, e.g. --parents -1,0,0,1"),
+        ],
+        ids=["grid", "er", "tree"],
+    )
+    def test_missing_option_exits_one(self, capsys, args, message):
+        code, out, err = run_cli(capsys, "generate", *args)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_complete_graph_to_stdout(self, capsys):
         code, out, _ = run_cli(capsys, "generate", "complete", "5")
         assert code == 0

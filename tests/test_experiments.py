@@ -13,8 +13,10 @@ from controlsets import (
     emit_outputs,
     erdos_renyi,
     majority_game,
+    ring,
     run_search,
 )
+from controlsets import experiments
 from controlsets.experiments import (
     CSV_COLUMNS,
     ExperimentSpec,
@@ -47,6 +49,12 @@ class TestDegreeHeuristic:
         g = complete(4)
         with pytest.raises(InputError):
             degree_heuristic(majority_game(g), g, 0)
+
+    def test_graph_of_another_size_is_refused(self):
+        with pytest.raises(InputError, match="^graph has 8 nodes but the game has 5 players$"):
+            degree_heuristic(majority_game(ring(5)), ring(8), 6)
+        with pytest.raises(InputError, match="^graph has 4 nodes but the game has 6 players$"):
+            degree_heuristic(majority_game(complete(6)), complete(4), 2)
 
 
 class TestEdgeProbability:
@@ -112,11 +120,9 @@ class TestRows:
             assert not row.skipped
             assert row.chain_size >= row.oracle_size
 
-    def test_skipped_row_is_marked(self):
-        spec = ExperimentSpec(
-            family="dense", n_values=(2,), trials=1, restarts=1,
-            master_seed="skip1", max_seed_advances=1,
-        )
+    def test_skipped_row_is_marked(self, monkeypatch):
+        monkeypatch.setattr(experiments, "SEED_ADVANCE_LIMIT", 1)
+        spec = ExperimentSpec(family="dense", n_values=(2,), trials=1, restarts=1, master_seed="skip1")
         row = run_row(spec, 2, 0)
         assert row.skipped
         assert row.chain_size is None
@@ -156,12 +162,10 @@ class TestCsvOutputs:
         b = rows_to_csv(run_experiment(spec))
         assert strip_runtime(a) == strip_runtime(b)
 
-    def test_skipped_rows_emit_empty_metrics(self):
-        spec = ExperimentSpec(
-            family="dense", n_values=(2,), trials=1, restarts=1,
-            master_seed="skip1", max_seed_advances=1,
-        )
-        text = rows_to_csv(run_experiment(spec))
+    def test_skipped_rows_emit_empty_metrics(self, monkeypatch):
+        monkeypatch.setattr(experiments, "SEED_ADVANCE_LIMIT", 1)
+        spec = ExperimentSpec(family="dense", n_values=(2,), trials=1, restarts=1, master_seed="skip1")
+        text = rows_to_csv(run_experiment(spec, workers=1))
         rec = next(csv.DictReader(io.StringIO(text)))
         assert rec["chain_size"] == ""
         assert rec["coverage"] == ""

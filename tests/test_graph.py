@@ -11,7 +11,6 @@ from controlsets import (
     complete,
     erdos_renyi,
     format_graph,
-    generate,
     grid,
     grid_layer,
     parse_graph,
@@ -113,11 +112,6 @@ class TestGenerators:
             grid(1, 2)
         with pytest.raises(InputError):
             erdos_renyi(5, 0.0, seed=1)
-
-    def test_generate_dispatch(self):
-        assert generate("complete", n=4) == complete(4)
-        with pytest.raises(InputError, match="unknown graph family"):
-            generate("torus", n=4)
 
 
 class TestInvariants:
