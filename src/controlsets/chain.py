@@ -12,15 +12,15 @@ Most steps are self-loops, and :func:`run_search` skips them on the same
 random streams, so its outputs are those of the plain step-by-step loop.
 
 For small instances :func:`_moves` maps each reachable profile to its
-admissible players.  The reachable and absorbing profile sets and the exact
-rational transition matrix are read off it, and
-:func:`stationary_distribution` solves for the stationary vector in exact
-rationals, so the stationary claims can be checked.
+admissible players; the reachable and absorbing sets and the exact
+transition matrix are read off it, and :func:`stationary_distribution`
+solves for the stationary vector exactly, so these claims can be checked.
 """
 
 from __future__ import annotations
 
 import array
+import itertools
 import math
 import random
 import sys
@@ -341,8 +341,13 @@ def _moves(game: Game, max_states: int | None = None) -> dict[int, int]:
         moves[mask] = admissible
         if len(moves) > cap:
             raise BudgetError(f"reachable set has more than {cap} states, over the limit of {cap}")
+        # Children already walked are not pushed: the pop would skip them.
         down = admissible & mask
-        stack.extend((mask ^ (1 << i), slack, i) for i in range(n) if down >> i & 1)
+        while down:
+            bit = down & -down
+            down ^= bit
+            if mask ^ bit not in moves:
+                stack.append((mask ^ bit, slack, bit.bit_length() - 1))
     return moves
 
 
@@ -375,6 +380,8 @@ class TransitionMatrix:
         return len(self.states)
 
     def probability(self, a: int, b: int) -> Fraction:
+        if not (0 <= a < self.size and 0 <= b < self.size):
+            raise InputError(f"state pair ({a}, {b}) out of range for {self.size} states")
         return self.rows[a].get(b, Fraction(0))
 
 
@@ -383,32 +390,35 @@ def transition_matrix(game: Game, epsilon) -> TransitionMatrix:
     which may hold at most ``MATRIX_STATE_LIMIT`` states."""
     eps = as_ratio(epsilon, "epsilon")
     moves = _moves(game, MATRIX_STATE_LIMIT)
-    masks = sorted(moves, key=lambda m: (m.bit_count(), m))
+    # By number of ones, then by mask: the second sort is stable.
+    masks = sorted(moves)
+    masks.sort(key=int.bit_count)
     index = {m: a for a, m in enumerate(masks)}
     n = game.n
-    down = Fraction(1, n)
-    up = eps / n
-    # Targets are distinct single-bit flips, so each entry is written once;
-    # the self-loop depends only on the row's down and up move counts.
+    p, q = eps.numerator, eps.denominator
+    down, up = Fraction(1, n), eps / n
+    # Targets are distinct single-bit flips, taken from the lowest bit up,
+    # so each entry is written once; the self-loop 1 - d/n - u*eps/n
+    # depends only on the row's down and up move counts d and u.
     self_loops: dict[tuple[int, int], Fraction] = {}
     rows = []
     for a, mask in enumerate(masks):
         row: dict[int, Fraction] = {}
-        flips = moves[mask] if up else moves[mask] & mask
-        for i in range(n):
-            bit = 1 << i
-            if flips & bit:
-                b = index.get(mask ^ bit)
-                if b is None:
-                    raise InternalCheckError(
-                        f"transition leaves the reachable set: {mask:#x} -> {mask ^ bit:#x}"
-                    )
-                row[b] = down if mask & bit else up
+        flips = left = moves[mask] if p else moves[mask] & mask
+        while left:
+            bit = left & -left
+            left ^= bit
+            b = index.get(mask ^ bit)
+            if b is None:
+                raise InternalCheckError(
+                    f"transition leaves the reachable set: {mask:#x} -> {mask ^ bit:#x}"
+                )
+            row[b] = down if mask & bit else up
         d = (flips & mask).bit_count()
         u = flips.bit_count() - d
         loop = self_loops.get((d, u))
         if loop is None:
-            loop = self_loops[d, u] = 1 - d * down - u * up
+            loop = self_loops[d, u] = Fraction(q * (n - d) - u * p, n * q)
         row[a] = loop
         rows.append(row)
     states = tuple(Profile(n, m) for m in masks)
@@ -419,47 +429,27 @@ def stationary_distribution(matrix) -> tuple[Fraction, ...]:
     """Left fixed vector of a stochastic matrix, solved exactly.
 
     Accepts a :class:`TransitionMatrix` of ``dict`` rows from ``int``
-    columns to ``int`` or ``Fraction`` entries (anything else, ``bool``
-    included, is an ``InputError``) or a square list of rationals; a list
-    is turned into sparse rows, and the rows are checked once, up front, to
-    be nonnegative, in range and summing to exactly 1.  The search walk is
-    reversible, so the vector is first fixed along a BFS spanning tree from
-    state 0 by pi(b) / pi(a) = P(a, b) / P(b, a) (Kolmogorov's criterion;
-    Kelly, *Reversibility and Stochastic Networks*, 1979).  It is returned
-    only with a certificate: every state reached, and pi(a) P(a, b) ==
-    pi(b) P(b, a) on every nonzero off-diagonal entry.
-    Such a pi is positive and stationary on an irreducible chain, hence the
-    unique answer.  A chain that fails the certificate and in which state 0
-    does not reach every state is reducible, and is rejected as such without
-    a solve.  Any other chain goes to a Gauss-Jordan solve over the same
-    sparse rows, which alone is bounded by ``DENSE_SOLVE_LIMIT`` and raises
-    if the chain is reducible (more than one independent stationary vector),
-    which signals a bug upstream.
+    columns to ``int`` or ``Fraction`` entries, or a square list of
+    rationals turned into such rows; one pass, :func:`_integer_rows`,
+    checks the rows and keeps them as integers for the solve.  The search
+    walk is reversible, so pi is fixed along a BFS tree from state 0 by
+    pi(b) / pi(a) = P(a, b) / P(b, a) and returned only if detailed balance
+    holds on every entry (Kolmogorov's criterion; Kelly, *Reversibility and
+    Stochastic Networks*, 1979): such a pi is the unique stationary law of
+    an irreducible chain.  A chain that fails and in which state 0 does not
+    reach every state is rejected as reducible; any other goes to a
+    Gauss-Jordan solve over the same rows, of at most ``DENSE_SOLVE_LIMIT``
+    states, which raises if the chain is reducible.
     """
     if isinstance(matrix, TransitionMatrix):
         rows, m = matrix.rows, matrix.size
-        # The list path converts through as_fraction; this one checks types.
-        if any(type(row) is not dict for row in rows):
-            raise InputError("every transition matrix row must be a dict")
-        for col, kind in {(type(b), type(p)) for row in rows for b, p in row.items()}:
-            if col is bool or not issubclass(col, int):
-                raise InputError(f"transition matrix columns must be int, got {col.__name__}")
-            if kind is bool or not issubclass(kind, (int, Fraction)):
-                raise InputError(
-                    f"transition probabilities must be int or Fraction, got {kind.__name__}"
-                )
     else:
         dense = [[as_fraction(v) for v in row] for row in matrix]
         m = len(dense)
         if m == 0 or any(len(row) != m for row in dense):
             raise InputError("transition matrix must be square and nonempty")
         rows = [{b: p for b, p in enumerate(row) if p} for row in dense]
-    if not _is_stochastic(rows, m):
-        raise InputError(
-            "every row of a stochastic matrix must be nonnegative, in range"
-            " and sum to exactly 1"
-        )
-    pi, reached = _detailed_balance_solve(rows, m)
+    pi, reached = _detailed_balance_solve(_integer_rows(rows, m), m)
     if pi is not None:
         return pi
     if reached < m:
@@ -467,35 +457,57 @@ def stationary_distribution(matrix) -> tuple[Fraction, ...]:
     return _gauss_jordan(rows, m)
 
 
-def _is_stochastic(rows, m: int) -> bool:
-    """True when ``m`` sparse rows of ``int``/``Fraction`` entries are
-    nonnegative, in range and each sum to 1.
+def _integer_rows(rows, m: int) -> list[tuple[int, dict[int, int]]]:
+    """``m`` sparse rows as ``(L, {column: numerator over L})``, with L the
+    lcm of the row's denominators.
 
-    Checked in integers: with L the lcm of a row's denominators, the row
-    sums to 1 exactly when its numerators, each scaled by L over its own
-    denominator, sum to L.
+    Refuses, as ``InputError``, a row that is not a ``dict``, then a column
+    that is not an ``int`` or an entry that is not an ``int`` or
+    ``Fraction`` (``bool`` neither), then a row that is not nonnegative, in
+    range and summing to 1: in integers, numerators that sum to L.
     """
-    if m == 0 or len(rows) != m:
-        return False
+    if any(type(row) is not dict for row in rows):
+        raise InputError("every transition matrix row must be a dict")
+    for col in set(map(type, itertools.chain(*rows))) - {int}:
+        if col is bool or not issubclass(col, int):
+            raise InputError(f"transition matrix columns must be int, got {col.__name__}")
+    for kind in set(map(type, itertools.chain(*map(dict.values, rows)))) - {int, Fraction}:
+        if kind is bool or not issubclass(kind, (int, Fraction)):
+            raise InputError(
+                f"transition probabilities must be int or Fraction, got {kind.__name__}"
+            )
+    refused = InputError(
+        "every row of a stochastic matrix must be nonnegative, in range and sum to exactly 1"
+    )
+    if not 0 < m == len(rows):
+        raise refused
+    out = []
     for row in rows:
-        probs = row.values()
-        lcm = math.lcm(*[p.denominator for p in probs])
-        scaled = [p.numerator * (lcm // p.denominator) for p in probs]
-        if sum(scaled) != lcm or min(scaled) < 0 or min(row) < 0 or max(row) >= m:
-            return False
-    return True
+        lcm, nums = 1, {}
+        for b, p in row.items():
+            x, d = p.as_integer_ratio()
+            if lcm % d:
+                f = d // math.gcd(lcm, d)
+                lcm *= f
+                for c in nums:
+                    nums[c] *= f
+            nums[b] = x * (lcm // d)
+        if sum(nums.values()) != lcm or min(nums.values()) < 0 or min(row) < 0 or max(row) >= m:
+            raise refused
+        out.append((lcm, nums))
+    return out
 
 
 def _detailed_balance_solve(rows, m: int) -> tuple[tuple[Fraction, ...] | None, int]:
-    """Stationary vector of a reversible chain given as ``m`` sparse rows
-    that passed ``_is_stochastic``, or None when the detailed-balance
-    certificate fails, paired with the number of states that state 0
-    reaches over positive entries.
+    """Stationary vector of a reversible chain given as ``m`` rows from
+    :func:`_integer_rows`, or None if detailed balance fails, paired with
+    the number of states that state 0 reaches over positive entries.
 
-    pi is kept as reduced integer pairs ``num[a] / den[a]`` along the BFS
-    tree, each edge of the certificate is one integer cross-multiplication,
-    and the normalized ``Fraction``s are built once, at the end, over a
-    common denominator.
+    With P(a, b) = N_ab / L_a and pi(a) kept as a reduced pair num / den,
+    one BFS reads each off-diagonal entry once: an entry to a new state is
+    a tree edge, pi(b) = pi(a) N_ab L_b / (N_ba L_a); one between two
+    states already set is checked, from its lower end, by one integer
+    cross-multiplication; one without its reverse fails.
     """
     num: list[int] = [0] * m
     den: list[int | None] = [None] * m
@@ -503,35 +515,26 @@ def _detailed_balance_solve(rows, m: int) -> tuple[tuple[Fraction, ...] | None, 
     order = [0]
     balanced = True
     for a in order:
-        for b, p in rows[a].items():
-            if den[b] is None and p:
-                back = rows[b].get(a)
-                balanced = balanced and bool(back)
+        la, row = rows[a]
+        for b, p in row.items():
+            if not p or b == a:
+                continue
+            lb, back_row = rows[b]
+            back = back_row.get(a)
+            if den[b] is None:
                 order.append(b)
-                if not balanced:
-                    # After a one-way entry only the reach is still needed,
-                    # and any non-None value marks b as seen.
-                    den[b] = 0
+                if balanced and back:
+                    x, y = num[a] * p * lb, den[a] * back * la
+                    g = math.gcd(x, y)
+                    num[b], den[b] = x // g, y // g
                     continue
-                # pi(b) = pi(a) * p / back
-                x = num[a] * p.numerator * back.denominator
-                y = den[a] * p.denominator * back.numerator
-                g = math.gcd(x, y)
-                num[b], den[b] = x // g, y // g
+                den[b] = 0  # only the reach counts now; 0 marks b as seen
+            if balanced and (
+                not back or (a < b and num[a] * p * lb * den[b] != num[b] * back * la * den[a])
+            ):
+                balanced = False
     if not balanced or len(order) != m:
         return None, len(order)
-    # Each pair is compared once, from its lower end; a one-way entry fails
-    # from either end, since pi is positive.
-    for a, row in enumerate(rows):
-        for b, p in row.items():
-            if b != a and p:
-                back = rows[b].get(a)
-                if not back or (
-                    a < b
-                    and num[a] * p.numerator * den[b] * back.denominator
-                    != num[b] * back.numerator * den[a] * p.denominator
-                ):
-                    return None, m
     common = math.lcm(*den)
     weights = [x * (common // y) for x, y in zip(num, den)]
     total = sum(weights)
@@ -540,7 +543,7 @@ def _detailed_balance_solve(rows, m: int) -> tuple[tuple[Fraction, ...] | None, 
 
 def _gauss_jordan(rows, m: int) -> tuple[Fraction, ...]:
     """Exact solve of pi P = pi for ``m`` sparse rows that passed
-    ``_is_stochastic``, by elimination over a dense copy."""
+    :func:`_integer_rows`, by elimination over a dense copy."""
     if m > DENSE_SOLVE_LIMIT:
         raise BudgetError(f"exact solve limited to {DENSE_SOLVE_LIMIT} states, got {m}")
 
@@ -550,7 +553,6 @@ def _gauss_jordan(rows, m: int) -> tuple[Fraction, ...]:
         for i, p in row.items():
             a[i][j] += p
     pivot_col_of_row: list[int] = []
-    pivot_cols: set[int] = set()
     row_at = 0
     for col in range(m):
         pivot = next((r for r in range(row_at, m) if a[r][col] != 0), None)
@@ -564,16 +566,14 @@ def _gauss_jordan(rows, m: int) -> tuple[Fraction, ...]:
                 factor = a[r][col]
                 a[r] = [vr - factor * vp for vr, vp in zip(a[r], a[row_at])]
         pivot_col_of_row.append(col)
-        pivot_cols.add(col)
         row_at += 1
-    free_cols = [c for c in range(m) if c not in pivot_cols]
+    free_cols = sorted(set(range(m)) - set(pivot_col_of_row))
     if len(free_cols) != 1:
         raise InputError(
             f"chain is reducible: stationary solution space has dimension {len(free_cols)}"
         )
     free = free_cols[0]
-    x = [Fraction(0)] * m
-    x[free] = Fraction(1)
+    x = [Fraction(1)] * m  # 1 at the free column; the pivot columns follow
     for r, col in enumerate(pivot_col_of_row):
         x[col] = -a[r][free]
     total = sum(x)

@@ -28,7 +28,7 @@ from controlsets import (
     transition_matrix,
 )
 from controlsets import chain
-from controlsets.chain import _detailed_balance_solve, _gauss_jordan, _is_stochastic, stationary_law
+from controlsets.chain import _detailed_balance_solve, _gauss_jordan, _integer_rows, stationary_law
 from controlsets.coordination import _plain_coordination
 
 from conftest import (
@@ -281,12 +281,28 @@ class TestMoves:
 class TestTransitionMatrix:
     @pytest.mark.parametrize("eps", [Fraction(0), Fraction(1, 3), Fraction(1)], ids=str)
     def test_rows_match_accumulating_reference(self, eps):
-        for graph in (ring(5), path(5), complete(6), erdos_renyi(6, 0.4, 4)):
+        # States by (ones, mask), and each row's keys in increasing flipped
+        # player with the diagonal last, as the accumulating reference has them.
+        for graph in (ring(5), path(5), complete(6), erdos_renyi(6, 0.4, 4), complete(8), ring(8)):
             game = majority_game(graph)
             P = transition_matrix(game, eps)
+            masks = sorted(moves_reference(game), key=lambda m: (m.bit_count(), m))
+            assert [s.mask for s in P.states] == masks
             rows = transition_rows_reference(game, P.states, eps)
             assert list(P.rows) == rows
-            assert [list(r) for r in P.rows] == [list(r) for r in rows]
+            assert [list(r.items()) for r in P.rows] == [list(r.items()) for r in rows]
+            assert all(type(p) is Fraction for row in P.rows for p in row.values())
+
+    def test_probability_refuses_states_out_of_range(self):
+        P = transition_matrix(majority_game(ring(4)), Fraction(1, 3))
+        assert P.probability(P.size - 1, P.size - 1) == P.rows[-1][P.size - 1]
+        # -1 once read the last row, and size raised a bare IndexError.
+        with pytest.raises(InputError, match=r"state pair \(-1, 0\) out of range"):
+            P.probability(-1, 0)
+        with pytest.raises(InputError, match=f"out of range for {P.size} states"):
+            P.probability(P.size, 0)
+        with pytest.raises(InputError, match="out of range"):
+            P.probability(0, P.size)
 
     def test_max_states_bounds_the_walk(self, monkeypatch):
         game = majority_game(complete(6))
@@ -377,6 +393,21 @@ class TestStationaryDistribution:
         with pytest.raises(InputError, match=message):
             stationary_distribution(P)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (({0: Fraction(1, 2)}, {0: 1.0}), "got float"),
+            (({"a": Fraction(1)}, [Fraction(1)]), "must be a dict"),
+        ],
+        ids=["type-after-sum", "dict-after-type"],
+    )
+    def test_refusals_keep_their_order(self, rows, message):
+        # A row is a dict before its types are read, and types are checked
+        # in every row before any row's sum.
+        P = chain.TransitionMatrix((Profile.ones(1), Profile(1, 0)), rows, Fraction(1))
+        with pytest.raises(InputError, match=message):
+            stationary_distribution(P)
+
     def test_int_entries_accepted(self):
         P = chain.TransitionMatrix(
             states=(Profile.ones(1), Profile(1, 0)), rows=({1: 1}, {0: 1, 1: 0}), epsilon=Fraction(1)
@@ -407,6 +438,21 @@ DIFFERENTIAL_GRAPHS = (
     + [(f"complete{n}", complete, (n,)) for n in range(2, 7)]
     + [(f"er{n}", erdos_renyi, (n, 0.4, seed)) for n, seed in ER_SEEDS.items()]
 )
+
+
+def _accepts(rows, m: int) -> bool:
+    """Whether :func:`_integer_rows` accepts the rows as stochastic."""
+    try:
+        _integer_rows(rows, m)
+    except InputError as exc:
+        assert "nonnegative, in range and sum to exactly 1" in str(exc)
+        return False
+    return True
+
+
+def _solve(rows, m: int):
+    """The tree solve on the integer rows of sparse ``Fraction`` rows."""
+    return _detailed_balance_solve(_integer_rows(rows, m), m)
 
 
 def _perturbed_rows(rows, rng: random.Random):
@@ -461,7 +507,7 @@ class TestDetailedBalanceSolve:
     )
     def test_tree_solve_matches_gauss_jordan(self, make, args, eps):
         P = transition_matrix(majority_game(make(*args)), eps)
-        tree, reached = _detailed_balance_solve(P.rows, P.size)
+        tree, reached = _solve(P.rows, P.size)
         assert tree is not None and reached == P.size
         assert tree == _gauss_jordan(P.rows, P.size) == stationary_law(P)
         assert stationary_distribution(P) == tree
@@ -473,17 +519,17 @@ class TestDetailedBalanceSolve:
     def test_integer_checks_match_fraction_checks(self, make, args, eps):
         P = transition_matrix(majority_game(make(*args)), eps)
         rows, m = list(P.rows), P.size
-        assert _is_stochastic(rows, m) and is_stochastic_reference(rows, m)
-        solved = _detailed_balance_solve(rows, m)
+        assert _accepts(rows, m) and is_stochastic_reference(rows, m)
+        solved = _solve(rows, m)
         assert solved == detailed_balance_solve_reference(rows, m)
         assert solved[0] is not None
         rng = random.Random(f"perturb/{args}/{eps}")
         for _ in range(4):
             for label, stochastic, bad in _perturbed_rows(rows, rng):
-                assert _is_stochastic(bad, m) == is_stochastic_reference(bad, m) == stochastic, label
+                assert _accepts(bad, m) == is_stochastic_reference(bad, m) == stochastic, label
                 if stochastic:
                     expected = detailed_balance_solve_reference(bad, m)
-                    assert _detailed_balance_solve(bad, m) == expected, label
+                    assert _solve(bad, m) == expected, label
                     if label == "exact-ints":
                         assert expected == solved
                 else:
@@ -512,18 +558,25 @@ class TestDetailedBalanceSolve:
                  [Fraction(1, 2), Fraction(1, 2), 0]],
                 (Fraction(1, 3), Fraction(7, 18), Fraction(5, 18)),
             ),
+            # Edges 0-1 and 0-2 balance and span the tree; the entry 2 -> 1 has
+            # no reverse and is read only from state 2, its higher end.
+            (
+                [[Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)], [Fraction(1, 4), Fraction(3, 4), 0],
+                 [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]],
+                (Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)),
+            ),
         ],
-        ids=["one-way", "two-way"],
+        ids=["one-way", "two-way", "one-way-off-tree"],
     )
     def test_non_reversible_cycle_falls_back(self, P, expected):
         rows = [{b: Fraction(p) for b, p in enumerate(row) if p} for row in P]
-        assert _detailed_balance_solve(rows, 3) == (None, 3)
+        assert _solve(rows, 3) == (None, 3)
         assert stationary_distribution(P) == expected
         assert _gauss_jordan(rows, 3) == expected
 
     def test_epsilon_zero_still_reducible(self):
         P = transition_matrix(majority_game(ring(4)), 0)
-        assert _detailed_balance_solve(P.rows, P.size) == (None, 1)
+        assert _solve(P.rows, P.size) == (None, 1)
         with pytest.raises(InputError, match="reducible"):
             stationary_distribution(P)
 
@@ -531,7 +584,7 @@ class TestDetailedBalanceSolve:
         # Balanced on its one positive edge pair, but row 0 holds -1.
         P = [[Fraction(-1), Fraction(2)], [Fraction(1), Fraction(0)]]
         rows = [{b: p for b, p in enumerate(row) if p} for row in P]
-        assert not _is_stochastic(rows, 2)
+        assert not _accepts(rows, 2)
         with pytest.raises(InputError, match="nonnegative"):
             stationary_distribution(P)
 
@@ -556,7 +609,7 @@ class TestDetailedBalanceSolve:
             total = sum(weights)
             P.append([Fraction(w, total) for w in weights])
         rows = [{b: p for b, p in enumerate(row) if p} for row in P]
-        assert _detailed_balance_solve(rows, m) == (None, m)
+        assert _solve(rows, m) == (None, m)
         pi = stationary_distribution(P)
         assert sum(pi) == 1 and all(v > 0 for v in pi)
         assert [sum(pi[a] * P[a][b] for a in range(m)) for b in range(m)] == list(pi)
@@ -564,7 +617,7 @@ class TestDetailedBalanceSolve:
     def test_balanced_but_not_stochastic_not_accepted(self):
         P = [[Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 4), Fraction(1, 2)]]
         rows = [{b: p for b, p in enumerate(row)} for row in P]
-        assert not _is_stochastic(rows, 2)
+        assert not _accepts(rows, 2)
         with pytest.raises(InputError, match="sum"):
             stationary_distribution(P)
 
