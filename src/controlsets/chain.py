@@ -463,8 +463,9 @@ def _integer_rows(rows, m: int) -> list[tuple[int, dict[int, int]]]:
 
     Refuses, as ``InputError``, a row that is not a ``dict``, then a column
     that is not an ``int`` or an entry that is not an ``int`` or
-    ``Fraction`` (``bool`` neither), then a row that is not nonnegative, in
-    range and summing to 1: in integers, numerators that sum to L.
+    ``Fraction`` (``bool`` neither), then a row count other than ``m``,
+    then a row that is not nonnegative, in range and summing to 1: in
+    integers, numerators that sum to L.
     """
     if any(type(row) is not dict for row in rows):
         raise InputError("every transition matrix row must be a dict")
@@ -476,10 +477,12 @@ def _integer_rows(rows, m: int) -> list[tuple[int, dict[int, int]]]:
             raise InputError(
                 f"transition probabilities must be int or Fraction, got {kind.__name__}"
             )
+    if m != len(rows):
+        raise InputError(f"transition matrix has {m} states but {len(rows)} rows")
     refused = InputError(
         "every row of a stochastic matrix must be nonnegative, in range and sum to exactly 1"
     )
-    if not 0 < m == len(rows):
+    if not m:
         raise refused
     out = []
     for row in rows:

@@ -19,7 +19,6 @@ checks the equivalence on one formula by two independent routes.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,7 +31,8 @@ from .graph import WeightedGraph, _text_lines
 from .scs import _seed_walk, find_sufficient_within, is_sufficient
 
 SAT_VARS_LIMIT = 16
-SEARCH_PLAN_LIMIT = 3_000_000
+SEARCH_NODE_LIMIT = 500_000
+SEARCH_GADGET_LIMIT = 1_000
 GADGET_NODE_LIMIT = 500_000
 
 
@@ -473,9 +473,9 @@ def verify_reduction(cnf: Cnf3) -> ReductionReport:
     the encoded seed sets in the same order on the closure engine
     (:func:`_first_sufficient_encoding`), so the set reported is the first
     sufficient one; only if none is does :func:`find_sufficient_within`
-    decide, when it plans at most ``SEARCH_PLAN_LIMIT`` seed sets.  The
-    round trip of the satisfying assignment closes its encoded set from
-    scratch.
+    decide, on a gadget of at most ``SEARCH_GADGET_LIMIT`` nodes and
+    growing at most ``SEARCH_NODE_LIMIT`` seed sets.  The round trip of
+    the satisfying assignment closes its encoded set from scratch.
     """
     if cnf.num_vars > SAT_VARS_LIMIT:
         raise BudgetError(
@@ -499,13 +499,11 @@ def verify_reduction(cnf: Cnf3) -> ReductionReport:
     first = _first_sufficient_encoding(game, gadget.hub, gadget.false_nodes, gadget.true_nodes)
     sufficient_set = None if first is None else assignment_to_control_set(gadget, _unpack_assignment(first, nv))
     if sufficient_set is None:
-        planned = math.comb(n, s)
-        if planned > SEARCH_PLAN_LIMIT:
+        if n > SEARCH_GADGET_LIMIT:
             raise BudgetError(
-                f"exhaustive control-set search would plan {planned} seed sets "
-                f"(gadget has {n} nodes, target {s}), over the limit of {SEARCH_PLAN_LIMIT}"
+                f"exact control-set search limited to gadgets of {SEARCH_GADGET_LIMIT} nodes, got {n}"
             )
-        sufficient_set = find_sufficient_within(game, s)
+        sufficient_set = find_sufficient_within(game, s, node_limit=SEARCH_NODE_LIMIT)
 
     control_within = sufficient_set is not None
     agree = (satisfying is not None) == control_within

@@ -303,11 +303,13 @@ def _undominated(n: int, base: int, on, spread) -> list[int]:
     ]
 
 
-def find_sufficient_within(game: Game, budget: int) -> frozenset[int] | None:
+def find_sufficient_within(
+    game: Game, budget: int, *, node_limit: int | None = None
+) -> frozenset[int] | None:
     """Complete decision search: a sufficient set of size <= budget, or None.
 
     Depth-first in ascending index order, each seed spread from its
-    prefix's closure, with two prunings that keep the verdict of the full
+    prefix's closure, with three prunings that keep the verdict of the full
     search in any game with increasing differences; the set returned may
     differ from the one the full search finds first.
 
@@ -318,8 +320,20 @@ def find_sufficient_within(game: Game, budget: int) -> frozenset[int] | None:
       sufficient set holding ``v`` stays sufficient with ``u`` in its place
       (Ackerman, Ben-Zwi & Wolfovitz, TCS 2010), so the lowest index of
       each maximal class of mutually dominating players is kept.
+    * A subtree is cut when more pairwise-disjoint *blocking* sets miss the
+      closure than seeds are left.  A set is blocking when its complement
+      is closed, that is, more than (1 - theta)-cohesive (Morris,
+      *Contagion*, Rev. Econ. Stud. 2000); every sufficient set meets it,
+      and the closure meets it exactly when a seed in it has been chosen.
+      The sets are what stays at 0 when every kept player but one, or but
+      two adjacent ones, is seeded (:func:`_blocking_sets`), packed
+      greedily; this cuts only subtrees that hold no sufficient set, so it
+      leaves the set returned unchanged.
 
-    ``TestDominancePruning`` checks the verdicts and the kept players.
+    With ``node_limit`` set, the search raises :class:`BudgetError` once
+    it has grown more than that many seed sets; :func:`verify_reduction`
+    sets it.  ``TestDominancePruning`` and ``TestBlockingSetBound`` check
+    the prunings.
     """
     n = game.n
     _check_budget(budget, n)
@@ -327,37 +341,107 @@ def find_sufficient_within(game: Game, budget: int) -> frozenset[int] | None:
     if base == (1 << n) - 1:
         return frozenset()
     kept = _undominated(n, base, on, spread)
-    return _WithinSearch(n, spread, kept, budget).descend(0, base, on)
+    blocking = _blocking_sets(game, base, on, spread, kept)
+    search = _WithinSearch(n, spread, kept, budget, blocking, math.inf if node_limit is None else node_limit)
+    return search.descend(0, base, on)
+
+
+def _blocking_sets(game: Game, base: int, on, spread, kept: list[int]) -> list[int]:
+    """Inclusion-minimal blocking sets, smallest first, found from the
+    closed set ``base``: what stays at 0 when every kept player except one
+    is seeded, then, only if some single left a set, every kept player
+    except two adjacent ones along ``game.graph`` (a game without a graph
+    gets singles only).
+
+    The singles halve the kept players: each half is closed with the other
+    half seeded, and a full closure leaves no set to any player of the
+    half, so a game in which half the kept players suffice pays two
+    spreads.  A pair with a member that leaves a set alone can only leave a
+    superset of it, so only pairs of players that each leave none are
+    closed."""
+    full = (1 << game.n) - 1
+    found: set[int] = set()
+    bare: set[int] = set()
+    # (lo, hi, closed, counters): the closure with every kept player
+    # outside kept[lo:hi] seeded.
+    todo = [(0, len(kept), base, on)]
+    while todo:
+        lo, hi, closed, counters = todo.pop()
+        if closed == full:
+            bare.update(kept[lo:hi])
+        elif hi - lo == 1:
+            found.add(full ^ closed)
+        else:
+            mid = (lo + hi) // 2
+            for a, b, c, d in ((lo, mid, mid, hi), (mid, hi, lo, mid)):
+                queue = [v for v in kept[c:d] if not (closed >> v) & 1]
+                todo.append((a, b, *spread(counters, closed, queue)))
+    graph = getattr(game, "graph", None)
+    if found and graph is not None:
+        pairs = {(min(x, y), max(x, y)) for x in bare for y, _ in graph.rows[x] if y in bare}
+        for x, y in sorted(pairs):
+            found.add(full ^ spread(on, base, [v for v in kept if v != x and v != y])[0])
+        found.discard(0)
+    minimal: list[int] = []
+    for b in sorted(found, key=lambda b: (b.bit_count(), b)):
+        if all(b & m != m for m in minimal):
+            minimal.append(b)
+    return minimal
+
+
+def _packing_exceeds(blocking: list[int], closed: int, r: int) -> bool:
+    """Whether a greedy packing, in list order, of pairwise-disjoint
+    blocking sets that miss ``closed`` holds more than ``r`` sets."""
+    used, count = closed, 0
+    for b in blocking:
+        if not b & used:
+            used |= b
+            count += 1
+            if count > r:
+                return True
+    return False
 
 
 class _WithinSearch:
     """The depth-first search of :func:`find_sufficient_within` as a method,
     so that a call leaves no reference cycle behind for the collector."""
 
-    def __init__(self, n: int, spread, kept: list[int], budget: int):
+    def __init__(self, n: int, spread, kept: list[int], budget: int, blocking: list[int], node_limit: float):
         self.full = (1 << n) - 1
         self.spread = spread
         self.kept = kept
         self.budget = budget
+        self.blocking = blocking
+        self.node_limit = node_limit
+        self.nodes = 0
         self.chosen: list[int] = []
 
     def descend(self, start: int, closed: int, on) -> frozenset[int] | None:
-        """Extend the chosen seeds by kept players from index ``start`` on."""
-        chosen, kept = self.chosen, self.kept
-        if len(chosen) == self.budget:
+        """Extend the chosen seeds by kept players from index ``start`` on;
+        with one seed left, a grown set that is not full is a dead end."""
+        chosen, kept, spread, full = self.chosen, self.kept, self.spread, self.full
+        r = self.budget - len(chosen)
+        if not r or self.blocking and _packing_exceeds(self.blocking, closed, r):
             return None
         for a in range(start, len(kept)):
             v = kept[a]
             if (closed >> v) & 1:
                 continue
-            grown, grown_on = self.spread(on, closed, [v])
-            chosen.append(v)
-            if grown == self.full:
-                return frozenset(chosen)
-            found = self.descend(a + 1, grown, grown_on)
-            if found is not None:
-                return found
-            chosen.pop()
+            self.nodes += 1
+            if self.nodes > self.node_limit:
+                raise BudgetError(
+                    f"control-set search at budget {self.budget} visited more than "
+                    f"the limit of {self.node_limit} nodes"
+                )
+            grown, grown_on = spread(on, closed, [v])
+            if grown == full:
+                return frozenset([*chosen, v])
+            if r > 1:
+                chosen.append(v)
+                found = self.descend(a + 1, grown, grown_on)
+                if found is not None:
+                    return found
+                chosen.pop()
         return None
 
 

@@ -28,7 +28,7 @@ from controlsets import (
 )
 from controlsets.errors import BudgetError
 from controlsets.graph import GraphGenerationError, WeightedGraph
-from controlsets.sat_reduction import SAT_VARS_LIMIT, SEARCH_PLAN_LIMIT
+from controlsets.sat_reduction import SAT_VARS_LIMIT, SEARCH_GADGET_LIMIT, SEARCH_NODE_LIMIT
 from controlsets.scs import _seed_walk
 
 
@@ -211,12 +211,18 @@ def undominated_reference(game, base: int) -> list[int]:
     return sorted(kept)
 
 
-def find_sufficient_within_reference(game, budget: int, players=None) -> frozenset[int] | None:
+def find_sufficient_within_reference(
+    game, budget: int, players=None, blocking=(), visits: list | None = None
+) -> frozenset[int] | None:
     """Depth-first search over ``players`` (every player by default) in
     ascending order, skipping only players inside the current closure and
     closing every grown set from scratch by sweeps.  With the players that
-    :func:`undominated_reference` keeps, it is the search
-    ``find_sufficient_within`` runs, node for node."""
+    :func:`undominated_reference` keeps and the sets that
+    :func:`blocking_sets_reference` finds, it is the search
+    ``find_sufficient_within`` runs, node for node: a node is cut when
+    more than the seeds left of the ``blocking`` sets, taken in order,
+    miss the closure and every set taken before them.  Each grown seed set
+    is appended to ``visits`` when it is given."""
     n = game.n
     full = (1 << n) - 1
     base = closure_mask_sweep(game, 0)
@@ -225,8 +231,16 @@ def find_sufficient_within_reference(game, budget: int, players=None) -> frozens
     order = range(n) if players is None else players
     chosen: list[int] = []
 
+    def packed(closed: int) -> int:
+        picked: list[int] = []
+        for b in blocking:
+            if not b & closed and all(not b & p for p in picked):
+                picked.append(b)
+        return len(picked)
+
     def descend(start: int, closed: int) -> frozenset[int] | None:
-        if len(chosen) == budget:
+        left = budget - len(chosen)
+        if left == 0 or packed(closed) > left:
             return None
         for a in range(start, len(order)):
             v = order[a]
@@ -234,6 +248,8 @@ def find_sufficient_within_reference(game, budget: int, players=None) -> frozens
                 continue
             grown = closure_mask_sweep(game, closed | (1 << v))
             chosen.append(v)
+            if visits is not None:
+                visits.append(frozenset(chosen))
             if grown == full:
                 return frozenset(chosen)
             found = descend(a + 1, grown)
@@ -243,6 +259,26 @@ def find_sufficient_within_reference(game, budget: int, players=None) -> frozens
         return None
 
     return descend(0, base)
+
+
+def blocking_sets_reference(game, kept: list[int]) -> list[int]:
+    """The blocking sets of ``find_sufficient_within`` from their
+    definition, by sweep closures: the players left at 0 when every kept
+    player but one is seeded, then, if some single left any, every kept
+    player but the two ends of an arc of ``game.graph``; the sets no other
+    found set lies inside, ordered by size, then mask."""
+    full = (1 << game.n) - 1
+    base = closure_mask_sweep(game, 0)
+    seeds = base | sum(1 << v for v in kept)
+
+    def left_open(*out: int) -> int:
+        return full ^ closure_mask_sweep(game, seeds & ~sum(1 << v for v in out))
+
+    found = {left_open(x) for x in kept} - {0}
+    if found and hasattr(game, "graph"):
+        found |= {left_open(i, j) for i, j, _ in game.graph.arcs() if i in kept and j in kept} - {0}
+    minimal = [b for b in found if not any(c != b and b & c == c for c in found)]
+    return sorted(minimal, key=lambda b: (b.bit_count(), b))
 
 
 def max_min_cohesion_brute(g: WeightedGraph, members) -> Fraction | None:
@@ -342,9 +378,9 @@ def verify_reduction_reference(cnf: Cnf3) -> ReductionReport:
     encoded = (assignment_to_control_set(gadget, a) for a in assignments)
     sufficient_set = next((c for c in encoded if is_sufficient(game, c)), None)
     if sufficient_set is None:
-        if math.comb(n, s) > SEARCH_PLAN_LIMIT:
-            raise BudgetError("exhaustive control-set search over the limit")
-        sufficient_set = find_sufficient_within(game, s)
+        if n > SEARCH_GADGET_LIMIT:
+            raise BudgetError("exact control-set search over the gadget limit")
+        sufficient_set = find_sufficient_within(game, s, node_limit=SEARCH_NODE_LIMIT)
     roundtrip_ok = None
     if satisfying is not None:
         mapped = assignment_to_control_set(gadget, satisfying)

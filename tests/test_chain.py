@@ -408,6 +408,12 @@ class TestStationaryDistribution:
         with pytest.raises(InputError, match=message):
             stationary_distribution(P)
 
+    def test_row_count_must_match_the_states(self):
+        # Two states, one row whose own entries are stochastic.
+        P = chain.TransitionMatrix((Profile.ones(1), Profile(1, 0)), ({0: Fraction(1)},), Fraction(1))
+        with pytest.raises(InputError, match="^transition matrix has 2 states but 1 rows$"):
+            stationary_distribution(P)
+
     def test_int_entries_accepted(self):
         P = chain.TransitionMatrix(
             states=(Profile.ones(1), Profile(1, 0)), rows=({1: 1}, {0: 1, 1: 0}), epsilon=Fraction(1)

@@ -294,7 +294,10 @@ class TestCsvFormat:
 
 
 # Fixture files of the golden test: the 4-ring majority game, K4 majority,
-# the 4-ring with threshold 0 (the empty set suffices) and threshold lists.
+# the 4-ring with threshold 0 (the empty set suffices), threshold lists, and
+# the two 3-CNF files of the CI smokes: all eight sign patterns over three
+# variables (unsatisfiable, so the exact search decides) and a satisfiable
+# formula over four variables.
 GOLDEN_FILES = {
     "ring.game": RING_GAME,
     "k4.game": "game coordination\nplayers 4\ngraph 4 6 undirected\n"
@@ -302,6 +305,9 @@ GOLDEN_FILES = {
     "zero.game": RING_GAME + "".join(f"theta {i} 0\n" for i in range(4)),
     "mixed.txt": "1\n0.9\n# noise\n\n1/2\n1\n",
     "zeros.txt": "0\n0\n",
+    "unsat8.cnf": "p cnf 3 8\n"
+    + "".join(f"{a} {b} {c} 0\n" for a in (1, -1) for b in (2, -2) for c in (3, -3)),
+    "sat4.cnf": "p cnf 4 3\n1 -2 3 0\n-1 2 -4 0\n2 3 4 0\n",
 }
 
 GOLDEN = [
@@ -335,6 +341,18 @@ GOLDEN = [
     ("analytic mixed.txt --format csv", 'min_size,set\n2,"2,3"\n'),
     ("analytic zeros.txt", "minimum: 0\nset: (empty)\nthresholds-sorted: 0 0\n"),
     ("analytic zeros.txt --format csv", "min_size,set\n0,\n"),
+    (
+        "verify-reduction unsat8.cnf",
+        "variables: 3\nclauses: 8\ntarget-size: 4\ngadget-nodes: 48 (expected ok: True)\n"
+        "gadget-edges: 68\ndegree-profile-ok: True\nsatisfiable: no\n"
+        "control-set-within-target: no\nagreement: yes\n",
+    ),
+    (
+        "verify-reduction sat4.cnf",
+        "variables: 4\nclauses: 3\ntarget-size: 5\ngadget-nodes: 25 (expected ok: True)\n"
+        "gadget-edges: 29\ndegree-profile-ok: True\nsatisfiable: yes\n"
+        "control-set-within-target: yes\nroundtrip-ok: True\nagreement: yes\n",
+    ),
 ]
 
 

@@ -409,13 +409,22 @@ class TestVerifyReduction:
         assert report.edge_count == 11 and not report.sizes_ok and not report.degrees_ok
         assert not gadget_degrees_reference(built[0])
 
-    def test_search_plan_limit_is_inclusive(self, monkeypatch):
+    def test_search_node_limit_is_inclusive(self, monkeypatch):
         # No encoded set of UNSAT_8 is sufficient, so the exact search
-        # plans C(48, 4) = 194,580 seed sets.
-        monkeypatch.setattr(sat_reduction, "SEARCH_PLAN_LIMIT", 194_580)
+        # decides: with the blocking-set bound it grows 80 seed sets.
+        monkeypatch.setattr(sat_reduction, "SEARCH_NODE_LIMIT", 80)
         assert verify_reduction(UNSAT_8).agree
-        monkeypatch.setattr(sat_reduction, "SEARCH_PLAN_LIMIT", 194_579)
-        with pytest.raises(BudgetError, match="plan 194580 seed sets .* limit of 194579$"):
+        monkeypatch.setattr(sat_reduction, "SEARCH_NODE_LIMIT", 79)
+        with pytest.raises(BudgetError, match="budget 4 visited more than the limit of 79 nodes$"):
+            verify_reduction(UNSAT_8)
+
+    def test_search_gadget_limit_is_inclusive(self, monkeypatch):
+        # UNSAT_8 has a 48-node gadget; a larger one is refused before any
+        # exact search, as its set-up and each node cost time linear in it.
+        monkeypatch.setattr(sat_reduction, "SEARCH_GADGET_LIMIT", 48)
+        assert verify_reduction(UNSAT_8).agree
+        monkeypatch.setattr(sat_reduction, "SEARCH_GADGET_LIMIT", 47)
+        with pytest.raises(BudgetError, match="gadgets of 47 nodes, got 48$"):
             verify_reduction(UNSAT_8)
 
     def test_variable_budget(self):

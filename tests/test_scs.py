@@ -8,12 +8,14 @@ import pytest
 
 from controlsets import (
     BudgetError,
+    Cnf3,
     CoordinationGame,
     InputError,
     WeightedGraph,
     cascade,
     cohesiveness_crosscheck,
     complete,
+    build_gadget,
     erdos_renyi,
     find_sufficient_within,
     from_thresholds,
@@ -29,10 +31,18 @@ from controlsets import (
     tree,
 )
 from controlsets import scs
-from controlsets.scs import _OracleWalk, _seed_walk, _undominated, closure_mask
+from controlsets.scs import (
+    _blocking_sets,
+    _OracleWalk,
+    _packing_exceeds,
+    _seed_walk,
+    _undominated,
+    closure_mask,
+)
 from conftest import (
     GAME_KINDS,
     _biases,
+    blocking_sets_reference,
     cascade_reference,
     cascade_random_order,
     closure_mask_sweep,
@@ -778,6 +788,101 @@ class TestDominancePruning:
         game = majority_game(g)
         assert _undominated(game.n, *_seed_walk(game, 0)) == [0]
         assert find_sufficient_within(game, 1) == frozenset({0})
+
+
+def blocking_game() -> CoordinationGame:
+    """A 6-ring at threshold 1 beside a star whose center needs both of its
+    leaves.  No single ring player is blocking, but every adjacent pair is,
+    so the ring's six blocking sets overlap; the star's center and leaves
+    form one more.  The optimum, 4, is a vertex cover of the ring plus the
+    center."""
+    edges = [(i, (i + 1) % 6) for i in range(6)] + [(6, 7), (6, 8)]
+    return from_thresholds(WeightedGraph.from_edges(9, edges), [1] * 7 + [Fraction(1, 2)] * 2)
+
+
+# All eight sign patterns over three variables: unsatisfiable.
+UNSAT_8_CLAUSES = [
+    tuple((1 if (bits >> k) & 1 else -1) * (k + 1) for k in range(3)) for bits in range(8)
+]
+
+
+class TestBlockingSetBound:
+    """The third pruning of ``find_sufficient_within`` against its
+    definition: the sets from sweep closures (``blocking_sets_reference``)
+    and the search that cuts a node when more of them, packed greedily,
+    miss the closure than seeds are left.  The node counts must agree,
+    which ``node_limit`` shows at its inclusive edge."""
+
+    @staticmethod
+    def assert_matches_reference(game, budgets, monkeypatch) -> list[int]:
+        base = closure_mask_sweep(game, 0)
+        kept = undominated_reference(game, base)
+        blocking = blocking_sets_reference(game, kept)
+        for budget in budgets:
+            visits: list = []
+            expected = find_sufficient_within_reference(game, budget, kept, blocking, visits)
+            # The bound cuts only subtrees without a sufficient set.
+            assert expected == find_sufficient_within_reference(game, budget, kept)
+            forcings = lane_forcings(monkeypatch) if type(game) is CoordinationGame else [None]
+            for _ in forcings:
+                assert _blocking_sets(game, *_seed_walk(game, base), kept) == blocking
+                assert find_sufficient_within(game, budget, node_limit=len(visits)) == expected
+                if visits:
+                    limit = len(visits) - 1
+                    with pytest.raises(BudgetError, match=f"limit of {limit} nodes$"):
+                        find_sufficient_within(game, budget, node_limit=limit)
+        return blocking
+
+    @pytest.mark.parametrize("kind", GAME_KINDS + ("table",))
+    def test_matches_reference_at_every_budget(self, kind, monkeypatch):
+        rng = random.Random(f"blocking/{kind}")
+        cut = 0
+        for _ in range(24):
+            n = rng.randint(2, 9)
+            if kind == "table":
+                game = random_supermodular_table(min(n, 8), rng)
+            else:
+                game = random_coordination_game(kind, rng, n)
+            blocking = self.assert_matches_reference(game, range(game.n + 1), monkeypatch)
+            cut += bool(blocking)
+        assert cut
+
+    def test_overlapping_sets_are_packed_disjoint(self, monkeypatch):
+        game = blocking_game()
+        ring_pairs = [0b11 << i for i in range(5)] + [0b100001]
+        blocking = self.assert_matches_reference(game, range(game.n + 1), monkeypatch)
+        assert blocking == sorted(ring_pairs) + [0b111000000]
+        # Three disjoint ring pairs and the star: exactly the budget of 4.
+        assert find_sufficient_within(game, 4) == frozenset({0, 2, 4, 6})
+        assert find_sufficient_within(game, 3, node_limit=0) is None
+
+    @pytest.mark.parametrize(
+        "clauses",
+        [[(1, -2, 3)], [(1, -2, 3), (-1, 2, -4), (2, 3, 4)], UNSAT_8_CLAUSES],
+        ids=["single-clause", "sat4", "unsat8"],
+    )
+    def test_gadget_sets_are_the_variable_pairs_and_the_hub(self, clauses, monkeypatch):
+        cnf = Cnf3(max(abs(lit) for c in clauses for lit in c), tuple(clauses))
+        gadget = build_gadget(cnf)
+        target = cnf.target_size
+        blocking = self.assert_matches_reference(gadget.game, range(target + 2), monkeypatch)
+        names = [
+            {gadget.names[v].rstrip("0123456789") for v in range(gadget.graph.n) if (b >> v) & 1}
+            for b in blocking
+        ]
+        assert len(blocking) == target
+        assert names.count({"hub", "hub_leaf"}) == 1
+        assert names.count({"var_true", "var_false", "var_leaf"}) == cnf.num_vars
+
+    def test_packing_is_greedy_over_disjoint_unhit_sets(self):
+        sets = [0b0011, 0b0110, 0b1000]
+        # 0b0110 meets the first set, so two sets pack.
+        assert not _packing_exceeds(sets, 0, 2)
+        assert _packing_exceeds(sets, 0, 1)
+        # A closed player inside a set hits it; one outside every set does not.
+        assert not _packing_exceeds(sets, 0b1000, 1)
+        assert _packing_exceeds(sets, 0b10000, 1)
+        assert not _packing_exceeds(sets, 0b0010, 1) and _packing_exceeds(sets, 0b0100, 1)
 
 
 class TestCohesivenessCrosscheck:
