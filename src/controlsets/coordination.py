@@ -31,7 +31,9 @@ bytes, holds slack[i] + 2**(8b - 1).  A slack lies in [-w_i, w_i] and w_i
 carries across lanes, and lane i's top (*sign*) bit is set exactly when
 slack[i] >= 0.  The closure engine on lanes (:func:`_lane_walk`) parks no
 counter: above the n lanes, at lane i's sign bit, it keeps a flag set
-while i is open.
+while i is open.  The oracle's leaf filter, subtree bound and two-seed
+pass read these lanes (:func:`_lane_prunings`, :func:`_lane_pairs`); the
+``scs._OracleWalk`` docstring states what each skips and why.
 """
 
 from __future__ import annotations
@@ -184,13 +186,13 @@ def _lane_walk(game: CoordinationGame, slack: list[int], queue: list[int]) -> tu
     return (*spread(_lane_slack(game, slack) + sum(flag), 0, queue), spread)
 
 
-def _lane_prunings(game: CoordinationGame) -> tuple[Callable, Callable]:
-    """``(reach, blocked)``, the leaf filter and subtree bound of
-    ``scs._OracleWalk`` on the counters of :func:`_lane_walk`.  Lane i of
-    ``lift(r)`` holds ``min(r * top[i], need[i])``; as slack[i] >=
-    -need[i], lane i of ``on + lift(r)`` has its sign bit set exactly when
-    i is near (if open), and peaks at 2**(8b - 1) plus the out-degree, so
-    no lane carries."""
+def _lane_prunings(game: CoordinationGame, spread: Callable) -> tuple[Callable, Callable, Callable]:
+    """``(reach, blocked, pairs)``, the leaf filter, subtree bound and
+    two-seed pass (:func:`_lane_pairs`) of ``scs._OracleWalk`` on the
+    counters and ``spread`` of :func:`_lane_walk`.  Lane i of ``lift(r)``
+    holds ``min(r * top[i], need[i])``; as slack[i] >= -need[i], lane i of
+    ``on + lift(r)`` has its sign bit set exactly when i is near (if open),
+    and peaks at 2**(8b - 1) plus the out-degree, so no lane carries."""
     n, b, need, rows = game.n, game._lane_bytes, game._need, game.graph.rows
     width, span = 8 * b, 8 * b * n
     top = [max(w for _, w in row) for row in rows]
@@ -215,7 +217,50 @@ def _lane_prunings(game: CoordinationGame) -> tuple[Callable, Callable]:
             close ^= low
         return mask
 
-    return reach, blocked
+    return reach, blocked, _lane_pairs(game, spread, reach, lift(2), out_masks)
+
+
+def _lane_pairs(game: CoordinationGame, spread: Callable, reach: Callable, two: int, out_masks: list[int]) -> Callable:
+    """``pairs(on, closed, start)``, the two-seed pass of ``scs._OracleWalk``:
+    the masks ``{v, w}``, ``start <= v < w``, that close the non-full closed
+    set ``closed`` (counters ``on``) to every player, in the order of
+    ``itertools.combinations``.  ``two`` is ``lift(2)`` of :func:`_lane_prunings`."""
+    n, width, full = game.n, 8 * game._lane_bytes, (1 << game.n) - 1
+    span, rows = n * width, game._packed_in_rows()
+    # Per player v, the sign bits of the lanes of the players with an arc to v.
+    listeners = [sum(1 << width * i + width - 1 for i, _ in row) for row in game.graph.in_rows]
+
+    def pairs(on: int, closed: int, start: int) -> list[int]:
+        near, hits, outside = reach(on), [], full ^ closed
+        two_short = (on + two) & on >> span
+        for v in range(start, n - 1):
+            bit = 1 << v
+            if closed & bit:
+                grown, grown_on, cand = closed, on, near
+            elif near & bit:
+                grown, grown_on = spread(on, closed, [v])
+                if grown == full:
+                    hits.extend(bit | 1 << w for w in range(v + 1, n))
+                    continue
+                cand = reach(grown_on)
+            else:
+                cand, heard = near, two_short & listeners[v]
+                while heard:
+                    low = heard & -heard
+                    cand |= out_masks[low.bit_length() // width - 1]
+                    heard ^= low
+                if not (cand & outside) >> v + 1:
+                    continue
+                grown, grown_on = closed | bit, on + rows[v] - (1 << span + width * v + width - 1)
+            cand = (cand & ~grown) >> v + 1 << v + 1
+            while cand:
+                low = cand & -cand
+                if spread(grown_on, grown, [low.bit_length() - 1])[0] == full:
+                    hits.append(bit | low)
+                cand ^= low
+        return hits
+
+    return pairs
 
 
 def _plain_coordination(game: Game) -> bool:

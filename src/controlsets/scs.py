@@ -17,6 +17,7 @@ under increasing differences, so closure(P + v) is closure(closure(P) + v).
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -224,7 +225,7 @@ class _OracleWalk:
     """Depth-first walk over the k-sets of a game, in the order of
     ``itertools.combinations``, each seed spread from its prefix's closure.
 
-    On lanes two prunings skip most of the walk (computed by
+    On lanes three prunings skip most of the walk (built by
     ``coordination._lane_prunings``; on a list of slacks they cost more
     than they cut).  With ``r`` seeds left, player ``i`` outside the closed
     set is *near* when ``slack[i] + r * top[i] >= 0``, ``top[i]`` being its
@@ -238,9 +239,18 @@ class _OracleWalk:
     * *Subtree bound* (``blocked``).  When more than ``r`` players are
       outside the closed set and none is near, no completion sets anyone
       beyond its own seeds, so none is sufficient.
+    * *Two-seed pass* (``pairs``).  With two seeds left, one lane pass
+      places both.  A first seed ``v`` outside the closure with no arc from
+      a player near at r = 1 sets nobody, so it is not spread: its closure
+      is ``closed | v`` and its counters one add.  Its leaves are kept to
+      R | T[v], R being ``reach`` before ``v`` and T[v] the out-masks of
+      the players near at r = 2 with an arc to ``v``; only if one is left
+      is ``v`` grown.  No hit is dropped, as a player near once ``v`` is set
+      was near before it or has an arc to ``v`` and was near at r = 2.
 
-    ``test_prunings_match_their_definition`` and
-    ``test_subtree_bound_at_its_edge`` check both against their definition.
+    ``test_prunings_match_their_definition``,
+    ``test_pair_leaves_match_their_definition`` and
+    ``test_subtree_bound_at_its_edge`` check them against their definition.
     """
 
     def __init__(self, game: Game):
@@ -249,7 +259,8 @@ class _OracleWalk:
         # The base closure goes through the module name, so a profiler that
         # rebinds ``closure_mask`` sees one call per oracle.
         self.base, self.on, self.spread = _seed_walk(game, closure_mask(game, 0))
-        self.reach, self.blocked = _lane_prunings(game) if isinstance(self.on, int) else (None, None)
+        lanes = _lane_prunings(game, self.spread) if isinstance(self.on, int) else (None,) * 3
+        self.reach, self.blocked, self.pairs = lanes
         self.hits: list[int] = []
 
     def sufficient_sets(self, k: int) -> list[int]:
@@ -264,10 +275,10 @@ class _OracleWalk:
         """Place the remaining ``r`` seeds at indices ``start`` and up."""
         n, spread, full = self.n, self.spread, self.full
         outside = full ^ closed
+        if not outside:  # every completion is a hit
+            self.hits.extend(seeds | sum(1 << v for v in c) for c in itertools.combinations(range(start, n), r))
+            return
         if r == 1:
-            if not outside:
-                self.hits.extend(seeds | (1 << v) for v in range(start, n))
-                return
             cand = outside >> start << start
             if self.reach:
                 cand &= self.reach(on)
@@ -278,6 +289,9 @@ class _OracleWalk:
                 cand ^= low
             return
         if self.blocked and outside.bit_count() > r and self.blocked(on, r):
+            return
+        if r == 2 and self.pairs:
+            self.hits.extend(seeds | pair for pair in self.pairs(on, closed, start))
             return
         for v in range(start, n - r + 1):
             bit = 1 << v
@@ -342,8 +356,8 @@ def find_sufficient_within(
         return frozenset()
     kept = _undominated(n, base, on, spread)
     blocking = _blocking_sets(game, base, on, spread, kept)
-    search = _WithinSearch(n, spread, kept, budget, blocking, math.inf if node_limit is None else node_limit)
-    return search.descend(0, base, on)
+    limit = math.inf if node_limit is None else node_limit
+    return _search_within(n, spread, kept, budget, blocking, limit, base, on)
 
 
 def _blocking_sets(game: Game, base: int, on, spread, kept: list[int]) -> list[int]:
@@ -402,47 +416,37 @@ def _packing_exceeds(blocking: list[int], closed: int, r: int) -> bool:
     return False
 
 
-class _WithinSearch:
-    """The depth-first search of :func:`find_sufficient_within` as a method,
-    so that a call leaves no reference cycle behind for the collector."""
-
-    def __init__(self, n: int, spread, kept: list[int], budget: int, blocking: list[int], node_limit: float):
-        self.full = (1 << n) - 1
-        self.spread = spread
-        self.kept = kept
-        self.budget = budget
-        self.blocking = blocking
-        self.node_limit = node_limit
-        self.nodes = 0
-        self.chosen: list[int] = []
-
-    def descend(self, start: int, closed: int, on) -> frozenset[int] | None:
-        """Extend the chosen seeds by kept players from index ``start`` on;
-        with one seed left, a grown set that is not full is a dead end."""
-        chosen, kept, spread, full = self.chosen, self.kept, self.spread, self.full
-        r = self.budget - len(chosen)
-        if not r or self.blocking and _packing_exceeds(self.blocking, closed, r):
-            return None
-        for a in range(start, len(kept)):
-            v = kept[a]
-            if (closed >> v) & 1:
-                continue
-            self.nodes += 1
-            if self.nodes > self.node_limit:
-                raise BudgetError(
-                    f"control-set search at budget {self.budget} visited more than "
-                    f"the limit of {self.node_limit} nodes"
-                )
-            grown, grown_on = spread(on, closed, [v])
-            if grown == full:
-                return frozenset([*chosen, v])
-            if r > 1:
-                chosen.append(v)
-                found = self.descend(a + 1, grown, grown_on)
-                if found is not None:
-                    return found
-                chosen.pop()
+def _search_within(n: int, spread, kept: list[int], budget: int, blocking: list[int], node_limit: float, closed: int, on):
+    """The depth-first search of :func:`find_sufficient_within` from the
+    closed set ``closed``, on an explicit stack of frames ``(candidates,
+    closed, counters, seeds)``: a frame's candidates are the kept players
+    outside its closure above its last seed, taken lowest first, so the
+    order is that of ``kept``.  A grown set that is not full gets a frame
+    only if seeds are left and the blocking sets do not cut it."""
+    full = (1 << n) - 1
+    if not budget or blocking and _packing_exceeds(blocking, closed, budget):
         return None
+    nodes, stack = 0, [(sum(1 << v for v in kept) & ~closed, closed, on, 0)]
+    while stack:
+        cand, closed, on, seeds = stack.pop()
+        if not cand:
+            continue
+        low = cand & -cand
+        stack.append((cand ^ low, closed, on, seeds))
+        nodes += 1
+        if nodes > node_limit:
+            raise BudgetError(
+                f"control-set search at budget {budget} visited more than "
+                f"the limit of {node_limit} nodes"
+            )
+        grown, grown_on = spread(on, closed, [low.bit_length() - 1])
+        seeds |= low
+        if grown == full:
+            return frozenset(_bit_indices(seeds))
+        r = budget - seeds.bit_count()
+        if r and not (blocking and _packing_exceeds(blocking, grown, r)):
+            stack.append((cand & ~grown, grown, grown_on, seeds))
+    return None
 
 
 def cohesiveness_crosscheck(g: WeightedGraph, theta, seed) -> bool:

@@ -319,6 +319,16 @@ class TestFindSufficientWithin:
         with pytest.raises(InputError, match="budget must be an int"):
             find_sufficient_within(majority_game(complete(4)), budget)
 
+    def test_deep_search_keeps_its_own_stack(self):
+        # 2,000 seeds deep, past the interpreter's recursion limit: the
+        # search must end in an answer or BudgetError.
+        game = from_thresholds(path(3000), [1] * 3000)
+        try:
+            found = find_sufficient_within(game, 2000, node_limit=100_000)
+        except BudgetError:
+            return
+        assert found is not None and len(found) <= 2000 and is_sufficient(game, found)
+
     @pytest.mark.parametrize("budget", [3, 4])
     def test_leaves_no_reference_cycle(self, budget):
         # K8 needs 4 seeds: budget 3 walks the whole search, 4 returns a set.
@@ -460,7 +470,7 @@ class TestOracleWalk:
         assert res.min_size == n - 1 and len(res.optimal_sets) == n
 
     @pytest.mark.parametrize("kind", GAME_KINDS)
-    def test_walk_lists_the_sufficient_sets_of_every_size(self, kind):
+    def test_walk_lists_the_sufficient_sets_of_every_size(self, kind, monkeypatch):
         # Sizes above the minimum reach prefixes whose closure is already
         # full and prefixes whose complement has as many players as seeds
         # are left, which the oracle itself stops before.
@@ -469,11 +479,28 @@ class TestOracleWalk:
             game = random_coordination_game(kind, rng, rng.randint(2, 8))
             n = game.n
             full = (1 << n) - 1
+            expected = [
+                [m for m in map(sum, itertools.combinations([1 << p for p in range(n)], k)) if closure_mask_sweep(game, m) == full]
+                for k in range(n + 1)
+            ]
+            for pay in lane_forcings(monkeypatch):
+                walk = _OracleWalk(game)
+                for k in range(n + 1):
+                    assert walk.sufficient_sets(k) == expected[k], (pay, k)
+
+    def test_full_prefix_with_two_seeds_left(self, monkeypatch):
+        # One seed tips ring(6) at threshold 1/2, so every set is sufficient:
+        # at k = 2 the two-seed pass spreads a first seed to the full set, and
+        # at k = 3 each one-seed prefix is full with two seeds left, where
+        # every pair above it completes a hit.
+        game = majority_game(ring(6))
+        bits = [1 << p for p in range(6)]
+        for pay in lane_forcings(monkeypatch):
             walk = _OracleWalk(game)
-            for k in range(n + 1):
-                combos = map(sum, itertools.combinations([1 << p for p in range(n)], k))
-                expected = [m for m in combos if closure_mask_sweep(game, m) == full]
-                assert walk.sufficient_sets(k) == expected
+            assert (walk.pairs is not None) == pay
+            assert walk.sufficient_sets(0) == []
+            for k in range(1, 7):
+                assert walk.sufficient_sets(k) == list(map(sum, itertools.combinations(bits, k))), (pay, k)
 
     def test_instance_delta_sign_takes_the_enumeration(self):
         game = majority_game(ring(6))
@@ -585,6 +612,46 @@ class TestLaneWalk:
                             for i in near:
                                 reach |= out_masks[i]
                             assert walk.reach(on) == reach
+
+    @pytest.mark.parametrize("kind", LANE_KINDS)
+    def test_pair_leaves_match_their_definition(self, kind, monkeypatch):
+        # At closed sets that are not full and every start, the two-seed pass
+        # lists exactly the pairs {v, w}, start <= v < w, whose closure with
+        # the set is full, in itertools.combinations order: no candidate
+        # filter drops a hit, whether v is inside the closure, sets players
+        # through a near listener, or sets nobody.
+        monkeypatch.setattr(CoordinationGame, "_lanes_pay", lambda self: True)
+        rng = random.Random(f"lanes/pairs/{kind}")
+        hits = 0
+        for _ in range(16):
+            game = lane_game(kind, rng, rng.randint(3, 10))
+            n, full = game.n, (1 << game.n) - 1
+            pairs = _OracleWalk(game).pairs
+            for size in (0, 0, 1, 1, 2, 3):
+                closed, on, _ = _seed_walk(game, sum(1 << p for p in rng.sample(range(n), size)))
+                if closed == full:
+                    continue
+                expected = [
+                    (v, w)
+                    for v, w in itertools.combinations(range(n), 2)
+                    if closure_mask_sweep(game, closed | 1 << v | 1 << w) == full
+                ]
+                hits += len(expected)
+                for start in range(n):
+                    assert pairs(on, closed, start) == [1 << v | 1 << w for v, w in expected if v >= start]
+        assert hits
+
+    @pytest.mark.parametrize("kind", GAME_KINDS)
+    def test_two_seed_pass_matches_reference_at_small_budgets(self, kind, monkeypatch):
+        # Budgets 1-3 end in the two-seed pass on lanes: at the root, or
+        # below one seed.  The whole result must match, sets, order and
+        # checked alike.
+        rng = random.Random(f"lanes/pairs-oracle/{kind}")
+        for _ in range(40):
+            game = random_coordination_game(kind, rng, rng.randint(4, 11))
+            expected = [optimal_oracle_reference(game, b) for b in (1, 2, 3)]
+            for pay in lane_forcings(monkeypatch):
+                assert [optimal_oracle(game, b) for b in (1, 2, 3)] == expected, pay
 
     @pytest.mark.parametrize("kind", LANE_KINDS)
     def test_decision_search_agrees_on_both_representations(self, kind, monkeypatch):
