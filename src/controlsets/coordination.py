@@ -32,8 +32,8 @@ carries across lanes, and lane i's top (*sign*) bit is set exactly when
 slack[i] >= 0.  The closure engine on lanes (:func:`_lane_walk`) parks no
 counter: above the n lanes, at lane i's sign bit, it keeps a flag set
 while i is open.  The oracle's leaf filter, subtree bound and two-seed
-pass read these lanes (:func:`_lane_prunings`, :func:`_lane_pairs`); the
-``scs._OracleWalk`` docstring states what each skips and why.
+pass read these lanes; :func:`_lane_prunings` states what each skips and
+why.
 """
 
 from __future__ import annotations
@@ -186,17 +186,50 @@ def _lane_walk(game: CoordinationGame, slack: list[int], queue: list[int]) -> tu
     return (*spread(_lane_slack(game, slack) + sum(flag), 0, queue), spread)
 
 
-def _lane_prunings(game: CoordinationGame, spread: Callable) -> tuple[Callable, Callable, Callable]:
-    """``(reach, blocked, pairs)``, the leaf filter, subtree bound and
-    two-seed pass (:func:`_lane_pairs`) of ``scs._OracleWalk`` on the
-    counters and ``spread`` of :func:`_lane_walk`.  Lane i of ``lift(r)``
-    holds ``min(r * top[i], need[i])``; as slack[i] >= -need[i], lane i of
-    ``on + lift(r)`` has its sign bit set exactly when i is near (if open),
-    and peaks at 2**(8b - 1) plus the out-degree, so no lane carries."""
+def _lane_prunings(game: CoordinationGame, spread: Callable) -> dict[str, Callable]:
+    """The leaf filter, subtree cut and two-seed pass that ``scs._hits``
+    runs for the oracle on the counters and ``spread`` of
+    :func:`_lane_walk`, keyed by its parameter names ``reach``, ``cut`` and
+    ``pairs`` (on a list of slacks they cost more than they cut).
+
+    With ``r`` seeds left, player ``i`` outside the closed set is *near*
+    when ``slack[i] + r * top[i] >= 0``, ``top[i]`` being its largest
+    out-weight: r seeds raise its slack by at most ``r * top[i]``.  Lane i
+    of ``lift(r)`` holds ``min(r * top[i], need[i])``; as slack[i] >=
+    -need[i], lane i of ``on + lift(r)`` has its sign bit set exactly when
+    i is near (if open), and peaks at 2**(8b - 1) plus the out-degree, so
+    no lane carries.
+
+    * *Leaf filter* ``reach(on)``.  With one seed left, a leaf ``v`` can
+      set a player beyond itself only if it has an arc from a near player.
+      Every other leaf closes to ``closed | v``, which is not full: a closed
+      set never leaves exactly one player outside, as its out-neighbors
+      would all be at 1 and ``_need`` never exceeds the out-degree.
+    * *Subtree cut* ``cut(closed, on, r)``.  When more than ``r``
+      players are outside ``closed`` and none is near, no completion sets
+      anyone beyond its own seeds, so none is sufficient.
+    * *Two-seed pass* ``pairs(on, closed, cand)``: the masks ``{v, w}``,
+      ``v < w`` in ``cand`` and ``w`` outside the closure of ``closed |
+      v``, that close the non-full closed set ``closed`` to every player,
+      in lexicographic order.  A first seed ``v`` with no arc from a player
+      near at r = 1 sets nobody, so it is not spread: its closure is
+      ``closed | v`` and its counters one add.  Its leaves are kept to
+      R | T[v], R being ``reach`` before ``v`` and T[v] the out-masks of
+      the players near at r = 2 with an arc to ``v``; only if one is left
+      is ``v`` grown.  No hit is dropped, as a player near once ``v`` is
+      set was near before it or has an arc to ``v`` and was near at r = 2.
+
+    ``test_prunings_match_their_definition``,
+    ``test_pair_leaves_match_their_definition`` and
+    ``test_subtree_bound_at_its_edge`` check them against their definition.
+    """
     n, b, need, rows = game.n, game._lane_bytes, game._need, game.graph.rows
-    width, span = 8 * b, 8 * b * n
+    width, span, full = 8 * b, 8 * b * n, (1 << n) - 1
+    packed = game._packed_in_rows()
     top = [max(w for _, w in row) for row in rows]
     out_masks = [sum(1 << j for j, _ in row) for row in rows]
+    # Per player v, the sign bits of the lanes of the players with an arc to v.
+    listeners = [sum(1 << width * i + width - 1 for i, _ in row) for row in game.graph.in_rows]
     lifts: dict[int, int] = {}
 
     def lift(r: int) -> int:
@@ -204,10 +237,10 @@ def _lane_prunings(game: CoordinationGame, spread: Callable) -> tuple[Callable, 
             lifts[r] = _pack_lanes(b, n, enumerate(map(min, [r * t for t in top], need)))
         return lifts[r]
 
-    def blocked(on: int, r: int) -> bool:
-        return not (on + lift(r)) & on >> span
+    def cut(closed: int, on: int, r: int) -> bool:
+        return (full ^ closed).bit_count() > r and not (on + lift(r)) & on >> span
 
-    one = lift(1)
+    one, two = lift(1), lift(2)
 
     def reach(on: int) -> int:
         close, mask = (on + one) & on >> span, 0
@@ -217,50 +250,34 @@ def _lane_prunings(game: CoordinationGame, spread: Callable) -> tuple[Callable, 
             close ^= low
         return mask
 
-    return reach, blocked, _lane_pairs(game, spread, reach, lift(2), out_masks)
-
-
-def _lane_pairs(game: CoordinationGame, spread: Callable, reach: Callable, two: int, out_masks: list[int]) -> Callable:
-    """``pairs(on, closed, start)``, the two-seed pass of ``scs._OracleWalk``:
-    the masks ``{v, w}``, ``start <= v < w``, that close the non-full closed
-    set ``closed`` (counters ``on``) to every player, in the order of
-    ``itertools.combinations``.  ``two`` is ``lift(2)`` of :func:`_lane_prunings`."""
-    n, width, full = game.n, 8 * game._lane_bytes, (1 << game.n) - 1
-    span, rows = n * width, game._packed_in_rows()
-    # Per player v, the sign bits of the lanes of the players with an arc to v.
-    listeners = [sum(1 << width * i + width - 1 for i, _ in row) for row in game.graph.in_rows]
-
-    def pairs(on: int, closed: int, start: int) -> list[int]:
-        near, hits, outside = reach(on), [], full ^ closed
+    def pairs(on: int, closed: int, cand: int) -> list[int]:
+        near, hits = reach(on), []
         two_short = (on + two) & on >> span
-        for v in range(start, n - 1):
-            bit = 1 << v
-            if closed & bit:
-                grown, grown_on, cand = closed, on, near
-            elif near & bit:
+        while cand & cand - 1:  # two candidates or more
+            bit = cand & -cand
+            cand ^= bit
+            v = bit.bit_length() - 1
+            if near & bit:
                 grown, grown_on = spread(on, closed, [v])
-                if grown == full:
-                    hits.extend(bit | 1 << w for w in range(v + 1, n))
-                    continue
-                cand = reach(grown_on)
+                leaves = reach(grown_on)
             else:
-                cand, heard = near, two_short & listeners[v]
+                leaves, heard = near, two_short & listeners[v]
                 while heard:
                     low = heard & -heard
-                    cand |= out_masks[low.bit_length() // width - 1]
+                    leaves |= out_masks[low.bit_length() // width - 1]
                     heard ^= low
-                if not (cand & outside) >> v + 1:
+                if not leaves & cand:
                     continue
-                grown, grown_on = closed | bit, on + rows[v] - (1 << span + width * v + width - 1)
-            cand = (cand & ~grown) >> v + 1 << v + 1
-            while cand:
-                low = cand & -cand
+                grown, grown_on = closed | bit, on + packed[v] - (1 << span + width * v + width - 1)
+            leaves &= cand & ~grown
+            while leaves:
+                low = leaves & -leaves
                 if spread(grown_on, grown, [low.bit_length() - 1])[0] == full:
                     hits.append(bit | low)
-                cand ^= low
+                leaves ^= low
         return hits
 
-    return pairs
+    return {"reach": reach, "cut": cut, "pairs": pairs}
 
 
 def _plain_coordination(game: Game) -> bool:

@@ -7,11 +7,12 @@ a 0-player whose marginal is >= 0 (indifferent players do flip).  Under
 increasing differences the fixed point does not depend on flip order, so
 :func:`cascade` flips the lowest index first, for reproducible witnesses.
 
-:func:`_seed_walk` is the one closure engine, and every exact search grows
-its seed sets through its ``spread``: closure is monotone and idempotent
-under increasing differences, so closure(P + v) is closure(closure(P) + v).
-:func:`optimal_oracle` returns *all* optimal sets, and
-:func:`find_sufficient_within` decides whether one of size <= budget exists.
+:func:`_seed_walk` is the one closure engine, and :func:`_hits`, the one
+seed-set walker, grows seed sets through its ``spread``: closure is monotone
+and idempotent under increasing differences, so closure(P + v) is
+closure(closure(P) + v).  On that walker :func:`optimal_oracle` returns *all*
+optimal sets, and :func:`find_sufficient_within` decides whether one of size
+<= budget exists.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from ._ratio import as_ratio
 from .coordination import _lane_prunings, _lane_walk, _plain_coordination
@@ -199,7 +200,10 @@ def optimal_oracle(game: Game, budget: int | None = None) -> OracleResult:
 
     ``checked`` counts every seed set of each size up to the hit size (or
     budget); more than ``ORACLE_CHECK_LIMIT`` planned raise
-    :class:`BudgetError`.  The sets are walked by :class:`_OracleWalk`.
+    :class:`BudgetError`.  Size k is walked only once no smaller set is
+    sufficient, so no seed of a sufficient k-set lies in the closure of the
+    seeds below it (dropping it would leave a smaller sufficient set), and
+    :func:`_hits` may skip those seeds, with ``_lane_prunings`` on lanes.
     """
     n = game.n
     if budget is None:
@@ -211,94 +215,69 @@ def optimal_oracle(game: Game, budget: int | None = None) -> OracleResult:
             f"oracle would enumerate {planned} seed sets (n={n}, budget={budget}), "
             f"over the limit of {ORACLE_CHECK_LIMIT}"
         )
-    walk = _OracleWalk(game)
+    full = (1 << n) - 1
+    # The base closure goes through the module name, so a profiler that
+    # rebinds ``closure_mask`` sees one call per oracle.
+    base, on, spread = _seed_walk(game, closure_mask(game, 0))
+    prunings = _lane_prunings(game, spread) if isinstance(on, int) else {}
     checked = 0
     for k in range(budget + 1):
         checked += math.comb(n, k)
-        hits = walk.sufficient_sets(k)
+        hits = list(_hits(spread, full, base, on, full, k, exact=True, **prunings))
         if hits:
             return OracleResult(True, k, tuple(Profile(n, m).players for m in hits), budget, checked)
     return OracleResult(False, None, (), budget, checked)
 
 
-class _OracleWalk:
-    """Depth-first walk over the k-sets of a game, in the order of
-    ``itertools.combinations``, each seed spread from its prefix's closure.
+def _hits(
+    spread: Callable, full: int, closed: int, on, cand: int, r: int, *, exact: bool, cut=None, reach=None, pairs=None
+) -> Iterator[int]:
+    """Seed masks of the sufficient sets of ``r`` seeds from ``cand``
+    (exactly ``r`` when ``exact``, else at most ``r``) added to the closed
+    set ``closed`` with counters ``on``, in lexicographic order.
 
-    On lanes three prunings skip most of the walk (built by
-    ``coordination._lane_prunings``; on a list of slacks they cost more
-    than they cut).  With ``r`` seeds left, player ``i`` outside the closed
-    set is *near* when ``slack[i] + r * top[i] >= 0``, ``top[i]`` being its
-    largest out-weight: r seeds raise its slack by at most ``r * top[i]``.
-
-    * *Leaf filter* (``reach``).  With one seed left, a leaf ``v`` can set
-      a player beyond itself only if it has an arc from a near player.
-      Every other leaf closes to ``closed | v``, which is not full: a closed
-      set never leaves exactly one player outside, as its out-neighbors
-      would all be at 1 and ``_need`` never exceeds the out-degree.
-    * *Subtree bound* (``blocked``).  When more than ``r`` players are
-      outside the closed set and none is near, no completion sets anyone
-      beyond its own seeds, so none is sufficient.
-    * *Two-seed pass* (``pairs``).  With two seeds left, one lane pass
-      places both.  A first seed ``v`` outside the closure with no arc from
-      a player near at r = 1 sets nobody, so it is not spread: its closure
-      is ``closed | v`` and its counters one add.  Its leaves are kept to
-      R | T[v], R being ``reach`` before ``v`` and T[v] the out-masks of
-      the players near at r = 2 with an arc to ``v``; only if one is left
-      is ``v`` grown.  No hit is dropped, as a player near once ``v`` is set
-      was near before it or has an arc to ``v`` and was near at r = 2.
-
-    ``test_prunings_match_their_definition``,
-    ``test_pair_leaves_match_their_definition`` and
-    ``test_subtree_bound_at_its_edge`` check them against their definition.
+    Depth-first on a stack of frames ``(candidates, closed, counters,
+    seeds, seeds left)``: each seed is a frame's lowest candidate outside
+    the closure of the seeds below it, spread from that closure, and a set
+    whose closure is full is a hit, not grown further.  A frame with fewer
+    candidates than it needs (the seeds left when ``exact``, else one) is
+    dropped, and a grown set is entered only if ``cut(closed, on, r)`` is
+    false.  Given the hooks, one seed left runs its leaves in one loop kept
+    to ``reach(on)``, and two go to ``pairs(on, closed, cand)``.
     """
-
-    def __init__(self, game: Game):
-        self.n = n = game.n
-        self.full = (1 << n) - 1
-        # The base closure goes through the module name, so a profiler that
-        # rebinds ``closure_mask`` sees one call per oracle.
-        self.base, self.on, self.spread = _seed_walk(game, closure_mask(game, 0))
-        lanes = _lane_prunings(game, self.spread) if isinstance(self.on, int) else (None,) * 3
-        self.reach, self.blocked, self.pairs = lanes
-        self.hits: list[int] = []
-
-    def sufficient_sets(self, k: int) -> list[int]:
-        """Seed masks of the sufficient k-sets, in lexicographic order."""
-        self.hits = []
-        if k == 0:
-            return [0] if self.base == self.full else []
-        self._grow(0, self.base, self.on, 0, k)
-        return self.hits
-
-    def _grow(self, start: int, closed: int, on, seeds: int, r: int) -> None:
-        """Place the remaining ``r`` seeds at indices ``start`` and up."""
-        n, spread, full = self.n, self.spread, self.full
-        outside = full ^ closed
-        if not outside:  # every completion is a hit
-            self.hits.extend(seeds | sum(1 << v for v in c) for c in itertools.combinations(range(start, n), r))
+    stack: list[tuple] = []
+    seeds = 0
+    while True:
+        # Enter the set just grown, the root first.
+        if closed == full:
+            yield seeds
+        else:
+            cand &= ~closed
+            if r and cand.bit_count() >= (r if exact else 1) and not (cut and cut(closed, on, r)):
+                if r == 1:
+                    if reach:
+                        cand &= reach(on)
+                    while cand:
+                        low = cand & -cand
+                        if spread(on, closed, [low.bit_length() - 1])[0] == full:
+                            yield seeds | low
+                        cand ^= low
+                elif r == 2 and pairs:
+                    for pair in pairs(on, closed, cand):
+                        yield seeds | pair
+                else:
+                    stack.append((cand, closed, on, seeds, r))
+        if not stack:
             return
-        if r == 1:
-            cand = outside >> start << start
-            if self.reach:
-                cand &= self.reach(on)
-            while cand:
-                low = cand & -cand
-                if spread(on, closed, [low.bit_length() - 1])[0] == full:
-                    self.hits.append(seeds | low)
-                cand ^= low
-            return
-        if self.blocked and outside.bit_count() > r and self.blocked(on, r):
-            return
-        if r == 2 and self.pairs:
-            self.hits.extend(seeds | pair for pair in self.pairs(on, closed, start))
-            return
-        for v in range(start, n - r + 1):
-            bit = 1 << v
-            if closed & bit:
-                self._grow(v + 1, closed, on, seeds | bit, r - 1)
-            else:
-                self._grow(v + 1, *spread(on, closed, [v]), seeds | bit, r - 1)
+        # Grow the top frame by its lowest candidate.
+        cand, closed, on, seeds, r = stack.pop()
+        low = cand & -cand
+        cand ^= low
+        if cand.bit_count() >= (r if exact else 1):
+            stack.append((cand, closed, on, seeds, r))
+        closed, on = spread(on, closed, [low.bit_length() - 1])
+        seeds |= low
+        r -= 1
 
 
 def _undominated(n: int, base: int, on, spread) -> list[int]:
@@ -322,13 +301,12 @@ def find_sufficient_within(
 ) -> frozenset[int] | None:
     """Complete decision search: a sufficient set of size <= budget, or None.
 
-    Depth-first in ascending index order, each seed spread from its
-    prefix's closure, with three prunings that keep the verdict of the full
-    search in any game with increasing differences; the set returned may
-    differ from the one the full search finds first.
+    The walk of :func:`_hits`, which skips a candidate inside the closure
+    of the chosen seeds (by idempotence, adding it changes nothing), with
+    two more prunings that keep the verdict of the full search in any game
+    with increasing differences; the set returned may differ from the one
+    the full search finds first.
 
-    * A candidate inside the closure of the chosen seeds is skipped: by
-      idempotence, adding it changes nothing.
     * Only undominated players are seeds.  ``v`` is dominated by ``u``
       when ``v`` lies in the closure of ``{u}``: by monotonicity, any
       sufficient set holding ``v`` stays sufficient with ``u`` in its place
@@ -351,13 +329,26 @@ def find_sufficient_within(
     """
     n = game.n
     _check_budget(budget, n)
+    if node_limit is not None and (type(node_limit) is not int or node_limit < 0):
+        raise InputError(f"node_limit must be an int >= 0, got {node_limit!r}")
     base, on, spread = _seed_walk(game, 0)
-    if base == (1 << n) - 1:
-        return frozenset()
     kept = _undominated(n, base, on, spread)
     blocking = _blocking_sets(game, base, on, spread, kept)
-    limit = math.inf if node_limit is None else node_limit
-    return _search_within(n, spread, kept, budget, blocking, limit, base, on)
+    if node_limit is not None:
+        nodes, walk = itertools.count(1), spread
+
+        def spread(on, closed: int, queue: list[int]):
+            if next(nodes) > node_limit:
+                raise BudgetError(
+                    f"control-set search at budget {budget} visited more than "
+                    f"the limit of {node_limit} nodes"
+                )
+            return walk(on, closed, queue)
+
+    cut = (lambda closed, on, r: _packing_exceeds(blocking, closed, r)) if blocking else None
+    cand = sum(1 << v for v in kept)
+    hit = next(_hits(spread, (1 << n) - 1, base, on, cand, budget, exact=False, cut=cut), None)
+    return None if hit is None else frozenset(_bit_indices(hit))
 
 
 def _blocking_sets(game: Game, base: int, on, spread, kept: list[int]) -> list[int]:
@@ -414,39 +405,6 @@ def _packing_exceeds(blocking: list[int], closed: int, r: int) -> bool:
             if count > r:
                 return True
     return False
-
-
-def _search_within(n: int, spread, kept: list[int], budget: int, blocking: list[int], node_limit: float, closed: int, on):
-    """The depth-first search of :func:`find_sufficient_within` from the
-    closed set ``closed``, on an explicit stack of frames ``(candidates,
-    closed, counters, seeds)``: a frame's candidates are the kept players
-    outside its closure above its last seed, taken lowest first, so the
-    order is that of ``kept``.  A grown set that is not full gets a frame
-    only if seeds are left and the blocking sets do not cut it."""
-    full = (1 << n) - 1
-    if not budget or blocking and _packing_exceeds(blocking, closed, budget):
-        return None
-    nodes, stack = 0, [(sum(1 << v for v in kept) & ~closed, closed, on, 0)]
-    while stack:
-        cand, closed, on, seeds = stack.pop()
-        if not cand:
-            continue
-        low = cand & -cand
-        stack.append((cand ^ low, closed, on, seeds))
-        nodes += 1
-        if nodes > node_limit:
-            raise BudgetError(
-                f"control-set search at budget {budget} visited more than "
-                f"the limit of {node_limit} nodes"
-            )
-        grown, grown_on = spread(on, closed, [low.bit_length() - 1])
-        seeds |= low
-        if grown == full:
-            return frozenset(_bit_indices(seeds))
-        r = budget - seeds.bit_count()
-        if r and not (blocking and _packing_exceeds(blocking, grown, r)):
-            stack.append((cand & ~grown, grown, grown_on, seeds))
-    return None
 
 
 def cohesiveness_crosscheck(g: WeightedGraph, theta, seed) -> bool:

@@ -31,9 +31,10 @@ from controlsets import (
     tree,
 )
 from controlsets import scs
+from controlsets.coordination import _lane_prunings
 from controlsets.scs import (
     _blocking_sets,
-    _OracleWalk,
+    _hits,
     _packing_exceeds,
     _seed_walk,
     _undominated,
@@ -319,6 +320,11 @@ class TestFindSufficientWithin:
         with pytest.raises(InputError, match="budget must be an int"):
             find_sufficient_within(majority_game(complete(4)), budget)
 
+    @pytest.mark.parametrize("limit", ["3", -1, 2.5, True])
+    def test_node_limit_must_be_an_int_at_least_zero(self, limit):
+        with pytest.raises(InputError, match="node_limit must be an int >= 0"):
+            find_sufficient_within(majority_game(complete(4)), 2, node_limit=limit)
+
     def test_deep_search_keeps_its_own_stack(self):
         # 2,000 seeds deep, past the interpreter's recursion limit: the
         # search must end in an answer or BudgetError.
@@ -419,6 +425,30 @@ class TestCounterClosure:
         assert calls
 
 
+def hits_reference(game, cand: int, r: int) -> list[int]:
+    """The hits of ``scs._hits`` with at most ``r`` seeds from ``cand``, by
+    recursion and sweep closures: seeds in ascending order, each outside the
+    closure of the seeds below it, listed in preorder, and a hit not grown."""
+    full = (1 << game.n) - 1
+    hits: list[int] = []
+
+    def grow(seeds: int, closed: int, above: int, left: int) -> None:
+        for v in range(above, game.n):
+            if cand >> v & 1 and not closed >> v & 1:
+                grown = closure_mask_sweep(game, closed | 1 << v)
+                if grown == full:
+                    hits.append(seeds | 1 << v)
+                elif left > 1:
+                    grow(seeds | 1 << v, grown, v + 1, left - 1)
+
+    base = closure_mask_sweep(game, 0)
+    if base == full:
+        return [0]
+    if r:
+        grow(0, base, 0, r)
+    return hits
+
+
 class TestOracleWalk:
     """The depth-first oracle, on every game, against the enumeration that
     closes every seed set from scratch."""
@@ -470,37 +500,30 @@ class TestOracleWalk:
         assert res.min_size == n - 1 and len(res.optimal_sets) == n
 
     @pytest.mark.parametrize("kind", GAME_KINDS)
-    def test_walk_lists_the_sufficient_sets_of_every_size(self, kind, monkeypatch):
-        # Sizes above the minimum reach prefixes whose closure is already
-        # full and prefixes whose complement has as many players as seeds
-        # are left, which the oracle itself stops before.
-        rng = random.Random(f"walk/{kind}")
+    def test_walker_matches_its_definition(self, kind, monkeypatch):
+        # At most r seeds: the preorder walk of hits_reference, at every
+        # budget.  Exactly r seeds, with the lane prunings where the slack is
+        # in lanes: every sufficient r-set of candidates, at every budget up
+        # to the minimum, where no seed lies in the closure of those below it.
+        rng = random.Random(f"walker/{kind}")
         for _ in range(15):
             game = random_coordination_game(kind, rng, rng.randint(2, 8))
             n = game.n
             full = (1 << n) - 1
-            expected = [
-                [m for m in map(sum, itertools.combinations([1 << p for p in range(n)], k)) if closure_mask_sweep(game, m) == full]
-                for k in range(n + 1)
-            ]
+            cands = [full] + [rng.randrange(full + 1) for _ in range(3)]
+            minimum = optimal_oracle_reference(game).min_size
             for pay in lane_forcings(monkeypatch):
-                walk = _OracleWalk(game)
-                for k in range(n + 1):
-                    assert walk.sufficient_sets(k) == expected[k], (pay, k)
-
-    def test_full_prefix_with_two_seeds_left(self, monkeypatch):
-        # One seed tips ring(6) at threshold 1/2, so every set is sufficient:
-        # at k = 2 the two-seed pass spreads a first seed to the full set, and
-        # at k = 3 each one-seed prefix is full with two seeds left, where
-        # every pair above it completes a hit.
-        game = majority_game(ring(6))
-        bits = [1 << p for p in range(6)]
-        for pay in lane_forcings(monkeypatch):
-            walk = _OracleWalk(game)
-            assert (walk.pairs is not None) == pay
-            assert walk.sufficient_sets(0) == []
-            for k in range(1, 7):
-                assert walk.sufficient_sets(k) == list(map(sum, itertools.combinations(bits, k))), (pay, k)
+                base, on, spread = _seed_walk(game, 0)
+                hooks = _lane_prunings(game, spread) if pay else {}
+                for cand in cands:
+                    bits = [1 << p for p in range(n) if cand >> p & 1]
+                    for r in range(n + 1):
+                        at_most = list(_hits(spread, full, base, on, cand, r, exact=False))
+                        assert at_most == hits_reference(game, cand, r), (pay, cand, r)
+                        if r <= minimum:
+                            exact = list(_hits(spread, full, base, on, cand, r, exact=True, **hooks))
+                            sufficient = [m for m in map(sum, itertools.combinations(bits, r)) if closure_mask_sweep(game, m) == full]
+                            assert exact == sufficient, (pay, cand, r)
 
     def test_instance_delta_sign_takes_the_enumeration(self):
         game = majority_game(ring(6))
@@ -559,7 +582,7 @@ class TestLaneWalk:
             widths.add(game._lane_bytes)
             expected = [optimal_oracle_reference(game, b) for b in range(game.n + 1)]
             for pay in lane_forcings(monkeypatch):
-                assert isinstance(_OracleWalk(game).on, int) == pay
+                assert isinstance(_seed_walk(game, 0)[1], int) == pay
                 for budget in range(game.n + 1):
                     assert optimal_oracle(game, budget) == expected[budget], (pay, budget)
         assert widths == ({2} if kind == "heavy" else {1})
@@ -596,49 +619,50 @@ class TestLaneWalk:
             out_masks = [sum(1 << j for j, _ in row) for row in game.graph.rows]
             for mask in [0] + [rng.randrange(full + 1) for _ in range(6)]:
                 for pay in lane_forcings(monkeypatch):
-                    walk = _OracleWalk(game)
+                    closed, on, spread = _seed_walk(game, mask)
                     if not pay:
-                        assert walk.reach is None and walk.blocked is None
+                        assert isinstance(on, list)
                         continue
-                    closed, on, _ = _seed_walk(game, mask)
+                    prunings = _lane_prunings(game, spread)
                     slack = game._slack(closed)
                     assert decode_lanes(game, on) == (slack, closed)
                     outside = full ^ closed
                     for r in range(1, n + 1):
                         near = [i for i in range(n) if outside >> i & 1 and slack[i] + r * top[i] >= 0]
-                        assert walk.blocked(on, r) == (not near), r
+                        assert prunings["cut"](closed, on, r) == (not near and outside.bit_count() > r), r
                         if r == 1:
                             reach = 0
                             for i in near:
                                 reach |= out_masks[i]
-                            assert walk.reach(on) == reach
+                            assert prunings["reach"](on) == reach
 
     @pytest.mark.parametrize("kind", LANE_KINDS)
     def test_pair_leaves_match_their_definition(self, kind, monkeypatch):
-        # At closed sets that are not full and every start, the two-seed pass
-        # lists exactly the pairs {v, w}, start <= v < w, whose closure with
-        # the set is full, in itertools.combinations order: no candidate
-        # filter drops a hit, whether v is inside the closure, sets players
-        # through a near listener, or sets nobody.
+        # At closed sets that are not full and random candidates outside
+        # them, the two-seed pass lists exactly the pairs {v, w} of
+        # candidates, v < w, w outside the closure with v, whose closure with
+        # the set is full, in lexicographic order: no filter drops a hit,
+        # whether v sets players through a near listener or sets nobody.
         monkeypatch.setattr(CoordinationGame, "_lanes_pay", lambda self: True)
         rng = random.Random(f"lanes/pairs/{kind}")
         hits = 0
         for _ in range(16):
             game = lane_game(kind, rng, rng.randint(3, 10))
             n, full = game.n, (1 << game.n) - 1
-            pairs = _OracleWalk(game).pairs
             for size in (0, 0, 1, 1, 2, 3):
-                closed, on, _ = _seed_walk(game, sum(1 << p for p in rng.sample(range(n), size)))
+                closed, on, spread = _seed_walk(game, sum(1 << p for p in rng.sample(range(n), size)))
                 if closed == full:
                     continue
-                expected = [
-                    (v, w)
-                    for v, w in itertools.combinations(range(n), 2)
-                    if closure_mask_sweep(game, closed | 1 << v | 1 << w) == full
-                ]
-                hits += len(expected)
-                for start in range(n):
-                    assert pairs(on, closed, start) == [1 << v | 1 << w for v, w in expected if v >= start]
+                pairs = _lane_prunings(game, spread)["pairs"]
+                for cand in [full ^ closed] + [rng.randrange(full + 1) & ~closed for _ in range(4)]:
+                    expected = []
+                    for v, w in itertools.combinations(range(n), 2):
+                        if cand >> v & 1 and cand >> w & 1:
+                            grown = closure_mask_sweep(game, closed | 1 << v)
+                            if not grown >> w & 1 and closure_mask_sweep(game, grown | 1 << w) == full:
+                                expected.append(1 << v | 1 << w)
+                    hits += len(expected)
+                    assert pairs(on, closed, cand) == expected
         assert hits
 
     @pytest.mark.parametrize("kind", GAME_KINDS)
@@ -673,16 +697,16 @@ class TestLaneWalk:
     )
     def test_dense_game_packs(self, make):
         game = majority_game(make())
-        walk = _OracleWalk(game)
-        assert isinstance(walk.on, int) and game._lane_rows is not None
-        assert decode_lanes(game, walk.on) == (game._slack(walk.base), walk.base)
+        base, on, _ = _seed_walk(game, 0)
+        assert isinstance(on, int) and game._lane_rows is not None
+        assert decode_lanes(game, on) == (game._slack(base), base)
 
     @pytest.mark.parametrize("make", [lambda: ring(1500), lambda: path(300)], ids=["ring1500", "path300"])
     def test_sparse_game_keeps_the_list(self, make):
         # One lane add costs O(n) there, against O(2) list updates.
         game = majority_game(make())
-        walk = _OracleWalk(game)
-        assert walk.on == game._slack(walk.base) and game._lane_rows is None
+        base, on, _ = _seed_walk(game, 0)
+        assert on == game._slack(base) and game._lane_rows is None
 
     def test_other_games_take_the_sweep(self):
         class Wrapped(CoordinationGame):
@@ -696,8 +720,7 @@ class TestLaneWalk:
             overridden,
         ]
         for game in games:
-            walk = _OracleWalk(game)
-            assert walk.on == [] and walk.reach is None and walk.blocked is None
+            assert _seed_walk(game, 0)[1] == []
             assert getattr(game, "_lane_rows", None) is None
             assert optimal_oracle(game) == optimal_oracle_reference(game)
 
