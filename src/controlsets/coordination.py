@@ -21,7 +21,9 @@ of the players that end at 1) (linear-threshold propagation; Kempe,
 Kleinberg & Tardos, KDD 2003).  A player that closes is parked: its
 counter drops by 1 + the total weight, and a slack never exceeds the
 out-degree, so only open players reach 0 and the worklist reads no
-closed mask.
+closed mask.  The list folds each pendant player into its neighbour
+(``scs._seed_walk`` describes the fold; ``CoordinationGame._fold_rows``
+holds its table).
 
 On graphs dense enough for it to pay (the one rule,
 :meth:`CoordinationGame._lanes_pay`), the counters share one integer,
@@ -100,6 +102,7 @@ class CoordinationGame(Game):
         # Bytes per slack lane: 2**(8b - 1) exceeds every out-degree >= |slack|.
         self._lane_bytes = max(degrees).bit_length() // 8 + 1
         self._lane_rows: list[int] | None = None
+        self._folds: tuple[list, list] | None = None
 
     @property
     def thresholds(self) -> tuple[Fraction, ...]:
@@ -141,6 +144,38 @@ class CoordinationGame(Game):
             b, n = self._lane_bytes, self.n
             self._lane_rows = [_pack_lanes(b, n, row) for row in self.graph.in_rows]
         return self._lane_rows
+
+    def _fold_rows(self) -> tuple[list, list]:
+        """Per player ``j``, ``in_rows[j]`` without ``j``'s pendants and
+        the fold of its pendants (``scs._seed_walk``): ``(walks, folds)``,
+        ``folds[j]`` None or ``(mask, back, pendants)`` with per pendant
+        ``i`` its out-weight ``w``, its parked counter with ``j`` at 1 and
+        the weight ``b`` of ``j -> i``.  Built on first use and kept."""
+        if self._folds is None:
+            rows, into, need = self.graph.rows, self.graph.in_rows, self._need
+            shut = -1 - sum(self.graph.out_degrees)
+            owner = {}
+            for i, row in enumerate(rows):
+                if len(row) == 1:
+                    j, heard = row[0][0], into[i]
+                    if not heard or len(heard) == 1 and heard[0][0] == j:
+                        owner[i] = j
+            walks, folds = list(into), [None] * self.n
+            for j in set(owner.values()):
+                walk, pendants, mask, back = [], [], 0, 0
+                for i, w in into[j]:
+                    # A two-player component, each the other's pendant, folds neither.
+                    if owner.get(i) == j and owner.get(j) != i:
+                        b = into[i][0][1] if into[i] else 0
+                        pendants.append((i, w, w - need[i] + shut, b))
+                        mask |= 1 << i
+                        back += b
+                    else:
+                        walk.append((i, w))
+                if pendants:
+                    walks[j], folds[j] = walk, (mask, back, pendants)
+            self._folds = walks, folds
+        return self._folds
 
 
 def _pack_lanes(b: int, n: int, values) -> int:

@@ -72,6 +72,18 @@ def _seed_walk(game: Game, mask: int) -> tuple[int, list[int] | int, Callable]:
     of ``coordination._lane_walk`` where ``game._lanes_pay()``, else on a
     list of slacks in which each closed player is parked.  Any other game
     gets ``on == []`` and order-free sweeps of ``delta_sign``.
+
+    The list folds *pendants* (degree-one reduction; Nichterlein,
+    Niedermeier, Uhlmann & Weller, SNAM 2013): ``i`` is a pendant of ``j``
+    when its only out-arc goes to ``j``, only ``j`` listens to it, and
+    ``j`` is not a pendant of ``i``, so no pendant owns one.  As
+    ``_need[i]`` lies in [0, w_i], a pendant closes exactly when ``j`` is
+    at 1, or from the start at need 0, and walking it would only add its
+    back weight to ``j``.  So walking ``j`` skips its pendants' arcs,
+    closes them at once, writes each new one's parked counter and adds
+    their back weights to ``j``; a pendant closed already (a seed, or
+    need 0) takes the plain arc update.  The counters are those of a walk
+    without the fold.
     """
     n = game.n
     if _plain_coordination(game):
@@ -80,7 +92,7 @@ def _seed_walk(game: Game, mask: int) -> tuple[int, list[int] | int, Callable]:
         queue += {i for i, a in enumerate(on) if a >= 0}.difference(queue)  # each player once
         if game._lanes_pay():
             return _lane_walk(game, on, queue)
-        into, shut = game.graph.in_rows, -1 - sum(game.graph.out_degrees)
+        (walks, folds), shut = game._fold_rows(), -1 - sum(game.graph.out_degrees)
 
         def spread(on: list[int], closed: int, queue: list[int]) -> tuple[int, list[int]]:
             on = on[:]
@@ -89,12 +101,26 @@ def _seed_walk(game: Game, mask: int) -> tuple[int, list[int] | int, Callable]:
                 on[i] += shut
             # The queue grows while it is walked: each flip is queued once.
             for j in queue:
-                for i, w in into[j]:
+                for i, w in walks[j]:
                     a = on[i] = on[i] + w
                     if a >= 0:
                         on[i] = a + shut
                         closed |= 1 << i
                         queue.append(i)
+                if fold := folds[j]:
+                    mask, back, pendants = fold
+                    if closed & mask:
+                        for i, w, parked, b in pendants:
+                            if closed >> i & 1:
+                                on[i] += w
+                            else:
+                                on[i] = parked
+                                on[j] += b
+                    else:
+                        for i, _, parked, _ in pendants:
+                            on[i] = parked
+                        on[j] += back
+                    closed |= mask
             return closed, on
 
         return (*spread(on, 0, queue), spread)
@@ -387,10 +413,23 @@ def _blocking_sets(game: Game, base: int, on, spread, kept: list[int]) -> list[i
         for x, y in sorted(pairs):
             found.add(full ^ spread(on, base, [v for v in kept if v != x and v != y])[0])
         found.discard(0)
+    return _minimal_sets(found)
+
+
+def _minimal_sets(sets: Iterable[int]) -> list[int]:
+    """The inclusion-minimal masks among the distinct nonzero ``sets``,
+    smallest first, then by value.  A kept set is filed under its lowest
+    bit, which each of its supersets holds, so a set is tested only against
+    the kept sets filed under one of its own bits."""
     minimal: list[int] = []
-    for b in sorted(found, key=lambda b: (b.bit_count(), b)):
-        if all(b & m != m for m in minimal):
+    by_low: dict[int, list[int]] = {}
+    for b in sorted(sets, key=lambda b: (b.bit_count(), b)):
+        rest = b
+        while rest and not any(b & m == m for m in by_low.get(rest & -rest, ())):
+            rest &= rest - 1
+        if not rest:
             minimal.append(b)
+            by_low.setdefault(b & -b, []).append(b)
     return minimal
 
 

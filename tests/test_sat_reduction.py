@@ -467,6 +467,15 @@ ONLY_ONES_16 = Cnf3(
     ),
 )
 
+# Nine variables, 20 clauses; the first model is 3 (variables 1 and 2 true).
+FIRST_MODEL_3 = Cnf3(
+    9,
+    (
+        (-1, 8, -6), (-4, 5, 8), (1, 9, 7), (-1, 2, 5), (2, -3, -1), (-7, 1, -5), (5, 2, -7),
+        (-6, 9, 5), (2, 7, -6), (1, 8, -2), (-2, 7, -9), (1, -2, 6), (-5, -2, -1), (-4, -2, 5),
+        (6, -3, -7), (-7, -2, 4), (-3, -7, -6), (8, -3, 6), (-8, 9, -6), (-3, 9, -8),
+    ),
+)
 
 def planted_cnf3(rng: random.Random, nv: int, m: int) -> Cnf3:
     """``m`` random 3-clauses over ``nv`` >= 4 variables, each satisfied by
@@ -621,6 +630,18 @@ class TestEncodedWalk:
                 assert _first_sufficient_encoding(*args) == expected, pay
             found += expected is not None
         assert 40 < found < 130 and coincide > 200
+
+    def test_spreads_on_an_early_model(self, monkeypatch):
+        # The first child reads the root's top rung, which is built on the
+        # rungs below it, so every root rung is filled before the first
+        # child whether the root ladder is filled eagerly or on demand: 8
+        # of these spreads.  The other 50 fill rungs and close nodes below.
+        gadget = build_gadget(FIRST_MODEL_3)
+        args = (gadget.game, gadget.hub, gadget.false_nodes, gadget.true_nodes)
+        walk = count_spreads(monkeypatch, "controlsets.sat_reduction")
+        assert FIRST_MODEL_3._first_model(range(1 << 9)) == 3
+        assert _first_sufficient_encoding(*args) == 3
+        assert walk[0] == 58
 
     def test_cut_drops_most_spreads(self, monkeypatch):
         # The first model is the last assignment, so the reference walks

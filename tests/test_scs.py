@@ -50,6 +50,7 @@ from conftest import (
     find_sufficient_within_reference,
     lane_forcings,
     optimal_oracle_reference,
+    random_cnf3,
     random_coordination_game,
     random_directed_graph,
     random_game,
@@ -825,6 +826,146 @@ class TestParkedCounters:
         assert cascade(game, {0}) == cascade_reference(game, {0})
 
 
+def pendant_game(kind: str, rng: random.Random, n: int) -> CoordinationGame:
+    """A coordination game of one of ``PENDANT_KINDS``, rich in pendants:
+    weighted stars, caterpillars and random trees, K2 components beside a
+    tree, a directed graph whose nodes often have one out-arc but several
+    listeners, and SAT gadgets.  A few pendants get bias equal to their
+    out-degree, so need 0."""
+    if kind == "gadget":
+        graph = build_gadget(random_cnf3(rng, max_vars=4, max_clauses=rng.randint(1, 3))).graph
+    elif kind == "directed":
+        core, arcs = max(2, n // 2), {}
+        for i in range(core):
+            others = [j for j in range(core) if j != i]
+            for j in rng.sample(others, 1 if rng.random() < 0.5 else rng.randint(1, len(others))):
+                arcs[i, j] = rng.randint(1, 4)
+        for p in range(core, n):
+            j = rng.randrange(p)
+            arcs[p, j] = rng.randint(1, 4)
+            if rng.random() < 0.7:
+                arcs[j, p] = rng.randint(1, 4)
+        graph = WeightedGraph(n, arcs)
+    else:
+        pairs = rng.randint(1, (n - 2) // 2) if kind == "k2" else 0
+        tree_n, spine = n - 2 * pairs, max(1, n // 3)
+        if kind == "star":
+            parents = [-1] + [0] * (tree_n - 1)
+        elif kind == "caterpillar":
+            parents = [-1] + [i - 1 if i < spine else rng.randrange(spine) for i in range(1, tree_n)]
+        else:
+            parents = [-1] + [rng.randrange(i) for i in range(1, tree_n)]
+        edges = [(i, p, rng.randint(1, 3)) for i, p in enumerate(parents) if p >= 0]
+        edges += [(tree_n + 2 * k, tree_n + 2 * k + 1, rng.randint(1, 3)) for k in range(pairs)]
+        graph = WeightedGraph.from_edges(n, edges)
+    biases = _biases(rng, graph)
+    for i in rng.sample(range(graph.n), rng.randint(0, 2)):
+        biases[i] = graph.out_degrees[i]
+    return CoordinationGame(graph, biases)
+
+
+PENDANT_KINDS = ("star", "caterpillar", "tree", "k2", "directed", "gadget")
+
+
+def pendants_reference(game) -> dict[int, int]:
+    """Player -> the neighbour it is a pendant of, from the definition:
+    its only out-arc goes there, no other player listens to it, and it is
+    not a pendant of its own pendant (a K2 component)."""
+    rows, into = game.graph.rows, game.graph.in_rows
+    lone = {
+        i: row[0][0]
+        for i, row in enumerate(rows)
+        if len(row) == 1 and {j for j, _ in into[i]} <= {row[0][0]}
+    }
+    return {i: j for i, j in lone.items() if lone.get(j) != i}
+
+
+class TestPendantFold:
+    """The list spread with pendants folded into their neighbour against
+    the sweep closure and the exact counters of a walk without the fold."""
+
+    @pytest.mark.parametrize("kind", PENDANT_KINDS)
+    def test_table_matches_its_definition(self, kind):
+        rng = random.Random(f"fold/table/{kind}")
+        listened = twos = 0
+        for _ in range(30):
+            game = pendant_game(kind, rng, rng.randint(4, 14))
+            walks, folds = game._fold_rows()
+            owner = pendants_reference(game)
+            into, shut = game.graph.in_rows, -1 - sum(game.graph.out_degrees)
+            got = {}
+            for j, fold in enumerate(folds):
+                if fold is None:
+                    assert tuple(walks[j]) == into[j]
+                    continue
+                mask, back, pendants = fold
+                assert [i for i, *_ in pendants] == [i for i in range(game.n) if mask >> i & 1]
+                assert sorted(walks[j] + [(i, w) for i, w, _, _ in pendants]) == sorted(into[j])
+                arcs = dict(game.graph.rows[j])
+                assert back == sum(arcs.get(i, 0) for i, *_ in pendants)
+                for i, w, parked, b in pendants:
+                    got[i] = j
+                    assert (w, parked, b) == (game.graph.out_degrees[i], w - game._need[i] + shut, arcs.get(i, 0))
+            assert got == owner
+            # One out-arc but several listeners; one out-arc, to a player
+            # whose only out-arc comes back.
+            rows = game.graph.rows
+            listened += sum(len(row) == 1 and len(into[i]) > 1 for i, row in enumerate(rows))
+            twos += sum(len(row) == 1 and rows[row[0][0]] == ((i, row[0][1]),) for i, row in enumerate(rows))
+        assert listened > 20 or kind != "directed"
+        assert twos > 20 or kind != "k2"
+
+    @pytest.mark.parametrize("kind", PENDANT_KINDS)
+    def test_spreads_match_sweep_and_counters(self, kind, monkeypatch):
+        # From random closed prefixes, queues of one to three outside
+        # players, pendants among them while their neighbour is open.
+        monkeypatch.setattr(CoordinationGame, "_lanes_pay", lambda self: False)
+        rng = random.Random(f"fold/spread/{kind}")
+        folded = seeded = need_zero = 0
+        for _ in range(30):
+            game = pendant_game(kind, rng, rng.randint(4, 14))
+            n, full = game.n, (1 << game.n) - 1
+            shut, owner = -1 - sum(game.graph.out_degrees), pendants_reference(game)
+            need_zero += sum(not game._need[i] for i in owner)
+
+            def exact(closed):
+                return [a + shut * (closed >> i & 1) for i, a in enumerate(game._slack(closed))]
+
+            for mask in [0] + [rng.randrange(full + 1) for _ in range(4)]:
+                closed, on, spread = _seed_walk(game, mask)
+                assert (closed, on) == (closure_mask_sweep(game, mask), exact(closed))
+                outside = [v for v in range(n) if not closed >> v & 1]
+                for _ in range(6 if outside else 0):
+                    queue = rng.sample(outside, rng.randint(1, min(3, len(outside))))
+                    seeded += sum(v in owner and not closed >> owner[v] & 1 for v in queue)
+                    before = on[:]
+                    grown, grown_on = spread(on, closed, OnceQueue(queue))
+                    assert grown == closure_mask_sweep(game, closed | sum(1 << v for v in queue))
+                    assert grown_on == exact(grown)
+                    assert on == before
+                    folded += sum(grown >> i & ~closed >> i & 1 for i in owner)
+        assert folded > 100 and seeded > 20 and need_zero > 5
+
+    @pytest.mark.parametrize("kind", PENDANT_KINDS)
+    def test_searches_match_references(self, kind, monkeypatch):
+        monkeypatch.setattr(CoordinationGame, "_lanes_pay", lambda self: False)
+        rng = random.Random(f"fold/search/{kind}")
+        for _ in range(4 if kind == "gadget" else 8):
+            if kind == "gadget":
+                cnf = random_cnf3(rng, max_vars=3, max_clauses=1)
+                game = majority_game(build_gadget(cnf).graph)
+            else:
+                game = pendant_game(kind, rng, rng.randint(4, 9))
+            assert any(game._fold_rows()[1]) or kind in ("directed", "k2")
+            base = closure_mask_sweep(game, 0)
+            kept = undominated_reference(game, base)
+            blocking = blocking_sets_reference(game, kept)
+            for budget in range(min(game.n, 5) + 1):
+                assert optimal_oracle(game, budget) == optimal_oracle_reference(game, budget), budget
+                expected = find_sufficient_within_reference(game, budget, kept, blocking)
+                assert find_sufficient_within(game, budget) == expected, budget
+
+
 def test_weighted_graph_fixture_needs_two_nodes():
     # One node has no edge to draw; the fixture used to loop forever.
     with pytest.raises(AssertionError, match="at least 2 nodes"):
@@ -936,6 +1077,24 @@ class TestBlockingSetBound:
             blocking = self.assert_matches_reference(game, range(game.n + 1), monkeypatch)
             cut += bool(blocking)
         assert cut
+
+    def test_minimal_sets_match_the_quadratic_definition(self):
+        # Random families of distinct nonzero masks, dense in supersets:
+        # the lowest-bit index keeps what the all-pairs test keeps, in order.
+        rng = random.Random("blocking/minimal")
+        dropped = 0
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            family = {rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 40))}
+            for b in list(family)[:5]:
+                family.add(b | rng.randrange(1 << n))
+            expected = sorted(
+                (b for b in family if not any(m != b and b & m == m for m in family)),
+                key=lambda b: (b.bit_count(), b),
+            )
+            assert scs._minimal_sets(family) == expected
+            dropped += len(family) - len(expected)
+        assert dropped > 1000
 
     def test_overlapping_sets_are_packed_disjoint(self, monkeypatch):
         game = blocking_game()
