@@ -14,7 +14,8 @@ random streams, so its outputs are those of the plain step-by-step loop.
 For small instances :func:`_moves` maps each reachable profile to its
 admissible players; the reachable and absorbing sets and the exact
 transition matrix are read off it, and :func:`stationary_distribution`
-solves for the stationary vector exactly, so these claims can be checked.
+solves for the stationary vector exactly, from the integer numerators of
+the rows alone, so these claims can be checked.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .game_core import Game, Profile
 
 ENUMERATION_NODE_LIMIT = 16
 MATRIX_STATE_LIMIT = 4096
-DENSE_SOLVE_LIMIT = 1024
+DENSE_SOLVE_LIMIT = 256
 _DRAW_BLOCK_WORDS = 4096  # 32-bit words per block of player draws
 _SCAN_WINDOW = 32  # draws translated by the first look for a marked player
 
@@ -430,16 +431,16 @@ def stationary_distribution(matrix) -> tuple[Fraction, ...]:
 
     Accepts a :class:`TransitionMatrix` of ``dict`` rows from ``int``
     columns to ``int`` or ``Fraction`` entries, or a square list of
-    rationals turned into such rows; one pass, :func:`_integer_rows`,
-    checks the rows and keeps them as integers for the solve.  The search
-    walk is reversible, so pi is fixed along a BFS tree from state 0 by
-    pi(b) / pi(a) = P(a, b) / P(b, a) and returned only if detailed balance
-    holds on every entry (Kolmogorov's criterion; Kelly, *Reversibility and
-    Stochastic Networks*, 1979): such a pi is the unique stationary law of
-    an irreducible chain.  A chain that fails and in which state 0 does not
-    reach every state is rejected as reducible; any other goes to a
-    Gauss-Jordan solve over the same rows, of at most ``DENSE_SOLVE_LIMIT``
-    states, which raises if the chain is reducible.
+    rationals turned into such rows.  One pass, :func:`_integer_rows`,
+    checks the rows and turns them into integers, and the solve reads only
+    those.  The search walk is reversible, so pi is fixed along a BFS tree
+    from state 0 by pi(b) / pi(a) = P(a, b) / P(b, a) and returned only if
+    detailed balance holds on every entry (Kolmogorov's criterion; Kelly,
+    *Reversibility and Stochastic Networks*, 1979): such a pi is the unique
+    stationary law of an irreducible chain.  A chain that fails and in
+    which state 0 does not reach every state is rejected as reducible; any
+    other goes to :func:`_fraction_free_solve`, of at most
+    ``DENSE_SOLVE_LIMIT`` states, which raises if the chain is reducible.
     """
     if isinstance(matrix, TransitionMatrix):
         rows, m = matrix.rows, matrix.size
@@ -449,12 +450,13 @@ def stationary_distribution(matrix) -> tuple[Fraction, ...]:
         if m == 0 or any(len(row) != m for row in dense):
             raise InputError("transition matrix must be square and nonempty")
         rows = [{b: p for b, p in enumerate(row) if p} for row in dense]
-    pi, reached = _detailed_balance_solve(_integer_rows(rows, m), m)
+    rows = _integer_rows(rows, m)
+    pi, reached = _detailed_balance_solve(rows, m)
     if pi is not None:
         return pi
     if reached < m:
         raise InputError(f"chain is reducible: state 0 reaches {reached} of {m} states")
-    return _gauss_jordan(rows, m)
+    return _fraction_free_solve(rows, m)
 
 
 def _integer_rows(rows, m: int) -> list[tuple[int, dict[int, int]]]:
@@ -544,48 +546,46 @@ def _detailed_balance_solve(rows, m: int) -> tuple[tuple[Fraction, ...] | None, 
     return tuple(Fraction(w, total) for w in weights), m
 
 
-def _gauss_jordan(rows, m: int) -> tuple[Fraction, ...]:
-    """Exact solve of pi P = pi for ``m`` sparse rows that passed
-    :func:`_integer_rows`, by elimination over a dense copy."""
+def _fraction_free_solve(rows, m: int) -> tuple[Fraction, ...]:
+    """Exact solve of pi P = pi for ``m`` rows from :func:`_integer_rows`: with
+    y_a = pi_a / L_a, column b reads sum_a N_ab y_a = L_b y_b, eliminated by
+    Bareiss (Math. Comp. 1968), each row below pivot d as (d x - f y) // prev.
+    Back-substitution sets y = 1 at the free column, in ``Fraction``s."""
     if m > DENSE_SOLVE_LIMIT:
         raise BudgetError(f"exact solve limited to {DENSE_SOLVE_LIMIT} states, got {m}")
-
-    # Solve pi (P - I) = 0, i.e. A x = 0 with A[i][j] = P[j][i] - delta_ij.
-    a = [[Fraction(-1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
-    for j, row in enumerate(rows):
-        for i, p in row.items():
-            a[i][j] += p
-    pivot_col_of_row: list[int] = []
-    row_at = 0
+    a = [[0] * m for _ in range(m)]
+    for j, (lj, row) in enumerate(rows):
+        for i, x in row.items():
+            a[i][j] = x
+        a[j][j] -= lj
+    pivots: list[int] = []
+    prev = 1
     for col in range(m):
-        pivot = next((r for r in range(row_at, m) if a[r][col] != 0), None)
+        r = len(pivots)
+        pivot = next((i for i in range(r, m) if a[i][col]), None)
         if pivot is None:
             continue
-        a[row_at], a[pivot] = a[pivot], a[row_at]
-        inv = 1 / a[row_at][col]
-        a[row_at] = [v * inv for v in a[row_at]]
-        for r in range(m):
-            if r != row_at and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [vr - factor * vp for vr, vp in zip(a[r], a[row_at])]
-        pivot_col_of_row.append(col)
-        row_at += 1
-    free_cols = sorted(set(range(m)) - set(pivot_col_of_row))
-    if len(free_cols) != 1:
+        a[r], a[pivot] = a[pivot], a[r]
+        d, top = a[r][col], a[r][col:]
+        for row in a[r + 1:]:
+            f = row[col]
+            row[col:] = [(d * x - f * y) // prev for x, y in zip(row[col:], top)]
+        pivots.append(col)
+        prev = d
+    if len(pivots) != m - 1:
         raise InputError(
-            f"chain is reducible: stationary solution space has dimension {len(free_cols)}"
+            f"chain is reducible: stationary solution space has dimension {m - len(pivots)}"
         )
-    free = free_cols[0]
-    x = [Fraction(1)] * m  # 1 at the free column; the pivot columns follow
-    for r, col in enumerate(pivot_col_of_row):
-        x[col] = -a[r][free]
-    total = sum(x)
+    y = [Fraction(1)] * m
+    for row, col in reversed(list(zip(a, pivots))):
+        y[col] = -sum(row[j] * y[j] for j in range(col + 1, m) if row[j]) / row[col]
+    total = sum(lb * v for (lb, _), v in zip(rows, y))
     if total == 0:
         raise InputError("degenerate stationary solve (zero total mass)")
-    x = [v / total for v in x]
-    if any(v <= 0 for v in x):
+    pi = tuple(lb * v / total for (lb, _), v in zip(rows, y))
+    if any(v <= 0 for v in pi):
         raise InputError("chain is reducible: stationary vector is not strictly positive")
-    return tuple(x)
+    return pi
 
 
 def stationary_law(matrix: TransitionMatrix) -> tuple[Fraction, ...]:

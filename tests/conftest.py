@@ -26,7 +26,8 @@ from controlsets import (
     normalize_control_set,
     random_supermodular_table,
 )
-from controlsets.errors import BudgetError
+from controlsets.chain import DENSE_SOLVE_LIMIT
+from controlsets.errors import BudgetError, InputError
 from controlsets.graph import GraphGenerationError, WeightedGraph
 from controlsets.sat_reduction import SAT_VARS_LIMIT, SEARCH_GADGET_LIMIT, SEARCH_NODE_LIMIT
 from controlsets.scs import _seed_walk
@@ -474,6 +475,93 @@ def detailed_balance_solve_reference(rows, m: int):
                     return None, m
     total = sum(pi)
     return tuple(v / total for v in pi), m
+
+
+def gauss_jordan_reference(rows, m: int) -> tuple[Fraction, ...]:
+    """Exact solve of pi P = pi for ``m`` sparse ``Fraction`` rows that pass
+    ``chain._integer_rows``, by Gauss-Jordan elimination over a dense copy."""
+    if m > DENSE_SOLVE_LIMIT:
+        raise BudgetError(f"exact solve limited to {DENSE_SOLVE_LIMIT} states, got {m}")
+
+    # Solve pi (P - I) = 0, i.e. A x = 0 with A[i][j] = P[j][i] - delta_ij.
+    a = [[Fraction(-1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
+    for j, row in enumerate(rows):
+        for i, p in row.items():
+            a[i][j] += p
+    pivot_col_of_row: list[int] = []
+    row_at = 0
+    for col in range(m):
+        pivot = next((r for r in range(row_at, m) if a[r][col] != 0), None)
+        if pivot is None:
+            continue
+        a[row_at], a[pivot] = a[pivot], a[row_at]
+        inv = 1 / a[row_at][col]
+        a[row_at] = [v * inv for v in a[row_at]]
+        for r in range(m):
+            if r != row_at and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [vr - factor * vp for vr, vp in zip(a[r], a[row_at])]
+        pivot_col_of_row.append(col)
+        row_at += 1
+    free_cols = sorted(set(range(m)) - set(pivot_col_of_row))
+    if len(free_cols) != 1:
+        raise InputError(
+            f"chain is reducible: stationary solution space has dimension {len(free_cols)}"
+        )
+    free = free_cols[0]
+    x = [Fraction(1)] * m  # 1 at the free column; the pivot columns follow
+    for r, col in enumerate(pivot_col_of_row):
+        x[col] = -a[r][free]
+    total = sum(x)
+    if total == 0:
+        raise InputError("degenerate stationary solve (zero total mass)")
+    x = [v / total for v in x]
+    if any(v <= 0 for v in x):
+        raise InputError("chain is reducible: stationary vector is not strictly positive")
+    return tuple(x)
+
+
+def random_chain_rows(rng: random.Random, m: int, kind: str) -> list[dict[int, Fraction]]:
+    """Sparse ``Fraction`` rows of a seeded ``m``-state chain of one ``kind``:
+    "irreducible", "closed" (two or three closed classes) or "transient"
+    (one closed class that every other state leaves for good).
+
+    Each row takes weights from 1..9 over its own targets and is divided
+    by their total, so the rows' denominators differ.
+    """
+    order = rng.sample(range(m), m)
+    cut = rng.randint(1, m - 1) if kind != "irreducible" else 0
+    if kind == "closed":
+        cuts = sorted({cut, rng.randint(1, m - 1)})
+        classes = [order[i:j] for i, j in zip([0, *cuts], [*cuts, m])]
+        transient = []
+    else:
+        classes, transient = [order[cut:]], order[:cut]
+    weights: list[dict[int, int]] = [{} for _ in range(m)]
+    for members in classes:
+        # A cycle through the class makes it irreducible; jumps stay inside.
+        for i, a in enumerate(members):
+            for b in [members[(i + 1) % len(members)]] + rng.choices(members, k=rng.randint(0, 2)):
+                weights[a][b] = weights[a].get(b, 0) + rng.randint(1, 9)
+    for a in transient:
+        # One way out into a closed class, then jumps anywhere.
+        for b in [rng.choice(order[cut:])] + rng.choices(order, k=rng.randint(0, 2)):
+            weights[a][b] = weights[a].get(b, 0) + rng.randint(1, 9)
+    return [{b: Fraction(w, sum(row.values())) for b, w in row.items()} for row in weights]
+
+
+def one_way_cycle(rng: random.Random, m: int) -> list[list[Fraction]]:
+    """Dense rows of an irreducible, non-reversible ``m``-state chain: the
+    step a -> a + 1 (mod m) and three random jumps per row, with weights
+    from 1..9 over the row's total."""
+    P = []
+    for a in range(m):
+        row = [0] * m
+        for b in [(a + 1) % m] + [rng.randrange(m) for _ in range(3)]:
+            row[b] += rng.randint(1, 9)
+        total = sum(row)
+        P.append([Fraction(w, total) for w in row])
+    return P
 
 
 def run_search_reference(game, config: ChainConfig) -> ChainRun:

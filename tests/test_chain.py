@@ -1,6 +1,7 @@
 import math
 import random
 import statistics
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,16 +29,24 @@ from controlsets import (
     transition_matrix,
 )
 from controlsets import chain
-from controlsets.chain import _detailed_balance_solve, _gauss_jordan, _integer_rows, stationary_law
+from controlsets.chain import (
+    _detailed_balance_solve,
+    _fraction_free_solve,
+    _integer_rows,
+    stationary_law,
+)
 from controlsets.coordination import _plain_coordination
 
 from conftest import (
     GAME_KINDS,
     closure_mask_sweep,
     detailed_balance_solve_reference,
+    gauss_jordan_reference,
     is_stochastic_reference,
     lane_forcings,
     moves_reference,
+    one_way_cycle,
+    random_chain_rows,
     random_coordination_game,
     random_simple_graph,
     random_weighted_graph,
@@ -515,7 +524,7 @@ class TestDetailedBalanceSolve:
         P = transition_matrix(majority_game(make(*args)), eps)
         tree, reached = _solve(P.rows, P.size)
         assert tree is not None and reached == P.size
-        assert tree == _gauss_jordan(P.rows, P.size) == stationary_law(P)
+        assert tree == _fraction_free_solve(_integer_rows(P.rows, P.size), P.size) == stationary_law(P)
         assert stationary_distribution(P) == tree
 
     @pytest.mark.parametrize("eps", DIFFERENTIAL_EPSILONS, ids=str)
@@ -578,7 +587,7 @@ class TestDetailedBalanceSolve:
         rows = [{b: Fraction(p) for b, p in enumerate(row) if p} for row in P]
         assert _solve(rows, 3) == (None, 3)
         assert stationary_distribution(P) == expected
-        assert _gauss_jordan(rows, 3) == expected
+        assert _fraction_free_solve(_integer_rows(rows, 3), 3) == expected
 
     def test_epsilon_zero_still_reducible(self):
         P = transition_matrix(majority_game(ring(4)), 0)
@@ -642,9 +651,46 @@ class TestDetailedBalanceSolve:
         def no_dense_solve(*args):
             raise AssertionError("dense solve called")
 
-        monkeypatch.setattr(chain, "_gauss_jordan", no_dense_solve)
+        monkeypatch.setattr(chain, "_fraction_free_solve", no_dense_solve)
         with pytest.raises(InputError, match="reducible"):
             stationary_distribution(transition_matrix(majority_game(graph), 0))
+
+
+class TestFractionFreeSolve:
+    @staticmethod
+    def outcome(solve, rows, m):
+        try:
+            return solve(rows, m)
+        except InputError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_gauss_jordan_reference(self, seed):
+        # Rows with their own denominators, so the row scales L_a differ: an
+        # irreducible chain has one pi, two or three closed classes give a
+        # solution space of that dimension, and transient states get mass 0.
+        rng = random.Random(f"fraction-free/{seed}")
+        for _ in range(30):
+            m = rng.randint(1, 8)
+            kind = rng.choice(("irreducible", "closed", "transient") if m > 1 else ("irreducible",))
+            rows = random_chain_rows(rng, m, kind)
+            expected = self.outcome(gauss_jordan_reference, rows, m)
+            solved = self.outcome(lambda r, k: _fraction_free_solve(_integer_rows(r, k), k), rows, m)
+            assert solved == expected, (kind, rows)
+            if kind == "irreducible":
+                assert sum(solved) == 1 and all(v > 0 for v in solved)
+            elif kind == "closed":
+                assert solved.startswith("chain is reducible: stationary solution space has dimension")
+            else:
+                assert solved == "chain is reducible: stationary vector is not strictly positive"
+
+    def test_one_state_past_the_limit_refused_quickly(self):
+        m = chain.DENSE_SOLVE_LIMIT + 1
+        P = one_way_cycle(random.Random(0), m)
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetError, match=f"limited to {m - 1} states, got {m}$"):
+            stationary_distribution(P)
+        assert time.perf_counter() - t0 < 1
 
 
 class TestInvariance:
