@@ -310,16 +310,26 @@ def _undominated(n: int, base: int, on, spread) -> list[int]:
     """Players outside the closed set ``base`` that no other player
     dominates (:func:`find_sufficient_within`), ascending: ``v`` is dropped
     when some ``u`` has ``v`` in the closure of ``base | {u}`` and either
-    ``v`` does not reach ``u`` back or ``u < v``."""
-    free = [v for v in range(n) if not (base >> v) & 1]
-    reach = {v: spread(on, base, [v])[0] for v in free}
-    return [
-        v
-        for v in free
-        if not any(
-            (reach[u] >> v) & 1 and (u < v or not (reach[v] >> u) & 1) for u in free
-        )
-    ]
+    ``v`` does not reach ``u`` back or ``u < v``.
+
+    One pass in index order spreads each player that no closure spread so
+    far covers; ``held`` ORs each closure minus its own player, so the
+    players kept, ``covered ^ held``, are the spread ones that no other
+    spread closure holds.  That is the rule, as dominance is a preorder
+    (closure is monotone and idempotent): a covered player is dominated by
+    a lower one, which dominates all that it dominates, and a spread player
+    is reached by no lower player, and by a higher one only if it does not
+    reach that one back (else that one would have been covered).  So the
+    pass makes at most one spread per free player and keeps no closure.
+    ``TestDominancePruning`` checks the list against the class definition
+    and pins the spreads (``test_spreads_only_uncovered_players``)."""
+    covered = held = base
+    while rest := (1 << n) - 1 ^ covered:
+        v = (rest & -rest).bit_length() - 1
+        closed = spread(on, base, [v])[0]
+        covered |= closed
+        held |= closed ^ 1 << v
+    return _bit_indices(covered ^ held)
 
 
 def find_sufficient_within(
@@ -337,7 +347,10 @@ def find_sufficient_within(
       when ``v`` lies in the closure of ``{u}``: by monotonicity, any
       sufficient set holding ``v`` stays sufficient with ``u`` in its place
       (Ackerman, Ben-Zwi & Wolfovitz, TCS 2010), so the lowest index of
-      each maximal class of mutually dominating players is kept.
+      each maximal class of mutually dominating players is kept.  As
+      dominance is a preorder, one pass in index order finds them
+      (:func:`_undominated`): it spreads only players that no earlier
+      closure covers, and keeps those that no other spread closure holds.
     * A subtree is cut when more pairwise-disjoint *blocking* sets miss the
       closure than seeds are left.  A set is blocking when its complement
       is closed, that is, more than (1 - theta)-cohesive (Morris,
@@ -420,15 +433,18 @@ def _minimal_sets(sets: Iterable[int]) -> list[int]:
     """The inclusion-minimal masks among the distinct nonzero ``sets``,
     smallest first, then by value.  A kept set is filed under its lowest
     bit, which each of its supersets holds, so a set is tested only against
-    the kept sets filed under one of its own bits."""
+    the kept sets filed under one of its own bits; ``lows``, the OR of the
+    bits filed under, lets it step through only those."""
     minimal: list[int] = []
     by_low: dict[int, list[int]] = {}
+    lows = 0
     for b in sorted(sets, key=lambda b: (b.bit_count(), b)):
-        rest = b
-        while rest and not any(b & m == m for m in by_low.get(rest & -rest, ())):
+        rest = b & lows
+        while rest and not any(b & m == m for m in by_low[rest & -rest]):
             rest &= rest - 1
         if not rest:
             minimal.append(b)
+            lows |= b & -b
             by_low.setdefault(b & -b, []).append(b)
     return minimal
 

@@ -995,23 +995,61 @@ class TestDominancePruning:
                     mask = sum(1 << p for p in got)
                     assert closure_mask_sweep(game, mask) == (1 << game.n) - 1
 
-    @pytest.mark.parametrize("kind", GAME_KINDS + ("table",))
-    def test_kept_nodes_are_class_minima_and_cover_the_rest(self, kind):
+    @pytest.mark.parametrize("kind", GAME_KINDS + ("table",) + tuple(f"pendant-{k}" for k in PENDANT_KINDS))
+    def test_kept_nodes_are_class_minima_and_cover_the_rest(self, kind, monkeypatch):
+        # The pendant kinds run the list walk that folds pendants into
+        # their neighbour, some of them at need 0, beside the lane walk.
         rng = random.Random(f"kept/{kind}")
+        folded = need_zero = 0
         for _ in range(20):
             n = rng.randint(2, 10)
             if kind == "table":
                 game = random_supermodular_table(min(n, 8), rng)
+            elif kind.startswith("pendant-"):
+                game = pendant_game(kind.removeprefix("pendant-"), rng, n + 4)
+                folded += any(game._fold_rows()[1])
+                need_zero += sum(not game._need[i] for i in pendants_reference(game))
             else:
                 game = random_coordination_game(kind, rng, n)
             base = closure_mask_sweep(game, 0)
-            kept = _undominated(game.n, *_seed_walk(game, base))
-            assert kept == undominated_reference(game, base)
+            kept = undominated_reference(game, base)
+            for _ in lane_forcings(monkeypatch) if type(game) is CoordinationGame else [None]:
+                assert _undominated(game.n, *_seed_walk(game, base)) == kept
             for v in range(game.n):
                 if not (base >> v) & 1 and v not in kept:
                     assert any(
                         (closure_mask_sweep(game, base | (1 << u)) >> v) & 1 for u in kept
                     )
+        if kind.startswith("pendant-"):
+            assert folded > 10 and need_zero > 5
+
+    @pytest.mark.parametrize(
+        "make, spreads, kept",
+        [
+            (lambda: majority_game(ring(4000)), 1, [0]),
+            (lambda: from_thresholds(path(3000), [1] * 3000), 2999, list(range(1, 2999))),
+            (lambda: build_gadget(Cnf3(3, tuple(UNSAT_8_CLAUSES))).game, 15, None),
+        ],
+        ids=["ring4000", "path3000-theta1", "unsat8-gadget"],
+    )
+    def test_spreads_only_uncovered_players(self, make, spreads, kept):
+        # One spread per player that no lower player's closure covers, in
+        # index order: player 0 tips the whole ring; on the path at
+        # threshold 1 every player but the last leaf is spread, and the
+        # first leaf is dropped; on the 48-node gadget the 15 core players
+        # are spread and kept (None: the reference list).
+        game = make()
+        base, on, walk = _seed_walk(game, 0)
+        spread_players = []
+
+        def spread(on, closed, queue):
+            spread_players.append(queue[0])
+            return walk(on, closed, queue)
+
+        got = _undominated(game.n, base, on, spread)
+        assert len(spread_players) == spreads
+        assert spread_players == sorted(spread_players)
+        assert got == (undominated_reference(game, base) if kept is None else kept)
 
     @pytest.mark.parametrize("g", [complete(3), ring(7)], ids=["K3", "ring7"])
     def test_mutual_class_keeps_lowest_index(self, g):
