@@ -3,7 +3,8 @@
 Graphs carry nonnegative integer weights, no self-loops, and no sinks
 (every node has positive out-degree).  The undirected families used by the
 generators are stored as symmetric directed matrices; nothing downstream
-assumes symmetry.  Each graph also keeps its in-arcs (``in_rows``).
+assumes symmetry.  Each graph also keeps its in-arcs (``in_rows``), which
+a symmetric graph shares with its out-arcs (``in_rows is rows``).
 
 Text format (round-trips bit-exactly through :func:`format_graph`)::
 
@@ -19,6 +20,7 @@ name the file line.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from typing import Iterable, Mapping, Sequence
 
 from ._ratio import as_fraction
@@ -45,28 +47,38 @@ class WeightedGraph:
     def __init__(self, n: int, arcs: Mapping[tuple[int, int], int]):
         if n < 1:
             raise InputError(f"graph needs at least one node, got n={n}")
-        out: dict[int, list[tuple[int, int]]] = {}
-        into: dict[int, list[tuple[int, int]]] = {}
-        for (i, j), w in arcs.items():
-            if not (0 <= i < n and 0 <= j < n):
-                raise InputError(f"arc ({i},{j}) out of range for n={n}")
-            if i == j:
-                raise InputError(f"self-loop at node {i} is not allowed")
-            if not isinstance(w, int) or w <= 0:
-                raise InputError(f"arc ({i},{j}) needs a positive integer weight, got {w!r}")
-            out.setdefault(i, []).append((j, w))
-            into.setdefault(j, []).append((i, w))
-        if len(out) < n:
-            # The lowest sink is at most len(arcs), so a huge n with few arcs
-            # fails in time and memory bounded by the arcs, not by n.
-            sink = next(i for i in range(n) if i not in out)
+        # With more nodes than arcs some node is a sink; dicts then keep the
+        # time and memory of the checks bounded by the arcs, not by n.
+        if n <= len(arcs):
+            out, into, degrees = [[] for _ in range(n)], [[] for _ in range(n)], [0] * n
+        else:
+            out, into, degrees = defaultdict(list), defaultdict(list), defaultdict(int)
+        try:
+            for arc, w in arcs.items():
+                i, j = arc
+                if not (0 <= i < n and 0 <= j < n):
+                    raise InputError(f"arc ({i},{j}) out of range for n={n}")
+                if i == j:
+                    raise InputError(f"self-loop at node {i} is not allowed")
+                if not isinstance(w, int) or w <= 0:
+                    raise InputError(f"arc ({i},{j}) needs a positive integer weight, got {w!r}")
+                out[i].append((j, w))
+                into[j].append((i, w))
+                degrees[i] += w
+        except (TypeError, ValueError):
+            raise InputError(f"arc {arc!r} needs two int endpoints") from None
+        if len(out) < n or not all(out):
+            sink = next(i for i in range(n) if not out[i])  # at most len(arcs)
             raise InputError(f"node {sink} is a sink (out-degree 0), which is not allowed")
-        rows = tuple(tuple(sorted(out[i])) for i in range(n))
+        rows = tuple(map(tuple, map(sorted, out)))
         self.n = n
         self.rows = rows
         # in_rows[j] lists (i, w) for every arc i -> j, sorted by source i.
-        self.in_rows = tuple(tuple(sorted(into.get(j, ()))) for j in range(n))
-        self.out_degrees = tuple(sum(w for _, w in row) for row in rows)
+        # A symmetric graph keeps one table; an undirected edge list fills
+        # ``into`` in the order of ``out``, so its sort is skipped.
+        in_rows = rows if into == out else tuple(map(tuple, map(sorted, into)))
+        self.in_rows = rows if in_rows == rows else in_rows
+        self.out_degrees = tuple(degrees)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable, directed: bool = False) -> "WeightedGraph":
@@ -76,12 +88,6 @@ class WeightedGraph:
         same pair twice is rejected rather than summed.
         """
         arcs: dict[tuple[int, int], int] = {}
-
-        def add(i, j, w):
-            if (i, j) in arcs:
-                raise InputError(f"duplicate arc ({i},{j})")
-            arcs[(i, j)] = w
-
         for edge in edges:
             if len(edge) == 2:
                 i, j = edge
@@ -90,9 +96,11 @@ class WeightedGraph:
                 i, j, w = edge
             else:
                 raise InputError(f"edge {edge!r} must be (i, j) or (i, j, w)")
-            add(i, j, w)
-            if not directed and i != j:
-                add(j, i, w)
+            if (i, j) in arcs:
+                raise InputError(f"duplicate arc ({i},{j})")
+            arcs[i, j] = w
+            if not directed:  # undirected arcs come in pairs, so (j, i) is new too
+                arcs[j, i] = w
         return cls(n, arcs)
 
     def out_degree(self, i: int) -> int:
@@ -111,11 +119,12 @@ class WeightedGraph:
                 yield i, j, w
 
     def arc_count(self) -> int:
-        return sum(len(row) for row in self.rows)
+        return sum(map(len, self.rows))
 
     def is_symmetric(self) -> bool:
-        # Both sorted by neighbor, no repeats: equal iff each arc has its mirror.
-        return self.rows == self.in_rows
+        # Both sorted by neighbor, no repeats: equal iff each arc has its
+        # mirror, and equal tables are kept as one.
+        return self.in_rows is self.rows
 
     def undirected_edges(self) -> tuple[tuple[int, int, int], ...]:
         """Edges as (i, j, w) with i < j; only valid for symmetric graphs."""

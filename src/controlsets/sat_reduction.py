@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .coordination import majority_game
 from .errors import BudgetError, InputError, InternalCheckError
@@ -124,21 +124,27 @@ class Cnf3:
             for c in self.clauses
         )
 
-    def _first_model(self, candidates: Iterable[int]) -> int | None:
-        """The first packed assignment among ``candidates`` (variable ``v``
-        at bit ``v - 1``) that satisfies every clause, or None."""
-        masks = self._clause_masks
-        for bits in candidates:
-            for pos, neg in masks:
-                if not (bits & pos or neg & ~bits):
-                    break
-            else:
-                return bits
-        return None
+    def _first_model(self) -> int | None:
+        """The lowest packed assignment (variable ``v`` at bit ``v - 1``)
+        that satisfies every clause, or None, from all assignments at once:
+        bit ``b`` of literal ``v``'s column is set when assignment ``b`` sets
+        ``v``, a clause ORs its columns and the formula ANDs its clauses."""
+        full = (1 << (1 << self.num_vars)) - 1
+        col = {}
+        for v in range(1, self.num_vars + 1):
+            run = 1 << v - 1  # runs of that many 0s then 1s, period 2 * run
+            col[v] = full // ((1 << run) + 1) << run
+            col[-v] = full ^ col[v]
+        models = full
+        for a, b, c in self.clauses:
+            models &= col[a] | col[b] | col[c]
+            if not models:
+                return None
+        return (models & -models).bit_length() - 1
 
     def satisfied_by(self, assignment: Sequence[int]) -> bool:
         bits = _assignment_bits(assignment, self.num_vars)
-        return self._first_model((bits,)) is not None
+        return all(bits & pos or neg & ~bits for pos, neg in self._clause_masks)
 
 
 def parse_cnf(text: str) -> Cnf3:
@@ -468,8 +474,9 @@ def verify_reduction(cnf: Cnf3) -> ReductionReport:
     """Check, on one instance, that satisfiability coincides with the
     existence of a control set of size ``num_vars + 1`` on the gadget.
 
-    The formula side tries the assignments in counting order against
-    per-clause bitmasks (:meth:`Cnf3._first_model`).  The game side walks
+    The formula side tests every assignment at once on bit-sliced
+    truth-table columns, one per variable, and takes the lowest model
+    (:meth:`Cnf3._first_model`).  The game side walks
     the encoded seed sets in the same order on the closure engine
     (:func:`_first_sufficient_encoding`), so the set reported is the first
     sufficient one; only if none is does :func:`find_sufficient_within`
@@ -488,12 +495,12 @@ def verify_reduction(cnf: Cnf3) -> ReductionReport:
     s = cnf.target_size
     m = cnf.num_clauses
 
-    edge_count = len(gadget.graph.undirected_edges())
-    sizes_ok = n == 2 * s + 5 * m and edge_count == s + 8 * m
+    edge_count = gadget.graph.arc_count() // 2
+    sizes_ok = gadget.graph.is_symmetric() and n == 2 * s + 5 * m and edge_count == s + 8 * m
     degrees_ok = _degree_profile_ok(gadget)
 
     nv = cnf.num_vars
-    model = cnf._first_model(range(1 << nv))
+    model = cnf._first_model()
     satisfying = None if model is None else _unpack_assignment(model, nv)
 
     first = _first_sufficient_encoding(game, gadget.hub, gadget.false_nodes, gadget.true_nodes)

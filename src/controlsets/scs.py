@@ -413,7 +413,7 @@ def _blocking_sets(game: Game, base: int, on, spread, kept: list[int]) -> list[i
         lo, hi, closed, counters = todo.pop()
         if closed == full:
             bare.update(kept[lo:hi])
-        elif hi - lo == 1:
+        elif hi - lo < 2:  # one player, or none when ``kept`` is empty
             found.add(full ^ closed)
         else:
             mid = (lo + hi) // 2

@@ -355,6 +355,24 @@ def gadget_degrees_reference(gadget) -> bool:
     return all(gadget.graph.out_degree(v) == expected(name) for v, name in enumerate(gadget.names))
 
 
+def satisfies_reference(cnf: Cnf3, assignment) -> bool:
+    """Whether the 0/1 ``assignment`` (variable 1 first) makes some literal
+    of every clause true, tested literal by literal."""
+    return all(
+        any(bool(assignment[abs(l) - 1]) == (l > 0) for l in clause) for clause in cnf.clauses
+    )
+
+
+def first_model_reference(cnf: Cnf3) -> int | None:
+    """The first assignment in counting order (variable 1 is the lowest bit)
+    that :func:`satisfies_reference`, packed, or None."""
+    nv = cnf.num_vars
+    return next(
+        (b for b in range(1 << nv) if satisfies_reference(cnf, [(b >> i) & 1 for i in range(nv)])),
+        None,
+    )
+
+
 def verify_reduction_reference(cnf: Cnf3) -> ReductionReport:
     """The reduction check with every assignment tried on its own: the
     formula side tests each clause literal by literal, and the game side
@@ -371,11 +389,7 @@ def verify_reduction_reference(cnf: Cnf3) -> ReductionReport:
     assignments = [
         tuple((bits >> i) & 1 for i in range(cnf.num_vars)) for bits in range(1 << cnf.num_vars)
     ]
-
-    def satisfies(a) -> bool:
-        return all(any(bool(a[abs(l) - 1]) == (l > 0) for l in clause) for clause in cnf.clauses)
-
-    satisfying = next((a for a in assignments if satisfies(a)), None)
+    satisfying = next((a for a in assignments if satisfies_reference(cnf, a)), None)
     encoded = (assignment_to_control_set(gadget, a) for a in assignments)
     sufficient_set = next((c for c in encoded if is_sufficient(game, c)), None)
     if sufficient_set is None:

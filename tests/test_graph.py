@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -145,6 +147,69 @@ class TestInvariants:
     def test_duplicate_arc_rejected(self):
         with pytest.raises(InputError, match="duplicate"):
             WeightedGraph.from_edges(2, [(0, 1), (1, 0)])
+
+    # One case per message, each with a lower-ranked fault beside it: per
+    # arc, range before self-loop before weight, the first bad arc first,
+    # and every arc before the sink.  n = 10**12 takes the path for more
+    # nodes than arcs, which must not allocate per node.
+    HUGE = 10**12
+
+    @pytest.mark.parametrize(
+        "n, arcs, message",
+        [
+            (0, {(0, 0): 0}, "graph needs at least one node, got n=0"),
+            (2, {(0, 1): 1, (2, 2): 0}, "arc (2,2) out of range for n=2"),
+            (HUGE, {(0, HUGE): 0}, f"arc (0,{HUGE}) out of range for n={HUGE}"),
+            (2, {(1, 1): 0, (0, 1): 1}, "self-loop at node 1 is not allowed"),
+            (HUGE, {(1, 1): 0}, "self-loop at node 1 is not allowed"),
+            (2, {(0, 1): 0, (1, 1): 1}, "arc (0,1) needs a positive integer weight, got 0"),
+            (2, {(0, 1): 1, (1, 0): 1.5}, "arc (1,0) needs a positive integer weight, got 1.5"),
+            (HUGE, {(0, 1): -1}, "arc (0,1) needs a positive integer weight, got -1"),
+            (3, {(0, 1): 1, (1, 0): 1, (0, 2): 1}, "node 2 is a sink (out-degree 0), which is not allowed"),
+            (HUGE, {(0, 1): 1, (1, 0): 1}, "node 2 is a sink (out-degree 0), which is not allowed"),
+            (2, {(1.0, 0): 1, (0, 1): 1}, "arc (1.0, 0) needs two int endpoints"),
+            (2, {(0, 1): 1, ("1", 0): 1}, "arc ('1', 0) needs two int endpoints"),
+            (2, {(0, 1, 1): 1, (1, 0): 1}, "arc (0, 1, 1) needs two int endpoints"),
+            (2, {5: 1, (0, 1): 1}, "arc 5 needs two int endpoints"),
+            # Not indexed per node, a float endpoint here meets the sink error.
+            (HUGE, {(1.0, 0): 1}, "node 0 is a sink (out-degree 0), which is not allowed"),
+        ],
+    )
+    def test_constructor_errors_and_their_order(self, n, arcs, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                WeightedGraph(n, arcs)
+            assert tracemalloc.get_traced_memory()[1] < 100_000
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize(
+        "edges, directed, message",
+        [
+            ([(0, 1), (1, 2), (0, 1, 3)], False, "duplicate arc (0,1)"),
+            ([(0, 1), (1, 2), (1, 0)], False, "duplicate arc (1,0)"),
+            ([(0, 1), (1, 0), (0, 1)], True, "duplicate arc (0,1)"),
+            ([(0, 1), (1, 1), (1, 1)], False, "duplicate arc (1,1)"),
+            ([(0, 1), (0, 1, 2, 3)], False, "edge (0, 1, 2, 3) must be (i, j) or (i, j, w)"),
+        ],
+    )
+    def test_from_edges_errors(self, edges, directed, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            WeightedGraph.from_edges(3, edges, directed=directed)
+
+    def test_symmetric_graph_keeps_one_row_table(self):
+        g = ring(5)
+        assert g.in_rows is g.rows
+        # Out- and in-arcs met in different orders still share one table.
+        arcs = {(0, 2): 1, (0, 1): 2, (1, 0): 2, (2, 0): 1, (1, 2): 3, (2, 1): 3}
+        g = WeightedGraph(3, arcs)
+        assert g.in_rows is g.rows and g.is_symmetric()
+        directed = WeightedGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)], directed=True)
+        uneven = WeightedGraph(3, arcs | {(2, 1): 4})
+        for g in directed, uneven:
+            assert g.in_rows is not g.rows and not g.is_symmetric()
+            assert g.in_rows != g.rows
 
     def test_positive_weight_required(self):
         with pytest.raises(InputError, match="positive integer"):

@@ -32,12 +32,14 @@ from controlsets.scs import _seed_walk, _undominated
 from conftest import (
     closure_mask_sweep,
     find_sufficient_within_reference,
+    first_model_reference,
     first_sufficient_encoding_reference,
     gadget_degrees_reference,
     lane_forcings,
     random_cnf3,
     random_simple_graph,
     random_weighted_graph,
+    satisfies_reference,
     undominated_reference,
     verify_reduction_reference,
 )
@@ -477,6 +479,37 @@ FIRST_MODEL_3 = Cnf3(
     ),
 )
 
+
+class TestFirstModel:
+    """The bit-sliced formula side against the literal-by-literal scan."""
+
+    def test_matches_the_literal_scan_on_random_formulas(self):
+        # Three variables are the fewest a 3-clause needs.  Three clauses
+        # per variable leave most formulas satisfiable and seven leave most
+        # unsatisfiable, at every width up to 16.
+        rng = random.Random("first-model")
+        seen = set()
+        for nv in range(3, SAT_VARS_LIMIT + 1):
+            for ratio in (3, 7):
+                draws = [rng.sample(range(1, nv + 1), 3) for _ in range(ratio * nv)]
+                cnf = Cnf3(nv, tuple(tuple(rng.choice((v, -v)) for v in vs) for vs in draws))
+                model = cnf._first_model()
+                assert model == first_model_reference(cnf), cnf
+                a = [rng.randint(0, 1) for _ in range(nv)]
+                assert cnf.satisfied_by(a) == satisfies_reference(cnf, a)
+                seen.add((nv, model is None))
+        assert {(SAT_VARS_LIMIT, False), (SAT_VARS_LIMIT, True)} <= seen
+        assert sum(unsat for _, unsat in seen) >= 10
+
+    @pytest.mark.parametrize(
+        "cnf, model",
+        [(ONLY_ONES_16, (1 << SAT_VARS_LIMIT) - 1), (UNSAT_8, None), (FIRST_MODEL_3, 3)],
+        ids=["only-ones-16", "unsat-8", "first-model-3"],
+    )
+    def test_pinned_formulas(self, cnf, model):
+        assert cnf._first_model() == first_model_reference(cnf) == model
+
+
 def planted_cnf3(rng: random.Random, nv: int, m: int) -> Cnf3:
     """``m`` random 3-clauses over ``nv`` >= 4 variables, each satisfied by
     one assignment drawn from the last sixteenth of counting order."""
@@ -588,7 +621,7 @@ class TestEncodedWalk:
                 cnf = Cnf3(nv, tuple(tuple(rng.choice((v, -v)) for v in vs) for vs in draws))
             gadget = build_gadget(cnf)
             args = (gadget.game, gadget.hub, gadget.false_nodes, gadget.true_nodes)
-            expected = cnf._first_model(range(1 << nv))
+            expected = cnf._first_model()
             for pay in lane_forcings(monkeypatch):
                 assert _first_sufficient_encoding(*args) == expected, pay
             assert first_sufficient_encoding_reference(*args) == expected
@@ -639,7 +672,7 @@ class TestEncodedWalk:
         gadget = build_gadget(FIRST_MODEL_3)
         args = (gadget.game, gadget.hub, gadget.false_nodes, gadget.true_nodes)
         walk = count_spreads(monkeypatch, "controlsets.sat_reduction")
-        assert FIRST_MODEL_3._first_model(range(1 << 9)) == 3
+        assert FIRST_MODEL_3._first_model() == 3
         assert _first_sufficient_encoding(*args) == 3
         assert walk[0] == 58
 

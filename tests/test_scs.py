@@ -1161,6 +1161,24 @@ class TestBlockingSetBound:
         assert names.count({"hub", "hub_leaf"}) == 1
         assert names.count({"var_true", "var_false", "var_leaf"}) == cnf.num_vars
 
+    def test_no_kept_player_files_the_complement(self):
+        # The only frame holds no player and its closure is not full, so the
+        # complement of that closed set is the one blocking set.  A walk
+        # that split the empty frame would double its work list each round;
+        # the wrapped spread stops it.
+        game = blocking_game()
+        base, on, spread = _seed_walk(game, 1)
+        full = (1 << game.n) - 1
+        assert 0 < base < full
+        calls = itertools.count(1)
+
+        def bounded(on, closed, queue):
+            if next(calls) > 100:
+                raise AssertionError("spread called more than 100 times")
+            return spread(on, closed, queue)
+
+        assert _blocking_sets(game, base, on, bounded, []) == [full ^ base]
+
     def test_packing_is_greedy_over_disjoint_unhit_sets(self):
         sets = [0b0011, 0b0110, 0b1000]
         # 0b0110 meets the first set, so two sets pack.
