@@ -192,14 +192,19 @@ def _lane_slack(game: CoordinationGame, slack) -> int:
     return _pack_lanes(b, game.n, enumerate(s + (1 << 8 * b - 1) for s in slack))
 
 
+def _lane_flags(game: CoordinationGame) -> list[int]:
+    """Per player i, its open flag: lane i's sign bit shifted above the n lanes."""
+    width = 8 * game._lane_bytes
+    return [1 << width * (game.n + i + 1) - 1 for i in range(game.n)]
+
+
 def _lane_walk(game: CoordinationGame, slack: list[int], queue: list[int]) -> tuple[int, int, Callable]:
     """``scs._seed_walk`` on lanes: ``(closed, on, spread)`` from the empty
     set's ``slack`` and first ``queue``.  A flip clears its open flag and
     adds its packed in-row; the open lanes whose sign bit that turns on are
     newly eligible."""
     n, rows, width = game.n, game._packed_in_rows(), 8 * game._lane_bytes
-    span = n * width
-    flag = [1 << span + width * i + width - 1 for i in range(n)]
+    span, flag = n * width, _lane_flags(game)
 
     def spread(on: int, closed: int, queue: list[int]) -> tuple[int, int]:
         for i in queue:
@@ -253,6 +258,11 @@ def _lane_prunings(game: CoordinationGame, spread: Callable) -> dict[str, Callab
       the players near at r = 2 with an arc to ``v``; only if one is left
       is ``v`` grown.  No hit is dropped, as a player near once ``v`` is
       set was near before it or has an arc to ``v`` and was near at r = 2.
+      A last seed ``w`` is not spread: a cascade that only counts clears
+      ``w``'s flag, adds the packed in-rows of ``w`` and of each player it
+      sets, and hits once it has counted every player outside ``v``'s
+      closure.  The count is exact: a sign bit turns on only once, so a set
+      player needs no flag cleared, and ``w``'s is, so none counts twice.
 
     ``test_prunings_match_their_definition``,
     ``test_pair_leaves_match_their_definition`` and
@@ -260,7 +270,7 @@ def _lane_prunings(game: CoordinationGame, spread: Callable) -> dict[str, Callab
     """
     n, b, need, rows = game.n, game._lane_bytes, game._need, game.graph.rows
     width, span, full = 8 * b, 8 * b * n, (1 << n) - 1
-    packed = game._packed_in_rows()
+    packed, flag = game._packed_in_rows(), _lane_flags(game)
     top = [max(w for _, w in row) for row in rows]
     out_masks = [sum(1 << j for j, _ in row) for row in rows]
     # Per player v, the sign bits of the lanes of the players with an arc to v.
@@ -303,13 +313,25 @@ def _lane_prunings(game: CoordinationGame, spread: Callable) -> dict[str, Callab
                     heard ^= low
                 if not leaves & cand:
                     continue
-                grown, grown_on = closed | bit, on + packed[v] - (1 << span + width * v + width - 1)
+                grown, grown_on = closed | bit, on + packed[v] - flag[v]
             leaves &= cand & ~grown
+            left = (full ^ grown).bit_count()
             while leaves:
                 low = leaves & -leaves
-                if spread(grown_on, grown, [low.bit_length() - 1])[0] == full:
-                    hits.append(bit | low)
                 leaves ^= low
+                w = low.bit_length() - 1
+                at, queue = grown_on - flag[w], [w]
+                for j in queue:
+                    step = at + packed[j]
+                    ready = (step ^ at) & step >> span
+                    at = step
+                    while ready:
+                        sign = ready & -ready
+                        queue.append(sign.bit_length() // width - 1)
+                        ready ^= sign
+                    if len(queue) == left:
+                        hits.append(bit | low)
+                        break
         return hits
 
     return {"reach": reach, "cut": cut, "pairs": pairs}

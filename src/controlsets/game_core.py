@@ -141,13 +141,6 @@ def _extremal_violation(game: Game) -> str | None:
     return None
 
 
-def validate_extremal_equilibria(game: Game) -> None:
-    """Reject games whose all-0 or all-1 profile is not an equilibrium."""
-    message = _extremal_violation(game)
-    if message is not None:
-        raise InputError(message)
-
-
 def marginal_utility(game: Game, i: int, x: Profile) -> Rational:
     """Marginal utility of player ``i`` switching to action 1 at profile ``x``.
 
@@ -236,7 +229,8 @@ class TableGame(Game):
                 )
             rows.append(row)
         self._tables = tuple(rows)
-        validate_extremal_equilibria(self)
+        if message := _extremal_violation(self):
+            raise InputError(message)
 
     def marginal_mask(self, i: int, mask: int) -> Rational:
         self._check_player(i)
@@ -251,8 +245,8 @@ class CustomGame(Game):
     def __init__(self, n: int, marginal: Callable[[int, int], Rational], *, validate: bool = True):
         super().__init__(n)
         self._fn = marginal
-        if validate:
-            validate_extremal_equilibria(self)
+        if validate and (message := _extremal_violation(self)):
+            raise InputError(message)
 
     def marginal_mask(self, i: int, mask: int) -> Rational:
         self._check_player(i)

@@ -644,18 +644,28 @@ class TestLaneWalk:
         # candidates, v < w, w outside the closure with v, whose closure with
         # the set is full, in lexicographic order: no filter drops a hit,
         # whether v sets players through a near listener or sets nobody.
+        # Seed sets of n - 2 and n - 3 players leave one to three players
+        # outside, where the count of a last seed's cascade stops.  A last
+        # seed is counted, never spread: at most one spread per first seed.
         monkeypatch.setattr(CoordinationGame, "_lanes_pay", lambda self: True)
         rng = random.Random(f"lanes/pairs/{kind}")
         hits = 0
         for _ in range(16):
             game = lane_game(kind, rng, rng.randint(3, 10))
             n, full = game.n, (1 << game.n) - 1
-            for size in (0, 0, 1, 1, 2, 3):
+            for size in (0, 0, 1, 1, 2, 3, n - 2, n - 3):
                 closed, on, spread = _seed_walk(game, sum(1 << p for p in rng.sample(range(n), size)))
                 if closed == full:
                     continue
-                pairs = _lane_prunings(game, spread)["pairs"]
-                for cand in [full ^ closed] + [rng.randrange(full + 1) & ~closed for _ in range(4)]:
+                spreads = []
+
+                def counted(*args):
+                    spreads.append(args[2][0])
+                    return spread(*args)
+
+                pairs = _lane_prunings(game, counted)["pairs"]
+                two = sum(1 << p for p in rng.sample([i for i in range(n) if not closed >> i & 1], 2))
+                for cand in [full ^ closed, two] + [rng.randrange(full + 1) & ~closed for _ in range(4)]:
                     expected = []
                     for v, w in itertools.combinations(range(n), 2):
                         if cand >> v & 1 and cand >> w & 1:
@@ -663,7 +673,9 @@ class TestLaneWalk:
                             if not grown >> w & 1 and closure_mask_sweep(game, grown | 1 << w) == full:
                                 expected.append(1 << v | 1 << w)
                     hits += len(expected)
+                    spreads.clear()
                     assert pairs(on, closed, cand) == expected
+                    assert len(spreads) <= max(cand.bit_count() - 1, 0)
         assert hits
 
     @pytest.mark.parametrize("kind", GAME_KINDS)
