@@ -13,9 +13,11 @@ random streams, so its outputs are those of the plain step-by-step loop.
 
 For small instances :func:`_moves` maps each reachable profile to its
 admissible players; the reachable and absorbing sets and the exact
-transition matrix are read off it, and :func:`stationary_distribution`
-solves for the stationary vector exactly, from the integer numerators of
-the rows alone, so these claims can be checked.
+transition matrix are read off it.  A built matrix carries its rows also
+as integer numerators over one denominator, and
+:func:`stationary_distribution` solves for the stationary vector exactly
+from those integers alone (any other matrix's rows are checked and turned
+into integers first), so these claims can be checked.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import itertools
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._ratio import as_fraction, as_ratio
@@ -60,10 +62,10 @@ class ChainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon", as_ratio(self.epsilon, "epsilon"))
-        if self.steps is not None and self.steps < 1:
-            raise InputError(f"steps must be >= 1, got {self.steps}")
-        if self.trace_points < 1:
-            raise InputError("trace_points must be >= 1")
+        if self.steps is not None and (type(self.steps) is not int or self.steps < 1):
+            raise InputError(f"steps must be an int >= 1, got {self.steps!r}")
+        if type(self.trace_points) is not int or self.trace_points < 1:
+            raise InputError(f"trace_points must be an int >= 1, got {self.trace_points!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,11 +372,20 @@ class TransitionMatrix:
     ``rows[a]`` maps a state index to the transition probability from state
     ``a``; the diagonal carries the self-loop remainder so every row sums
     to exactly 1.
+
+    A matrix from :func:`transition_matrix` also carries the same rows as
+    integer numerators over the one denominator n*q (epsilon = p/q), and
+    :func:`stationary_distribution` reads them as built.  So its rows are
+    not to be changed in place: a changed kernel is a new
+    ``TransitionMatrix`` or a ``dataclasses.replace``, which carries none
+    and takes the checked path.
     """
 
     states: tuple[Profile, ...]
     rows: tuple[dict[int, Fraction], ...]
     epsilon: Fraction
+    # Per row (L, {column: numerator over L}); set by transition_matrix only.
+    _numerators: list | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -397,14 +408,17 @@ def transition_matrix(game: Game, epsilon) -> TransitionMatrix:
     index = {m: a for a, m in enumerate(masks)}
     n = game.n
     p, q = eps.numerator, eps.denominator
+    lcm = n * q
     down, up = Fraction(1, n), eps / n
     # Targets are distinct single-bit flips, taken from the lowest bit up,
-    # so each entry is written once; the self-loop 1 - d/n - u*eps/n
-    # depends only on the row's down and up move counts d and u.
-    self_loops: dict[tuple[int, int], Fraction] = {}
-    rows = []
+    # so each entry is written once.  Over the common denominator n*q a
+    # down move is q, an up move p, and the self-loop 1 - d/n - u*eps/n of
+    # a row with d down and u up moves is q*(n - d) - u*p.
+    self_loops: dict[int, Fraction] = {}
+    rows, numerators = [], []
     for a, mask in enumerate(masks):
         row: dict[int, Fraction] = {}
+        nums: dict[int, int] = {}
         flips = left = moves[mask] if p else moves[mask] & mask
         while left:
             bit = left & -left
@@ -414,16 +428,22 @@ def transition_matrix(game: Game, epsilon) -> TransitionMatrix:
                 raise InternalCheckError(
                     f"transition leaves the reachable set: {mask:#x} -> {mask ^ bit:#x}"
                 )
-            row[b] = down if mask & bit else up
+            if mask & bit:
+                row[b], nums[b] = down, q
+            else:
+                row[b], nums[b] = up, p
         d = (flips & mask).bit_count()
-        u = flips.bit_count() - d
-        loop = self_loops.get((d, u))
+        x = q * (n - d) - (flips.bit_count() - d) * p
+        loop = self_loops.get(x)
         if loop is None:
-            loop = self_loops[d, u] = Fraction(q * (n - d) - u * p, n * q)
-        row[a] = loop
+            loop = self_loops[x] = Fraction(x, lcm)
+        row[a], nums[a] = loop, x
         rows.append(row)
+        numerators.append((lcm, nums))
     states = tuple(Profile(n, m) for m in masks)
-    return TransitionMatrix(states=states, rows=tuple(rows), epsilon=eps)
+    matrix = TransitionMatrix(states=states, rows=tuple(rows), epsilon=eps)
+    object.__setattr__(matrix, "_numerators", numerators)
+    return matrix
 
 
 def stationary_distribution(matrix) -> tuple[Fraction, ...]:
@@ -431,9 +451,11 @@ def stationary_distribution(matrix) -> tuple[Fraction, ...]:
 
     Accepts a :class:`TransitionMatrix` of ``dict`` rows from ``int``
     columns to ``int`` or ``Fraction`` entries, or a square list of
-    rationals turned into such rows.  One pass, :func:`_integer_rows`,
-    checks the rows and turns them into integers, and the solve reads only
-    those.  The search walk is reversible, so pi is fixed along a BFS tree
+    rationals turned into such rows.  A matrix from
+    :func:`transition_matrix` hands over the integer rows it carries, read
+    as built; for any other input one pass, :func:`_integer_rows`, checks
+    the rows and turns them into integers.  The solve reads only those
+    integers.  The search walk is reversible, so pi is fixed along a BFS tree
     from state 0 by pi(b) / pi(a) = P(a, b) / P(b, a) and returned only if
     detailed balance holds on every entry (Kolmogorov's criterion; Kelly,
     *Reversibility and Stochastic Networks*, 1979): such a pi is the unique
@@ -443,14 +465,15 @@ def stationary_distribution(matrix) -> tuple[Fraction, ...]:
     ``DENSE_SOLVE_LIMIT`` states, which raises if the chain is reducible.
     """
     if isinstance(matrix, TransitionMatrix):
-        rows, m = matrix.rows, matrix.size
+        rows, m = matrix._numerators, matrix.size
+        if rows is None:
+            rows = _integer_rows(matrix.rows, m)
     else:
         dense = [[as_fraction(v) for v in row] for row in matrix]
         m = len(dense)
         if m == 0 or any(len(row) != m for row in dense):
             raise InputError("transition matrix must be square and nonempty")
-        rows = [{b: p for b, p in enumerate(row) if p} for row in dense]
-    rows = _integer_rows(rows, m)
+        rows = _integer_rows([{b: p for b, p in enumerate(row) if p} for row in dense], m)
     pi, reached = _detailed_balance_solve(rows, m)
     if pi is not None:
         return pi
@@ -589,8 +612,14 @@ def _fraction_free_solve(rows, m: int) -> tuple[Fraction, ...]:
 
 
 def stationary_law(matrix: TransitionMatrix) -> tuple[Fraction, ...]:
-    """Closed-form stationary vector epsilon^(ones)/K over the state list."""
-    eps = matrix.epsilon
+    """Closed-form stationary vector epsilon^(ones)/K over the state list.
+
+    At epsilon 0 the walk only moves down, so a chain of more than one
+    state is reducible and has no such law: ``InputError``.
+    """
+    if not matrix.epsilon and matrix.size > 1:
+        raise InputError(f"chain is reducible at epsilon 0: {matrix.size} states only move down")
+    eps = matrix.epsilon or Fraction(1)  # one state has the law 1 at every epsilon
     weights = [eps ** s.weight for s in matrix.states]
     total = sum(weights)
     return tuple(w / total for w in weights)

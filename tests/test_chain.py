@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import statistics
@@ -159,6 +160,14 @@ class TestRunSearch:
         with pytest.raises(InputError):
             ChainConfig(epsilon=0.3)
 
+    @pytest.mark.parametrize("value", [2.5, "10", True, 0, -1], ids=repr)
+    @pytest.mark.parametrize("name", ["steps", "trace_points"])
+    def test_counts_must_be_ints_at_least_one(self, name, value):
+        # steps=2.5 and "10" once failed later with a TypeError, steps=True
+        # ran a one-step walk, and trace_points=2.5 was accepted.
+        with pytest.raises(InputError, match=f"^{name} must be an int >= 1, got {value!r}$"):
+            ChainConfig(**{name: value})
+
 
 class TestReachableAndAbsorbing:
     def test_ring_reachable_set(self):
@@ -287,13 +296,56 @@ class TestMoves:
         assert len(calls) == (0 if plain else 16 * 51)
 
 
+def _transition_games():
+    """Named majority games, then seeded random games of every kind under
+    test and supermodular tables."""
+    graphs = (ring(5), path(5), complete(6), erdos_renyi(6, 0.4, 4), complete(8), ring(8))
+    yield from map(majority_game, graphs)
+    rng = random.Random("transition")
+    for kind in GAME_KINDS:
+        yield from (random_coordination_game(kind, rng, n) for n in (3, 5, 7, 8))
+    yield from (random_supermodular_table(n, rng) for n in (3, 5, 7))
+
+
+def assert_carried_rows_match(P):
+    """The integer rows a built matrix carries against its ``Fraction`` rows,
+    and its stationary solve against the checked path and the closed form.
+
+    Each row holds the same keys in the same order, its numerators are over
+    L = n*q, each reads back as its entry, and they sum to L.  At epsilon 0
+    both solve paths raise the same "reducible" error, and so does the law.
+    """
+    carried = P._numerators
+    n, q = P.states[0].n, P.epsilon.denominator
+    assert len(carried) == P.size
+    for (lcm, nums), row in zip(carried, P.rows):
+        assert lcm == n * q
+        assert list(nums) == list(row)
+        assert all(type(x) is int and Fraction(x, lcm) == row[b] for b, x in nums.items())
+        assert sum(nums.values()) == lcm
+    checked = chain.TransitionMatrix(P.states, P.rows, P.epsilon)
+    assert checked._numerators is None
+    if P.epsilon:
+        assert stationary_distribution(P) == stationary_distribution(checked) == stationary_law(P)
+        return
+    errors = []
+    for matrix in (P, checked):
+        with pytest.raises(InputError, match="reducible") as info:
+            stationary_distribution(matrix)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    with pytest.raises(InputError, match="reducible at epsilon 0"):
+        stationary_law(P)
+
+
 class TestTransitionMatrix:
-    @pytest.mark.parametrize("eps", [Fraction(0), Fraction(1, 3), Fraction(1)], ids=str)
+    @pytest.mark.parametrize(
+        "eps", [Fraction(0), Fraction(1, 3), Fraction(3, 10), Fraction(1)], ids=str
+    )
     def test_rows_match_accumulating_reference(self, eps):
         # States by (ones, mask), and each row's keys in increasing flipped
         # player with the diagonal last, as the accumulating reference has them.
-        for graph in (ring(5), path(5), complete(6), erdos_renyi(6, 0.4, 4), complete(8), ring(8)):
-            game = majority_game(graph)
+        for game in _transition_games():
             P = transition_matrix(game, eps)
             masks = sorted(moves_reference(game), key=lambda m: (m.bit_count(), m))
             assert [s.mask for s in P.states] == masks
@@ -301,6 +353,7 @@ class TestTransitionMatrix:
             assert list(P.rows) == rows
             assert [list(r.items()) for r in P.rows] == [list(r.items()) for r in rows]
             assert all(type(p) is Fraction for row in P.rows for p in row.values())
+            assert_carried_rows_match(P)
 
     def test_probability_refuses_states_out_of_range(self):
         P = transition_matrix(majority_game(ring(4)), Fraction(1, 3))
@@ -429,6 +482,16 @@ class TestStationaryDistribution:
         )
         assert stationary_distribution(P) == (Fraction(1, 2), Fraction(1, 2))
 
+    def test_closed_form_at_epsilon_zero(self):
+        # Every state of ring4 weighs 0**k = 0 there: the law once raised a
+        # bare ZeroDivisionError.  A one-state chain keeps its law 1.
+        P = transition_matrix(majority_game(ring(4)), 0)
+        message = "^chain is reducible at epsilon 0: 15 states only move down$"
+        with pytest.raises(InputError, match=message):
+            stationary_law(P)
+        one = chain.TransitionMatrix((Profile.ones(2),), ({0: 1},), Fraction(0))
+        assert stationary_law(one) == stationary_distribution(one) == (Fraction(1),)
+
     def test_concentration_increases_as_epsilon_shrinks(self):
         game = majority_game(ring(4))
         res = optimal_oracle(game)
@@ -526,6 +589,7 @@ class TestDetailedBalanceSolve:
         assert tree is not None and reached == P.size
         assert tree == _fraction_free_solve(_integer_rows(P.rows, P.size), P.size) == stationary_law(P)
         assert stationary_distribution(P) == tree
+        assert_carried_rows_match(P)
 
     @pytest.mark.parametrize("eps", DIFFERENTIAL_EPSILONS, ids=str)
     @pytest.mark.parametrize(
@@ -548,10 +612,16 @@ class TestDetailedBalanceSolve:
                     if label == "exact-ints":
                         assert expected == solved
                 else:
-                    with pytest.raises(InputError, match="nonnegative"):
-                        stationary_distribution(
-                            chain.TransitionMatrix(P.states, tuple(bad), P.epsilon)
-                        )
+                    # A matrix built by hand or by replace carries no integer
+                    # rows, so its rows are checked, whatever P carries.
+                    for matrix in (
+                        chain.TransitionMatrix(P.states, tuple(bad), P.epsilon),
+                        dataclasses.replace(P, rows=tuple(bad)),
+                    ):
+                        with pytest.raises(
+                            InputError, match="nonnegative, in range and sum to exactly 1"
+                        ):
+                            stationary_distribution(matrix)
 
     def test_plain_list_takes_tree_path(self):
         P = transition_matrix(majority_game(ring(4)), Fraction(1, 3))
@@ -590,10 +660,13 @@ class TestDetailedBalanceSolve:
         assert _fraction_free_solve(_integer_rows(rows, 3), 3) == expected
 
     def test_epsilon_zero_still_reducible(self):
-        P = transition_matrix(majority_game(ring(4)), 0)
-        assert _solve(P.rows, P.size) == (None, 1)
-        with pytest.raises(InputError, match="reducible"):
-            stationary_distribution(P)
+        for _, make, args in DIFFERENTIAL_GRAPHS:
+            P = transition_matrix(majority_game(make(*args)), 0)
+            carried = _detailed_balance_solve(P._numerators, P.size)
+            assert _solve(P.rows, P.size) == carried == (None, 1)
+            # Both solve paths raise the same error, and the closed form,
+            # which once divided 0 by 0, refuses the chain too.
+            assert_carried_rows_match(P)
 
     def test_negative_entry_not_accepted(self):
         # Balanced on its one positive edge pair, but row 0 holds -1.
