@@ -1,8 +1,9 @@
-"""Exact rational parsing and formatting helpers.
+"""Exact rational parsing and formatting helpers, and the one count check.
 
 Floats are rejected deliberately: every comparison in this toolkit must be
 exact, and a float like 0.3 is not the rational 3/10.  Decimal strings are
-converted exactly instead.
+converted exactly instead.  Counts (sizes, budgets, steps) must be ``int``:
+:func:`as_count` refuses ``bool``, floats and strings with one message.
 """
 
 from __future__ import annotations
@@ -38,6 +39,15 @@ def as_ratio(value, what: str) -> Fraction:
     if not 0 <= v <= 1:
         raise InputError(f"{what} must lie in [0, 1], got {v}")
     return v
+
+
+def as_count(value, what: str, low: int = 0, high: int | None = None) -> int:
+    """Return ``value`` if it is an ``int`` (``bool`` refused) in
+    [``low``, ``high``]; otherwise refuse it as ``what`` with one message."""
+    if type(value) is not int or value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise InputError(f"{what} must be an int {bound}, got {value!r}")
+    return value
 
 
 def parse_rational(text: str) -> Fraction:

@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._ratio import as_fraction, as_ratio
+from ._ratio import as_count, as_fraction, as_ratio
 from .coordination import _lane_slack, _pack_lanes, _plain_coordination
 from .errors import BudgetError, InputError, InternalCheckError
 from .game_core import Game, Profile
@@ -62,10 +62,14 @@ class ChainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon", as_ratio(self.epsilon, "epsilon"))
-        if self.steps is not None and (type(self.steps) is not int or self.steps < 1):
-            raise InputError(f"steps must be an int >= 1, got {self.steps!r}")
-        if type(self.trace_points) is not int or self.trace_points < 1:
-            raise InputError(f"trace_points must be an int >= 1, got {self.trace_points!r}")
+        if self.steps is not None:
+            as_count(self.steps, "steps", 1)
+        as_count(self.trace_points, "trace_points", 1)
+        if self.start is not None and not isinstance(self.start, Profile):
+            raise InputError(f"start must be a Profile or None, got {self.start!r}")
+        for flag in ("record_visits", "collect_min_states"):
+            if type(value := getattr(self, flag)) is not bool:
+                raise InputError(f"{flag} must be a bool, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,8 +332,6 @@ def _moves(game: Game, max_states: int | None = None) -> dict[int, int]:
     stack = [(full, game._slack(full) if plain else None, -1)]
     while stack:
         mask, slack, flipped = stack.pop()
-        if mask in moves:
-            continue
         if slack is None:
             admissible = sum(1 << i for i in range(n) if sign(i, mask) >= 0)
         else:
@@ -344,7 +346,9 @@ def _moves(game: Game, max_states: int | None = None) -> dict[int, int]:
         moves[mask] = admissible
         if len(moves) > cap:
             raise BudgetError(f"reachable set has more than {cap} states, over the limit of {cap}")
-        # Children already walked are not pushed: the pop would skip them.
+        # Children already walked are not pushed, so no state is pushed twice:
+        # while Y - x waits on the stack only states below a later sibling
+        # Y - z are walked, and none of them lies above Y - x, which holds z.
         down = admissible & mask
         while down:
             bit = down & -down

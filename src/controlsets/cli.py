@@ -12,7 +12,7 @@ import csv
 import io
 import sys
 
-from ._ratio import format_rational, parse_rational
+from ._ratio import as_count, format_rational, parse_rational
 from .chain import ChainConfig
 from .complete_graph import ThresholdDistribution, analytic_min_size
 from .errors import InputError, InternalCheckError
@@ -25,12 +25,12 @@ from .scs import cascade, is_sufficient, optimal_oracle
 
 
 def _read(path_arg: str) -> str:
-    if path_arg == "-":
-        return sys.stdin.read()
     try:
+        if path_arg == "-":
+            return sys.stdin.read()
         with open(path_arg) as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path_arg!r}: {exc}") from None
 
 
@@ -69,9 +69,7 @@ def _parse_set(spec: str) -> frozenset[int]:
 
 def _steps(value: int) -> int | None:
     """The ``--steps`` value: 0 means the default 100*n^2 (None)."""
-    if value < 0:
-        raise InputError(f"--steps must be >= 0 (0 means 100*n^2), got {value}")
-    return value or None
+    return as_count(value, "--steps") or None
 
 
 def _fmt_set(players) -> str:

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._ratio import as_ratio
+from ._ratio import as_count, as_ratio
 from .chain import ChainConfig, ChainRun, run_search
 from .coordination import majority_game
 from .errors import InputError, InternalCheckError
@@ -69,12 +69,13 @@ class ExperimentSpec:
             raise InputError(f"unknown family {self.family!r}; choose from {FAMILIES}")
         if not self.n_values:
             raise InputError("n_values must be nonempty")
-        if any(n < 2 for n in self.n_values):
-            raise InputError("every n must be >= 2")
-        if self.trials < 1:
-            raise InputError("trials must be >= 1")
-        if self.restarts < 1:
-            raise InputError("restarts must be >= 1")
+        for n in self.n_values:
+            as_count(n, "n", 2)
+        as_count(self.trials, "trials", 1)
+        as_count(self.restarts, "restarts", 1)
+        as_count(self.oracle_cutoff, "oracle_cutoff")
+        if self.steps is not None:
+            as_count(self.steps, "steps", 1)
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,7 @@ def degree_heuristic(game: Game, g: WeightedGraph, k: int) -> tuple[frozenset[in
     the cascade, and report the fraction of nodes converted."""
     if g.n != game.n:
         raise InputError(f"graph has {g.n} nodes but the game has {game.n} players")
-    if not 1 <= k <= g.n:
-        raise InputError(f"k must lie in [1, {g.n}], got {k}")
+    as_count(k, "k", 1, g.n)
     ranked = sorted(range(g.n), key=lambda i: (-g.out_degrees[i], i))
     chosen = frozenset(ranked[:k])
     final = closure_mask(game, Profile.from_players(g.n, chosen).mask)
@@ -122,8 +122,7 @@ def best_of_restarts(
     """Run ``restarts`` walks seeded ``f"{seed}/r{k}"`` and keep the one with
     the smallest best set, the earliest on a tie.  Each walk keeps a trace
     of ``trace_points`` points; a caller that never reads it passes 1."""
-    if restarts < 1:
-        raise InputError(f"restarts must be >= 1, got {restarts}")
+    as_count(restarts, "restarts", 1)
     best = None
     for k in range(restarts):
         config = ChainConfig(
@@ -183,8 +182,7 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list[Res
             workers = int(text)
         except ValueError:
             raise InputError(f"CONTROLSETS_WORKERS must be an integer, got {text!r}") from None
-    if workers < 1:
-        raise InputError(f"worker count must be >= 1, got {workers}")
+    as_count(workers, "workers", 1)
     jobs = [(n, trial) for n in spec.n_values for trial in range(spec.trials)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -273,10 +271,10 @@ print("wrote control_set_size.png and degree_heuristic_coverage.png")
 def emit_outputs(rows, out_dir: str) -> tuple[str, str]:
     """Write results.csv and the standalone plot script; returns the paths."""
     text = rows_to_csv(rows)
-    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "results.csv")
     plot_path = os.path.join(out_dir, "plot_results.py")
     try:
+        os.makedirs(out_dir, exist_ok=True)
         with open(csv_path, "w", newline="") as fh:
             fh.write(text)
         with open(plot_path, "w") as fh:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from ._ratio import as_fraction
+from ._ratio import as_count, as_fraction
 from .errors import BudgetError, InputError
 
 Rational = int | Fraction
@@ -106,9 +106,7 @@ class Game:
     kind = "custom"
 
     def __init__(self, n: int):
-        if n < 1:
-            raise InputError(f"game needs at least one player, got n={n}")
-        self.n = n
+        self.n = as_count(n, "n", 1)
 
     def marginal_mask(self, i: int, mask: int) -> Rational:
         raise NotImplementedError
@@ -261,8 +259,7 @@ def random_supermodular_table(n: int, rng) -> TableGame:
     (popcount, then value), which forces monotonicity.  Values are shifted
     so the all-0 and all-1 profiles stay equilibria.
     """
-    if n < 1:
-        raise InputError("need n >= 1")
+    as_count(n, "n", 1)
     half = 1 << (n - 1)
     order = sorted(range(half), key=lambda m: (m.bit_count(), m))
     tables = []

@@ -23,7 +23,7 @@ import random
 from collections import defaultdict
 from typing import Iterable, Mapping, Sequence
 
-from ._ratio import as_fraction
+from ._ratio import as_count, as_fraction
 from .errors import InputError
 
 
@@ -45,8 +45,7 @@ class WeightedGraph:
     __slots__ = ("n", "rows", "in_rows", "out_degrees")
 
     def __init__(self, n: int, arcs: Mapping[tuple[int, int], int]):
-        if n < 1:
-            raise InputError(f"graph needs at least one node, got n={n}")
+        as_count(n, "n", 2)
         # With more nodes than arcs some node is a sink; dicts then keep the
         # time and memory of the checks bounded by the arcs, not by n.
         if n <= len(arcs):
@@ -149,30 +148,27 @@ class WeightedGraph:
 
 
 def complete(n: int) -> WeightedGraph:
-    if n < 2:
-        raise InputError(f"complete graph needs n >= 2, got {n}")
+    as_count(n, "n", 2)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return WeightedGraph.from_edges(n, edges)
 
 
 def ring(n: int) -> WeightedGraph:
-    if n < 3:
-        raise InputError(f"ring needs n >= 3, got {n}")
+    as_count(n, "n", 3)
     edges = [(i, (i + 1) % n) for i in range(n)]
     return WeightedGraph.from_edges(n, edges)
 
 
 def path(n: int) -> WeightedGraph:
-    if n < 2:
-        raise InputError(f"path needs n >= 2, got {n}")
+    as_count(n, "n", 2)
     edges = [(i, i + 1) for i in range(n - 1)]
     return WeightedGraph.from_edges(n, edges)
 
 
 def grid(k: int, d: int) -> WeightedGraph:
     """d-dimensional grid on {0..k-1}^d; nodes adjacent at L1 distance 1."""
-    if k < 2 or d < 1:
-        raise InputError(f"grid needs k >= 2 and d >= 1, got k={k}, d={d}")
+    as_count(k, "k", 2)
+    as_count(d, "d", 1)
     n = k**d
     edges = []
     for idx in range(n):
@@ -231,8 +227,7 @@ def erdos_renyi(n: int, p: float, seed) -> WeightedGraph:
     never silently resampled, so the generator stays a pure function of
     (n, p, seed).
     """
-    if n < 2:
-        raise InputError(f"random graph needs n >= 2, got {n}")
+    as_count(n, "n", 2)
     p = float(p)
     if not 0 < p <= 1:
         raise InputError(f"edge probability must be in (0, 1], got {p}")

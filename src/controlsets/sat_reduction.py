@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+from ._ratio import as_count
 from .coordination import majority_game
 from .errors import BudgetError, InputError, InternalCheckError
 from .game_core import Game
@@ -88,10 +89,7 @@ class Cnf3:
     clauses: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        if type(self.num_vars) is not int:
-            raise InputError(f"number of variables must be an int, got {self.num_vars!r}")
-        if self.num_vars < 1:
-            raise InputError(f"need at least one variable, got {self.num_vars}")
+        as_count(self.num_vars, "number of variables", 3)
         if not isinstance(self.clauses, (tuple, list)):
             raise InputError(f"clauses must be a tuple or list, got {self.clauses!r}")
         if not self.clauses:
@@ -349,10 +347,7 @@ def normalize_control_set(gadget: GadgetGraph, control_set) -> frozenset[int]:
     n = gadget.graph.n
     current = set(control_set)
     for v in current:
-        if type(v) is not int:
-            raise InputError(f"node {v!r} is not an int")
-        if not 0 <= v < n:
-            raise InputError(f"node {v} out of range for the gadget ({n} nodes)")
+        as_count(v, "node", 0, n - 1)
     target = gadget.cnf.target_size
     if len(current) != target:
         raise InputError(f"control set has size {len(current)}, expected {target}")

@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from ._ratio import as_ratio
+from ._ratio import as_count, as_ratio
 from .coordination import _lane_prunings, _lane_walk, _plain_coordination
-from .errors import BudgetError, InputError
+from .errors import BudgetError
 from .game_core import Game, Profile, _bit_indices
 from .graph import WeightedGraph, uniformly_at_most_cohesive
 
@@ -212,13 +212,6 @@ class OracleResult:
     checked: int
 
 
-def _check_budget(budget, n: int) -> None:
-    if type(budget) is not int:
-        raise InputError(f"budget must be an int, got {budget!r}")
-    if not 0 <= budget <= n:
-        raise InputError(f"budget must lie in [0, {n}], got {budget}")
-
-
 def optimal_oracle(game: Game, budget: int | None = None) -> OracleResult:
     """Enumerate seed sets by ascending cardinality; on the first size with
     a sufficient set, collect every sufficient set of that size, in the
@@ -232,9 +225,7 @@ def optimal_oracle(game: Game, budget: int | None = None) -> OracleResult:
     :func:`_hits` may skip those seeds, with ``_lane_prunings`` on lanes.
     """
     n = game.n
-    if budget is None:
-        budget = n
-    _check_budget(budget, n)
+    budget = n if budget is None else as_count(budget, "budget", 0, n)
     planned = sum(math.comb(n, k) for k in range(budget + 1))
     if planned > ORACLE_CHECK_LIMIT:
         raise BudgetError(
@@ -367,9 +358,9 @@ def find_sufficient_within(
     the prunings.
     """
     n = game.n
-    _check_budget(budget, n)
-    if node_limit is not None and (type(node_limit) is not int or node_limit < 0):
-        raise InputError(f"node_limit must be an int >= 0, got {node_limit!r}")
+    as_count(budget, "budget", 0, n)
+    if node_limit is not None:
+        as_count(node_limit, "node_limit")
     base, on, spread = _seed_walk(game, 0)
     kept = _undominated(n, base, on, spread)
     blocking = _blocking_sets(game, base, on, spread, kept)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 import statistics
 import time
 from fractions import Fraction
@@ -167,6 +168,24 @@ class TestRunSearch:
         # ran a one-step walk, and trace_points=2.5 was accepted.
         with pytest.raises(InputError, match=f"^{name} must be an int >= 1, got {value!r}$"):
             ChainConfig(**{name: value})
+
+    @pytest.mark.parametrize("start", [5, (1, 1, 1, 1), "1111"], ids=repr)
+    def test_start_must_be_a_profile(self, start):
+        # start=5 once failed inside run_search with an AttributeError.
+        with pytest.raises(InputError, match=f"^start must be a Profile or None, got {re.escape(repr(start))}$"):
+            ChainConfig(start=start)
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, None], ids=repr)
+    @pytest.mark.parametrize("name", ["record_visits", "collect_min_states"])
+    def test_flags_must_be_bools(self, name, value):
+        # record_visits="no" once recorded visits.
+        with pytest.raises(InputError, match=f"^{name} must be a bool, got {value!r}$"):
+            ChainConfig(**{name: value})
+
+    def test_start_of_the_wrong_size_is_refused(self):
+        config = ChainConfig(start=Profile.ones(3))
+        with pytest.raises(InputError, match="^start profile has 3 players, game has 4$"):
+            run_search(majority_game(ring(4)), config)
 
 
 class TestReachableAndAbsorbing:

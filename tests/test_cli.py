@@ -76,6 +76,12 @@ class TestGenerate:
         game = parse_game(out_file.read_text())
         assert game.n == 5
 
+    def test_out_into_missing_directory_exit_one(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "g.graph"
+        code, out, err = run_cli(capsys, "generate", "ring", "5", "--out", str(out_file))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {str(out_file)!r}: ") and err.count("\n") == 1
+
     def test_bad_parameters_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "generate", "complete", "1")
         assert code == 1
@@ -119,6 +125,15 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "no-such.game", "--set", "0")
         assert code == 1
         assert "cannot read" in err
+
+    def test_file_that_is_not_utf8_exit_one(self, capsys, tmp_path):
+        # Once a UnicodeDecodeError traceback.
+        path = tmp_path / "ring.game"
+        path.write_bytes(b"\xff\xfe" + RING_GAME.encode())
+        code, out, err = run_cli(capsys, "verify", str(path), "--set", "0")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {str(path)!r}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "text",
@@ -456,6 +471,19 @@ class TestExperiment:
         assert out == ""
         assert err.startswith("error: ") and "--steps" in err
         assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-a-file"])
+    def test_out_dir_that_is_a_file_exit_one(self, capsys, tmp_path, sub):
+        # Once a FileExistsError or NotADirectoryError traceback after the sweep.
+        blocker = tmp_path / "results"
+        blocker.write_text("")
+        out_dir = str(blocker / sub) if sub else str(blocker)
+        code, out, err = run_cli(
+            capsys, "experiment", "--n", "4", "--trials", "1", "--restarts", "1", "--steps", "10",
+            "--out-dir", out_dir,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write outputs under {out_dir!r}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("workers", ["abc", "0", "-2"])
     def test_bad_worker_count_exit_one(self, capsys, tmp_path, monkeypatch, workers):

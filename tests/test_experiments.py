@@ -67,6 +67,10 @@ class TestEdgeProbability:
     def test_sparse_capped_at_one(self):
         assert edge_probability("sparse", 3) == 1.0
 
+    def test_unknown_family(self):
+        with pytest.raises(InputError, match=r"^unknown family 'scale_free'; choose from \('dense', 'sparse'\)$"):
+            edge_probability("scale_free", 10)
+
 
 class TestRows:
     def test_row_reproducible_except_runtime(self):

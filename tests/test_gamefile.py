@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from controlsets import (
+    CustomGame,
+    InputError,
     Profile,
     TableGame,
     format_game,
@@ -126,6 +128,11 @@ class TestTableFormat:
             again = parse_game(format_game(game))
             assert games_equal(game, again)
 
+    def test_custom_game_is_not_serialized(self):
+        game = CustomGame(2, lambda i, mask: 1 if mask else -1)
+        with pytest.raises(InputError, match="^cannot serialize a game of kind 'custom'$"):
+            format_game(game)
+
 
 class TestHeaders:
     def test_unknown_kind(self):
@@ -135,6 +142,8 @@ class TestHeaders:
     def test_missing_players(self):
         with pytest.raises(GameFormatError, match="players"):
             parse_game("game table\ndelta 0 1\n")
+        with pytest.raises(GameFormatError, match="^line 1: expected 'players <n>' next$"):
+            parse_game("game table\n")
 
     def test_empty_file(self):
         with pytest.raises(GameFormatError, match="empty"):

@@ -81,6 +81,10 @@ class TestGenerators:
         with pytest.raises(InputError, match="root"):
             tree([-1, -1, 0])
 
+    def test_tree_rejects_parent_out_of_range(self):
+        with pytest.raises(InputError, match="^parent 3 of node 2 out of range$"):
+            tree([-1, 0, 3])
+
     def test_tree_rejects_cycle(self):
         with pytest.raises(InputError, match="cycle"):
             tree([-1, 2, 1])
@@ -157,7 +161,7 @@ class TestInvariants:
     @pytest.mark.parametrize(
         "n, arcs, message",
         [
-            (0, {(0, 0): 0}, "graph needs at least one node, got n=0"),
+            (0, {(0, 0): 0}, "n must be an int >= 2, got 0"),
             (2, {(0, 1): 1, (2, 2): 0}, "arc (2,2) out of range for n=2"),
             (HUGE, {(0, HUGE): 0}, f"arc (0,{HUGE}) out of range for n={HUGE}"),
             (2, {(1, 1): 0, (0, 1): 1}, "self-loop at node 1 is not allowed"),

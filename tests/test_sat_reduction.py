@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -96,11 +97,17 @@ class TestParseCnf:
         with pytest.raises(CnfFormatError, match="not terminated"):
             parse_cnf("p cnf 3 1\n1 2 3\n")
 
+    def test_missing_header(self):
+        with pytest.raises(CnfFormatError, match="^missing 'p cnf' problem line$"):
+            parse_cnf("c a comment only\n")
+
     def test_direct_constructor_validation(self):
         with pytest.raises(InputError, match="repeats"):
             Cnf3(3, ((1, 1, 2),))
         with pytest.raises(InputError, match="expected 3"):
             Cnf3(3, ((1, 2),))
+        with pytest.raises(InputError, match="^clause 1 contains literal 0$"):
+            Cnf3(3, ((1, 0, 2),))
 
     @pytest.mark.parametrize(
         "clause", [("1", "2", "3"), (1.0, 2, 3), (True, 2, 3)], ids=["str", "float", "bool"]
@@ -299,7 +306,8 @@ class TestNormalize:
     def test_normalize_rejects_non_int_nodes(self, stray):
         gadget = build_gadget(SINGLE_CLAUSE)
         chosen = {gadget.hub, stray, gadget.true_nodes[0], gadget.false_nodes[1]}
-        with pytest.raises(InputError, match="is not an int"):
+        message = f"node must be an int in [0, {gadget.graph.n - 1}], got {stray!r}"
+        with pytest.raises(InputError, match=re.escape(message)):
             normalize_control_set(gadget, chosen)
 
     def test_readback_requires_normal_form(self):
