@@ -3,7 +3,9 @@
 Floats are rejected deliberately: every comparison in this toolkit must be
 exact, and a float like 0.3 is not the rational 3/10.  Decimal strings are
 converted exactly instead.  Counts (sizes, budgets, steps) must be ``int``:
-:func:`as_count` refuses ``bool``, floats and strings with one message.
+:func:`as_count` refuses ``bool``, floats and strings with one message.  An
+index (player, node, state, parent) is a count bounded by the last index
+and goes through the same check.
 """
 
 from __future__ import annotations

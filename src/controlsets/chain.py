@@ -396,9 +396,8 @@ class TransitionMatrix:
         return len(self.states)
 
     def probability(self, a: int, b: int) -> Fraction:
-        if not (0 <= a < self.size and 0 <= b < self.size):
-            raise InputError(f"state pair ({a}, {b}) out of range for {self.size} states")
-        return self.rows[a].get(b, Fraction(0))
+        last = self.size - 1
+        return self.rows[as_count(a, "state", 0, last)].get(as_count(b, "state", 0, last), Fraction(0))
 
 
 def transition_matrix(game: Game, epsilon) -> TransitionMatrix:

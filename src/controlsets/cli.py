@@ -16,7 +16,7 @@ from ._ratio import as_count, format_rational, parse_rational
 from .chain import ChainConfig
 from .complete_graph import ThresholdDistribution, analytic_min_size
 from .errors import InputError, InternalCheckError
-from .experiments import ExperimentSpec, best_of_restarts, emit_outputs, run_experiment
+from .experiments import ExperimentSpec, best_of_restarts, emit_outputs, make_out_dir, run_experiment
 from .gamefile import format_game, parse_game
 from .graph import _text_lines, complete, erdos_renyi, format_graph, grid, path, ring, tree
 from .coordination import from_thresholds
@@ -211,8 +211,9 @@ def cmd_experiment(args) -> int:
         oracle_cutoff=args.oracle_cutoff,
         master_seed=args.seed,
     )
-    rows = run_experiment(spec)
     out_dir = args.out_dir or "."
+    make_out_dir(out_dir)  # before the sweep, so a bad directory costs none of it
+    rows = run_experiment(spec)
     csv_path, plot_path = emit_outputs(rows, out_dir)
     done = [r for r in rows if not r.skipped]
     skipped = len(rows) - len(done)

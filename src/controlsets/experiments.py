@@ -268,13 +268,22 @@ print("wrote control_set_size.png and degree_heuristic_coverage.png")
 '''
 
 
+def make_out_dir(out_dir: str) -> None:
+    """Create ``out_dir`` if it is missing; one that cannot be a directory
+    is an InputError, so a sweep can be refused before it runs."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot write outputs under {out_dir!r}: {exc}") from None
+
+
 def emit_outputs(rows, out_dir: str) -> tuple[str, str]:
     """Write results.csv and the standalone plot script; returns the paths."""
     text = rows_to_csv(rows)
     csv_path = os.path.join(out_dir, "results.csv")
     plot_path = os.path.join(out_dir, "plot_results.py")
+    make_out_dir(out_dir)
     try:
-        os.makedirs(out_dir, exist_ok=True)
         with open(csv_path, "w", newline="") as fh:
             fh.write(text)
         with open(plot_path, "w") as fh:

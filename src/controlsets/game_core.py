@@ -44,10 +44,12 @@ class Profile:
     mask: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError(f"profile needs at least one player, got n={self.n}")
-        if not 0 <= self.mask < (1 << self.n):
-            raise InputError(f"mask {self.mask:#x} out of range for n={self.n}")
+        # Inline, not as_count: transition_matrix builds one Profile per state.
+        if type(self.n) is not int or self.n < 1:
+            raise InputError(f"profile needs at least one player, got n={self.n!r}")
+        if type(self.mask) is not int or not 0 <= self.mask < (1 << self.n):
+            mask = f"{self.mask:#x}" if type(self.mask) is int else repr(self.mask)
+            raise InputError(f"mask {mask} out of range for n={self.n}")
 
     @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "Profile":
@@ -55,16 +57,15 @@ class Profile:
         for i, b in enumerate(bits):
             if b not in (0, 1):
                 raise InputError(f"profile bits must be 0 or 1, got {b!r} at {i}")
-            mask |= b << i
+            if b:
+                mask |= 1 << i
         return cls(len(bits), mask)
 
     @classmethod
     def from_players(cls, n: int, players: Iterable[int]) -> "Profile":
         mask = 0
         for p in players:
-            if not 0 <= p < n:
-                raise InputError(f"player {p} out of range for n={n}")
-            mask |= 1 << p
+            mask |= 1 << as_count(p, "player", 0, n - 1)
         return cls(n, mask)
 
     @classmethod
@@ -90,9 +91,7 @@ class Profile:
         return self.mask.bit_count()
 
     def flip(self, i: int) -> "Profile":
-        if not 0 <= i < self.n:
-            raise IndexError(f"player {i} out of range for n={self.n}")
-        return Profile(self.n, self.mask ^ (1 << i))
+        return Profile(self.n, self.mask ^ (1 << as_count(i, "player", 0, self.n - 1)))
 
 
 class Game:
@@ -117,10 +116,11 @@ class Game:
         return (v > 0) - (v < 0)
 
     def _check_player(self, i: int) -> None:
-        if not 0 <= i < self.n:
-            raise IndexError(f"player {i} out of range for n={self.n}")
+        as_count(i, "player", 0, self.n - 1)
 
     def _check_profile(self, x: Profile) -> None:
+        if not isinstance(x, Profile):
+            raise InputError(f"profile must be a Profile, got {x!r}")
         if x.n != self.n:
             raise InputError(f"profile has {x.n} players, game has {self.n}")
 

@@ -88,13 +88,13 @@ class WeightedGraph:
         """
         arcs: dict[tuple[int, int], int] = {}
         for edge in edges:
-            if len(edge) == 2:
-                i, j = edge
-                w = 1
-            elif len(edge) == 3:
-                i, j, w = edge
-            else:
-                raise InputError(f"edge {edge!r} must be (i, j) or (i, j, w)")
+            match edge:
+                case (i, j):
+                    w = 1
+                case (i, j, w):
+                    pass
+                case _:
+                    raise InputError(f"edge {edge!r} must be (i, j) or (i, j, w)")
             if (i, j) in arcs:
                 raise InputError(f"duplicate arc ({i},{j})")
             arcs[i, j] = w
@@ -103,14 +103,10 @@ class WeightedGraph:
         return cls(n, arcs)
 
     def out_degree(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(f"node {i} out of range for n={self.n}")
-        return self.out_degrees[i]
+        return self.out_degrees[as_count(i, "node", 0, self.n - 1)]
 
     def neighbors(self, i: int) -> tuple[tuple[int, int], ...]:
-        if not 0 <= i < self.n:
-            raise IndexError(f"node {i} out of range for n={self.n}")
-        return self.rows[i]
+        return self.rows[as_count(i, "node", 0, self.n - 1)]
 
     def arcs(self):
         for i, row in enumerate(self.rows):
@@ -185,6 +181,9 @@ def _grid_coords(idx: int, k: int, d: int) -> tuple[int, ...]:
 
 def grid_layer(k: int, d: int, level: int) -> frozenset[int]:
     """Nodes of grid(k, d) whose coordinates sum to ``level``."""
+    as_count(k, "k", 2)
+    as_count(d, "d", 1)
+    as_count(level, "level", 0, d * (k - 1))
     return frozenset(
         idx for idx in range(k**d) if sum(_grid_coords(idx, k, d)) == level
     )
@@ -195,16 +194,9 @@ def tree(parents: Sequence[int]) -> WeightedGraph:
     n = len(parents)
     if n < 2:
         raise InputError(f"tree needs n >= 2, got {n}")
-    roots = [i for i, p in enumerate(parents) if p == -1]
-    if len(roots) != 1:
-        raise InputError(f"tree needs exactly one root (parent -1), found {len(roots)}")
-    edges = []
-    for i, p in enumerate(parents):
-        if p == -1:
-            continue
-        if not 0 <= p < n:
-            raise InputError(f"parent {p} of node {i} out of range")
-        edges.append((i, p))
+    edges = [(i, p) for i, p in enumerate(parents) if as_count(p, f"parent of node {i}", -1, n - 1) != -1]
+    if len(edges) != n - 1:
+        raise InputError(f"tree needs exactly one root (parent -1), found {n - len(edges)}")
     # Cycle check: every node must reach the root.  A walk stops at the first
     # node known to reach it, so each node is walked once.
     reaches = {-1}
@@ -228,9 +220,13 @@ def erdos_renyi(n: int, p: float, seed) -> WeightedGraph:
     (n, p, seed).
     """
     as_count(n, "n", 2)
-    p = float(p)
-    if not 0 < p <= 1:
-        raise InputError(f"edge probability must be in (0, 1], got {p}")
+    try:  # a bool is not a probability, though float() takes it
+        q = None if isinstance(p, bool) else float(p)
+    except (TypeError, ValueError):
+        q = None
+    if q is None or not 0 < q <= 1:
+        raise InputError(f"edge probability must be in (0, 1], got {repr(p) if q is None else q}")
+    p = q
     rng = random.Random(seed)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     touched = {v for edge in edges for v in edge}
@@ -249,11 +245,7 @@ def erdos_renyi(n: int, p: float, seed) -> WeightedGraph:
 
 
 def _normalize_members(g: WeightedGraph, members) -> list[int]:
-    out = sorted(set(members))
-    for i in out:
-        if not 0 <= i < g.n:
-            raise InputError(f"node {i} out of range for n={g.n}")
-    return out
+    return sorted({as_count(i, "node", 0, g.n - 1) for i in members})
 
 
 def alpha_cohesive(g: WeightedGraph, members, alpha) -> bool:

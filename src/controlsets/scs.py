@@ -191,7 +191,7 @@ def replay_witness(game: Game, seed, witness: Iterable[int]) -> bool:
     weakly-improving switch at its turn.  Used to validate witnesses."""
     mask = _seed_mask(game, seed)
     for i in witness:
-        if (mask >> i) & 1 or game.delta_sign(i, mask) < 0:
+        if (mask >> as_count(i, "player", 0, game.n - 1)) & 1 or game.delta_sign(i, mask) < 0:
             return False
         mask |= 1 << i
     return True

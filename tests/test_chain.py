@@ -378,11 +378,12 @@ class TestTransitionMatrix:
         P = transition_matrix(majority_game(ring(4)), Fraction(1, 3))
         assert P.probability(P.size - 1, P.size - 1) == P.rows[-1][P.size - 1]
         # -1 once read the last row, and size raised a bare IndexError.
-        with pytest.raises(InputError, match=r"state pair \(-1, 0\) out of range"):
+        last = P.size - 1
+        with pytest.raises(InputError, match=rf"^state must be an int in \[0, {last}\], got -1$"):
             P.probability(-1, 0)
-        with pytest.raises(InputError, match=f"out of range for {P.size} states"):
+        with pytest.raises(InputError, match=rf"^state must be an int in \[0, {last}\], got {P.size}$"):
             P.probability(P.size, 0)
-        with pytest.raises(InputError, match="out of range"):
+        with pytest.raises(InputError, match=rf"^state must be an int in \[0, {last}\], got {P.size}$"):
             P.probability(0, P.size)
 
     def test_max_states_bounds_the_walk(self, monkeypatch):

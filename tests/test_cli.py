@@ -473,8 +473,13 @@ class TestExperiment:
         assert not (tmp_path / "results.csv").exists()
 
     @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-a-file"])
-    def test_out_dir_that_is_a_file_exit_one(self, capsys, tmp_path, sub):
-        # Once a FileExistsError or NotADirectoryError traceback after the sweep.
+    def test_out_dir_that_is_a_file_exit_one(self, capsys, tmp_path, monkeypatch, sub):
+        # Once a FileExistsError or NotADirectoryError traceback after the
+        # sweep; the directory is now refused before any row runs.
+        def run_row(*args):
+            raise AssertionError("a row ran before the output directory was checked")
+
+        monkeypatch.setattr("controlsets.experiments.run_row", run_row)
         blocker = tmp_path / "results"
         blocker.write_text("")
         out_dir = str(blocker / sub) if sub else str(blocker)

@@ -32,6 +32,9 @@ class TestProfile:
         assert p.bits == (1, 0, 1, 1)
         assert p.players == frozenset({0, 2, 3})
         assert p.weight == 3
+        # A bit is set by truth: 1.0 passes the 0/1 test, and shifting it
+        # once raised a TypeError.
+        assert Profile.from_bits([True, 0.0, 1.0, Fraction(1)]) == p
 
     def test_from_players(self):
         assert Profile.from_players(5, [0, 4]).mask == 0b10001
@@ -98,7 +101,7 @@ class TestMarginalUtility:
 
     def test_index_out_of_range(self):
         game = majority_game(ring(4))
-        with pytest.raises(IndexError):
+        with pytest.raises(InputError, match=r"^player must be an int in \[0, 3\], got 4$"):
             marginal_utility(game, 4, Profile.ones(4))
 
     def test_independent_of_own_action(self):

@@ -2,7 +2,10 @@
 message, "<what> must lie in [0, 1], got <v>", and accepted at both ends.
 Every count is refused unless it is an int in its range, with one message,
 "<what> must be an int >= <low>, got <v!r>" (or "in [<low>, <high>]"), and
-accepted at both ends."""
+accepted at both ends; a player, node, state or parent index is such a
+count, with the last index as its upper bound.  No entry point lets a
+value of the wrong type through as a TypeError, ValueError or
+AttributeError."""
 
 import random
 import re
@@ -16,9 +19,11 @@ from controlsets import (
     ExperimentSpec,
     Game,
     InputError,
+    Profile,
     ThresholdDistribution,
     WeightedGraph,
     build_gadget,
+    cascade,
     cdf,
     cohesiveness_crosscheck,
     complete,
@@ -26,14 +31,20 @@ from controlsets import (
     erdos_renyi,
     find_sufficient_within,
     grid,
+    grid_layer,
+    is_sufficient,
     majority_game,
+    marginal_utility,
     normalize_control_set,
     optimal_oracle,
     path,
     random_supermodular_table,
+    replay_witness,
     ring,
     run_experiment,
     transition_matrix,
+    tree,
+    uniformly_at_most_cohesive,
 )
 from controlsets.experiments import best_of_restarts
 
@@ -76,6 +87,7 @@ def test_non_numbers_are_refused(site):
 
 
 RING4 = majority_game(ring(4))
+MATRIX = transition_matrix(RING4, Fraction(1, 3))
 # Nodes 0..12: clause node 0, var nodes 1..6, hub 7 and leaves 8..12.
 GADGET = build_gadget(Cnf3(3, ((1, -2, 3),)))
 
@@ -123,6 +135,22 @@ COUNTS = {
     "random_supermodular_table": ("n", 1, None, lambda v: random_supermodular_table(v, random.Random(0))),
     "Cnf3": ("number of variables", 3, None, lambda v: Cnf3(v, ((1, 2, 3),))),
     "normalize_control_set": ("node", 0, 12, _normalize),
+    "Profile.from_players": ("player", 0, 3, lambda v: Profile.from_players(4, [v])),
+    "Profile.flip": ("player", 0, 3, lambda v: Profile.zeros(4).flip(v)),
+    "marginal_utility": ("player", 0, 3, lambda v: marginal_utility(RING4, v, Profile.zeros(4))),
+    "replay_witness": ("player", 0, 3, lambda v: replay_witness(RING4, set(), [v])),
+    "WeightedGraph.out_degree": ("node", 0, 3, ring(4).out_degree),
+    "WeightedGraph.neighbors": ("node", 0, 3, ring(4).neighbors),
+    "uniformly_at_most_cohesive": (
+        "node", 0, 3, lambda v: uniformly_at_most_cohesive(ring(4), {v}, Fraction(1, 2))
+    ),
+    # Node 0 is the root of the path 0 - 1 - 2, or hangs below the root 1.
+    "tree": ("parent of node 0", -1, 2, lambda v: tree([v, 0 if v == -1 else -1, 1])),
+    "grid_layer.k": ("k", 2, None, lambda v: grid_layer(v, 1, 0)),
+    "grid_layer.d": ("d", 1, None, lambda v: grid_layer(2, v, 0)),
+    "grid_layer.level": ("level", 0, 4, lambda v: grid_layer(3, 2, v)),
+    "TransitionMatrix.probability.a": ("state", 0, MATRIX.size - 1, lambda v: MATRIX.probability(v, 0)),
+    "TransitionMatrix.probability.b": ("state", 0, MATRIX.size - 1, lambda v: MATRIX.probability(0, v)),
 }
 
 
@@ -148,3 +176,28 @@ def test_count_bounds_are_accepted(site):
     _, low, high, call = COUNTS[site]
     for value in (low,) if high is None else (low, high):
         call(value)
+
+
+# Each once leaked a TypeError, ValueError or AttributeError, or was accepted.
+WRONG_TYPES = {
+    "cascade-float-player": lambda: cascade(RING4, {1.5}),
+    "is_sufficient-str-player": lambda: is_sufficient(RING4, {"a"}),
+    "replay_witness-negative-player": lambda: replay_witness(RING4, {0}, [-1]),
+    "tree-str-parent": lambda: tree([-1, "0"]),
+    "tree-bool-parent": lambda: tree([-1, 0, True]),
+    "marginal_utility-int-profile": lambda: marginal_utility(RING4, 0, 5),
+    "Profile-float-mask": lambda: Profile(4, 1.5),
+    "Profile-bool-mask": lambda: Profile(4, True),
+    "from_players-bool-player": lambda: Profile.from_players(4, [True]),
+    "grid_layer-float-level": lambda: grid_layer(3, 2, 1.5),
+    "erdos_renyi-str-p": lambda: erdos_renyi(5, "x", 0),
+    "erdos_renyi-None-p": lambda: erdos_renyi(5, None, 0),
+    "erdos_renyi-bool-p": lambda: erdos_renyi(5, True, 0),
+    "from_edges-int-edge": lambda: WeightedGraph.from_edges(3, [5]),
+}
+
+
+@pytest.mark.parametrize("site", WRONG_TYPES)
+def test_wrong_types_are_input_errors(site):
+    with pytest.raises(InputError):
+        WRONG_TYPES[site]()

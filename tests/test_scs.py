@@ -1217,8 +1217,8 @@ class TestCohesivenessCrosscheck:
     @pytest.mark.parametrize(
         "theta, seed, message",
         [
-            (Fraction(1, 2), {1, 4}, "player 4 out of range for n=4"),
-            (Fraction(1, 2), {-1}, "player -1 out of range for n=4"),
+            (Fraction(1, 2), {1, 4}, r"player must be an int in \[0, 3\], got 4"),
+            (Fraction(1, 2), {-1}, r"player must be an int in \[0, 3\], got -1"),
             (Fraction(3, 2), {0}, r"threshold must lie in \[0, 1\], got 3/2"),
             (-1, {0}, r"threshold must lie in \[0, 1\], got -1"),
         ],
