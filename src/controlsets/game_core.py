@@ -63,6 +63,11 @@ class Profile:
 
     @classmethod
     def from_players(cls, n: int, players: Iterable[int]) -> "Profile":
+        cls(n, 0)  # refuses a bad n before any player is read
+        try:
+            players = iter(players)
+        except TypeError:
+            raise InputError(f"players must be an iterable of player indices, got {players!r}") from None
         mask = 0
         for p in players:
             mask |= 1 << as_count(p, "player", 0, n - 1)

@@ -70,20 +70,19 @@ def _seed_walk(game: Game, mask: int) -> tuple[int, list[int] | int, Callable]:
     A plain :class:`CoordinationGame` runs the counter worklist of
     ``coordination`` in O(arcs of the players a spread sets), on the lanes
     of ``coordination._lane_walk`` where ``game._lanes_pay()``, else on a
-    list of slacks in which each closed player is parked.  Any other game
-    gets ``on == []`` and order-free sweeps of ``delta_sign``.
+    list of slacks in which each closed player is parked below 0.  Any
+    other game gets ``on == []`` and order-free sweeps of ``delta_sign``.
 
     The list folds *pendants* (degree-one reduction; Nichterlein,
     Niedermeier, Uhlmann & Weller, SNAM 2013): ``i`` is a pendant of ``j``
-    when its only out-arc goes to ``j``, only ``j`` listens to it, and
-    ``j`` is not a pendant of ``i``, so no pendant owns one.  As
-    ``_need[i]`` lies in [0, w_i], a pendant closes exactly when ``j`` is
-    at 1, or from the start at need 0, and walking it would only add its
-    back weight to ``j``.  So walking ``j`` skips its pendants' arcs,
-    closes them at once, writes each new one's parked counter and adds
-    their back weights to ``j``; a pendant closed already (a seed, or
-    need 0) takes the plain arc update.  The counters are those of a walk
-    without the fold.
+    when its only out-arc goes to ``j`` and only ``j`` listens to it.  As
+    ``_need[i]`` lies in [0, w_i], a pendant closes exactly when ``j``
+    does, or from the start at need 0; walking it could only raise ``j``,
+    closed already, and nothing else adds to its counter.  So walking
+    ``j`` skips its pendants' arcs and closes them at once, and either end
+    of a two-player component closes the other.  Only the counters of open
+    players are exact: each is its slack, and every closed one stays below
+    0, which is all a spread reads.
     """
     n = game.n
     if _plain_coordination(game):
@@ -107,20 +106,7 @@ def _seed_walk(game: Game, mask: int) -> tuple[int, list[int] | int, Callable]:
                         on[i] = a + shut
                         closed |= 1 << i
                         queue.append(i)
-                if fold := folds[j]:
-                    mask, back, pendants = fold
-                    if closed & mask:
-                        for i, w, parked, b in pendants:
-                            if closed >> i & 1:
-                                on[i] += w
-                            else:
-                                on[i] = parked
-                                on[j] += b
-                    else:
-                        for i, _, parked, _ in pendants:
-                            on[i] = parked
-                        on[j] += back
-                    closed |= mask
+                closed |= folds[j]
             return closed, on
 
         return (*spread(on, 0, queue), spread)
@@ -382,18 +368,25 @@ def find_sufficient_within(
 
 
 def _blocking_sets(game: Game, base: int, on, spread, kept: list[int]) -> list[int]:
-    """Inclusion-minimal blocking sets, smallest first, found from the
-    closed set ``base``: what stays at 0 when every kept player except one
-    is seeded, then, only if some single left a set, every kept player
-    except two adjacent ones along ``game.graph`` (a game without a graph
-    gets singles only).
+    """Inclusion-minimal blocking sets, smallest first, then by mask, found
+    from the closed set ``base``: what stays at 0 when every kept player
+    except one is seeded, then, only if some single left a set, every kept
+    player except two adjacent ones along ``game.graph`` (a game without a
+    graph gets singles only).
 
     The singles halve the kept players: each half is closed with the other
     half seeded, and a full closure leaves no set to any player of the
     half, so a game in which half the kept players suffice pays two
     spreads.  A pair with a member that leaves a set alone can only leave a
-    superset of it, so only pairs of players that each leave none are
-    closed."""
+    superset of it, so only pairs of players that each leave none (*bare*)
+    are closed.
+
+    As ``base | kept`` closes to full (the list of :func:`_undominated`
+    does), the sets found are an antichain and need no filter: a nonempty
+    single's set holds its own player, which every other closure seeds,
+    and a nonempty bare pair's set holds both players (were ``y`` closed
+    without ``x, y``, the closure without ``x`` alone would be that set,
+    full as ``x`` is bare)."""
     full = (1 << game.n) - 1
     found: set[int] = set()
     bare: set[int] = set()
@@ -417,27 +410,7 @@ def _blocking_sets(game: Game, base: int, on, spread, kept: list[int]) -> list[i
         for x, y in sorted(pairs):
             found.add(full ^ spread(on, base, [v for v in kept if v != x and v != y])[0])
         found.discard(0)
-    return _minimal_sets(found)
-
-
-def _minimal_sets(sets: Iterable[int]) -> list[int]:
-    """The inclusion-minimal masks among the distinct nonzero ``sets``,
-    smallest first, then by value.  A kept set is filed under its lowest
-    bit, which each of its supersets holds, so a set is tested only against
-    the kept sets filed under one of its own bits; ``lows``, the OR of the
-    bits filed under, lets it step through only those."""
-    minimal: list[int] = []
-    by_low: dict[int, list[int]] = {}
-    lows = 0
-    for b in sorted(sets, key=lambda b: (b.bit_count(), b)):
-        rest = b & lows
-        while rest and not any(b & m == m for m in by_low[rest & -rest]):
-            rest &= rest - 1
-        if not rest:
-            minimal.append(b)
-            lows |= b & -b
-            by_low.setdefault(b & -b, []).append(b)
-    return minimal
+    return sorted(found, key=lambda b: (b.bit_count(), b))
 
 
 def _packing_exceeds(blocking: list[int], closed: int, r: int) -> bool:
@@ -459,7 +432,9 @@ def cohesiveness_crosscheck(g: WeightedGraph, theta, seed) -> bool:
     more tightly than ``1 - theta`` in every subset
     (:func:`uniformly_at_most_cohesive`).  It never runs the cascade, so
     tests compare it with :func:`is_sufficient` as an independent route.
+    The seed is a :class:`Profile` of ``g.n`` players or the players, as
+    for a game on ``g``.
     """
     t = as_ratio(theta, "threshold")
-    outside = (1 << g.n) - 1 ^ Profile.from_players(g.n, seed).mask
+    outside = (1 << g.n) - 1 ^ _seed_mask(Game(g.n), seed)
     return uniformly_at_most_cohesive(g, _bit_indices(outside), 1 - t)

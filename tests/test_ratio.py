@@ -5,8 +5,10 @@ Every count is refused unless it is an int in its range, with one message,
 accepted at both ends; a player, node, state or parent index is such a
 count, with the last index as its upper bound.  No entry point lets a
 value of the wrong type through as a TypeError, ValueError or
-AttributeError."""
+AttributeError.  The other refusals a caller can reach, which no other
+test triggers, are pinned with their messages (``ERROR_PATHS``)."""
 
+import os
 import random
 import re
 from fractions import Fraction
@@ -14,22 +16,30 @@ from fractions import Fraction
 import pytest
 
 from controlsets import (
+    BudgetError,
     ChainConfig,
     Cnf3,
+    CustomGame,
     ExperimentSpec,
     Game,
     InputError,
     Profile,
+    TableGame,
     ThresholdDistribution,
+    TransitionMatrix,
     WeightedGraph,
     build_gadget,
     cascade,
     cdf,
     cohesiveness_crosscheck,
     complete,
+    control_set_to_assignment,
+    coordination_game,
     degree_heuristic,
+    emit_outputs,
     erdos_renyi,
     find_sufficient_within,
+    from_thresholds,
     grid,
     grid_layer,
     is_sufficient,
@@ -42,6 +52,7 @@ from controlsets import (
     replay_witness,
     ring,
     run_experiment,
+    stationary_distribution,
     transition_matrix,
     tree,
     uniformly_at_most_cohesive,
@@ -194,6 +205,10 @@ WRONG_TYPES = {
     "erdos_renyi-None-p": lambda: erdos_renyi(5, None, 0),
     "erdos_renyi-bool-p": lambda: erdos_renyi(5, True, 0),
     "from_edges-int-edge": lambda: WeightedGraph.from_edges(3, [5]),
+    "is_sufficient-int-seed": lambda: is_sufficient(RING4, 5),
+    "cascade-None-seed": lambda: cascade(RING4, None),
+    "replay_witness-int-seed": lambda: replay_witness(RING4, 5, []),
+    "from_players-str-n": lambda: Profile.from_players("4", [1]),
 }
 
 
@@ -201,3 +216,67 @@ WRONG_TYPES = {
 def test_wrong_types_are_input_errors(site):
     with pytest.raises(InputError):
         WRONG_TYPES[site]()
+
+
+def _emit_over_a_directory():
+    """emit_outputs into ``out`` of the working directory, where
+    ``results.csv`` is a directory."""
+    os.makedirs(os.path.join("out", "results.csv"))
+    spec = ExperimentSpec(family="dense", n_values=(4,), trials=1, restarts=1, master_seed=1)
+    emit_outputs(run_experiment(spec), "out")
+
+
+# name -> (error, message pattern, call)
+ERROR_PATHS = {
+    "stationary_distribution-empty": (
+        InputError,
+        "every row of a stochastic matrix must be nonnegative, in range and sum to exactly 1",
+        lambda: stationary_distribution(TransitionMatrix((), (), Fraction(1, 2))),
+    ),
+    "coordination_game-bias-count": (
+        InputError,
+        "got 3 biases for a graph with 4 nodes",
+        lambda: coordination_game(ring(4), [0] * 3),
+    ),
+    "from_thresholds-threshold-count": (
+        InputError,
+        "got 2 thresholds for a graph with 4 nodes",
+        lambda: from_thresholds(ring(4), [0, 0]),
+    ),
+    "Profile-no-player": (InputError, "profile needs at least one player, got n=0", lambda: Profile(0, 0)),
+    "marginal_utility-profile-size": (
+        InputError,
+        "profile has 3 players, game has 4",
+        lambda: marginal_utility(RING4, 0, Profile.zeros(3)),
+    ),
+    "TableGame-13-players": (
+        BudgetError,
+        "table game too large: n=13 exceeds 12",
+        lambda: TableGame([[0] * (1 << 12)] * 13),
+    ),
+    "CustomGame-all-0-not-an-equilibrium": (
+        InputError,
+        "player 0 strictly prefers action 1 when everyone plays 0; the all-0 profile must be an equilibrium",
+        lambda: CustomGame(2, lambda i, m: 1),
+    ),
+    "tree-one-node": (InputError, "tree needs n >= 2, got 1", lambda: tree([-1])),
+    "Cnf3-no-clause": (InputError, "need at least one clause", lambda: Cnf3(3, ())),
+    "control_set_to_assignment-both-nodes": (
+        InputError,
+        "control set is not normalized: variable 1 needs exactly one of its var_true/var_false nodes",
+        lambda: control_set_to_assignment(GADGET, {GADGET.hub, *GADGET.true_nodes, GADGET.false_nodes[0]}),
+    ),
+    "emit_outputs-csv-is-a-directory": (
+        InputError,
+        "cannot write outputs under 'out': .*",
+        _emit_over_a_directory,
+    ),
+}
+
+
+@pytest.mark.parametrize("site", ERROR_PATHS)
+def test_error_paths_name_the_fault(site, tmp_path, monkeypatch):
+    error, message, call = ERROR_PATHS[site]
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(error, match=f"^{message}$"):
+        call()

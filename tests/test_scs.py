@@ -11,6 +11,7 @@ from controlsets import (
     Cnf3,
     CoordinationGame,
     InputError,
+    Profile,
     WeightedGraph,
     cascade,
     cohesiveness_crosscheck,
@@ -375,17 +376,25 @@ class TestSeedWalk:
             # Every mask on both representations of the slack (the table
             # game has neither and is walked twice alike).
             for mask in masks:
-                for _ in lane_forcings(monkeypatch):
+                for pay in lane_forcings(monkeypatch):
+
+                    # Lanes are exact, the list parked, and the table has none.
+                    def check(closed, on, expected):
+                        if kind == "table":
+                            assert (closed, on) == (expected, [])
+                        elif pay:
+                            assert (closed, on) == (expected, _seed_walk(game, expected)[1])
+                        else:
+                            TestParkedCounters.assert_parked(game, closed, on, expected)
+
                     closed, on, spread = _seed_walk(game, mask)
-                    assert closed == closure_mask_sweep(game, mask)
-                    assert on == ([] if kind == "table" else _seed_walk(game, closed)[1])
+                    check(closed, on, closure_mask_sweep(game, mask))
                     before = copy.copy(on)
                     for v in range(game.n):
                         if (closed >> v) & 1:
                             continue
                         grown, grown_on = spread(on, closed, [v])
-                        assert grown == closure_mask_sweep(game, closed | 1 << v)
-                        assert grown_on == _seed_walk(game, grown)[1]
+                        check(grown, grown_on, closure_mask_sweep(game, closed | 1 << v))
                         # The prefix's counters are shared by its siblings.
                         assert on == before
         assert kind == "table" or need_zero > 10
@@ -794,7 +803,7 @@ class TestParkedCounters:
         eligible_seeds = 0
         for _ in range(20):
             game = lane_game(kind, rng, rng.randint(2, 10))
-            shut, ready = -1 - sum(game.graph.out_degrees), [i for i, need in enumerate(game._need) if not need]
+            ready = [i for i, need in enumerate(game._need) if not need]
             for mask in [0, sum(1 << i for i in ready)] + [rng.randrange(1 << game.n) for _ in range(4)]:
                 expected = closure_mask_sweep(game, mask)
                 slack = game._slack(expected)
@@ -804,8 +813,7 @@ class TestParkedCounters:
                     if pay:
                         assert decode_lanes(game, on) == (slack, expected)
                     else:
-                        assert closed == expected
-                        assert on == [a + shut * (expected >> i & 1) for i, a in enumerate(slack)]
+                        self.assert_parked(game, closed, on, expected)
         assert eligible_seeds > 20 or kind != "extreme"
 
     def test_requeued_seed_is_not_counted_twice(self):
@@ -881,20 +889,19 @@ PENDANT_KINDS = ("star", "caterpillar", "tree", "k2", "directed", "gadget")
 
 def pendants_reference(game) -> dict[int, int]:
     """Player -> the neighbour it is a pendant of, from the definition:
-    its only out-arc goes there, no other player listens to it, and it is
-    not a pendant of its own pendant (a K2 component)."""
+    its only out-arc goes there and no other player listens to it (both
+    players of a K2 component are each other's pendant)."""
     rows, into = game.graph.rows, game.graph.in_rows
-    lone = {
+    return {
         i: row[0][0]
         for i, row in enumerate(rows)
         if len(row) == 1 and {j for j, _ in into[i]} <= {row[0][0]}
     }
-    return {i: j for i, j in lone.items() if lone.get(j) != i}
 
 
 class TestPendantFold:
     """The list spread with pendants folded into their neighbour against
-    the sweep closure and the exact counters of a walk without the fold."""
+    the sweep closure, its counters parked (``TestParkedCounters``)."""
 
     @pytest.mark.parametrize("kind", PENDANT_KINDS)
     def test_table_matches_its_definition(self, kind):
@@ -903,22 +910,10 @@ class TestPendantFold:
         for _ in range(30):
             game = pendant_game(kind, rng, rng.randint(4, 14))
             walks, folds = game._fold_rows()
-            owner = pendants_reference(game)
-            into, shut = game.graph.in_rows, -1 - sum(game.graph.out_degrees)
-            got = {}
-            for j, fold in enumerate(folds):
-                if fold is None:
-                    assert tuple(walks[j]) == into[j]
-                    continue
-                mask, back, pendants = fold
-                assert [i for i, *_ in pendants] == [i for i in range(game.n) if mask >> i & 1]
-                assert sorted(walks[j] + [(i, w) for i, w, _, _ in pendants]) == sorted(into[j])
-                arcs = dict(game.graph.rows[j])
-                assert back == sum(arcs.get(i, 0) for i, *_ in pendants)
-                for i, w, parked, b in pendants:
-                    got[i] = j
-                    assert (w, parked, b) == (game.graph.out_degrees[i], w - game._need[i] + shut, arcs.get(i, 0))
-            assert got == owner
+            owner, into = pendants_reference(game), game.graph.in_rows
+            for j in range(game.n):
+                assert folds[j] == sum(1 << i for i, o in owner.items() if o == j)
+                assert tuple(walks[j]) == tuple((i, w) for i, w in into[j] if owner.get(i) != j)
             # One out-arc but several listeners; one out-arc, to a player
             # whose only out-arc comes back.
             rows = game.graph.rows
@@ -936,24 +931,19 @@ class TestPendantFold:
         folded = seeded = need_zero = 0
         for _ in range(30):
             game = pendant_game(kind, rng, rng.randint(4, 14))
-            n, full = game.n, (1 << game.n) - 1
-            shut, owner = -1 - sum(game.graph.out_degrees), pendants_reference(game)
+            n, full, owner = game.n, (1 << game.n) - 1, pendants_reference(game)
             need_zero += sum(not game._need[i] for i in owner)
-
-            def exact(closed):
-                return [a + shut * (closed >> i & 1) for i, a in enumerate(game._slack(closed))]
-
             for mask in [0] + [rng.randrange(full + 1) for _ in range(4)]:
                 closed, on, spread = _seed_walk(game, mask)
-                assert (closed, on) == (closure_mask_sweep(game, mask), exact(closed))
+                TestParkedCounters.assert_parked(game, closed, on, closure_mask_sweep(game, mask))
                 outside = [v for v in range(n) if not closed >> v & 1]
                 for _ in range(6 if outside else 0):
                     queue = rng.sample(outside, rng.randint(1, min(3, len(outside))))
                     seeded += sum(v in owner and not closed >> owner[v] & 1 for v in queue)
                     before = on[:]
                     grown, grown_on = spread(on, closed, OnceQueue(queue))
-                    assert grown == closure_mask_sweep(game, closed | sum(1 << v for v in queue))
-                    assert grown_on == exact(grown)
+                    expected = closure_mask_sweep(game, closed | sum(1 << v for v in queue))
+                    TestParkedCounters.assert_parked(game, grown, grown_on, expected)
                     assert on == before
                     folded += sum(grown >> i & ~closed >> i & 1 for i in owner)
         assert folded > 100 and seeded > 20 and need_zero > 5
@@ -1128,24 +1118,6 @@ class TestBlockingSetBound:
             cut += bool(blocking)
         assert cut
 
-    def test_minimal_sets_match_the_quadratic_definition(self):
-        # Random families of distinct nonzero masks, dense in supersets:
-        # the lowest-bit index keeps what the all-pairs test keeps, in order.
-        rng = random.Random("blocking/minimal")
-        dropped = 0
-        for _ in range(300):
-            n = rng.randint(1, 12)
-            family = {rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 40))}
-            for b in list(family)[:5]:
-                family.add(b | rng.randrange(1 << n))
-            expected = sorted(
-                (b for b in family if not any(m != b and b & m == m for m in family)),
-                key=lambda b: (b.bit_count(), b),
-            )
-            assert scs._minimal_sets(family) == expected
-            dropped += len(family) - len(expected)
-        assert dropped > 1000
-
     def test_overlapping_sets_are_packed_disjoint(self, monkeypatch):
         game = blocking_game()
         ring_pairs = [0b11 << i for i in range(5)] + [0b100001]
@@ -1226,6 +1198,15 @@ class TestCohesivenessCrosscheck:
     def test_bad_input_raises_one_error(self, theta, seed, message):
         with pytest.raises(InputError, match=f"^{message}$"):
             cohesiveness_crosscheck(ring(4), theta, seed)
+
+    def test_profile_seed_agrees_with_is_sufficient(self):
+        g, half = ring(6), Fraction(1, 2)
+        game = majority_game(g)
+        for mask in range(1 << g.n):
+            seed = Profile(g.n, mask)
+            assert cohesiveness_crosscheck(g, half, seed) == is_sufficient(game, seed)
+        with pytest.raises(InputError, match="^profile has 4 players, game has 6$"):
+            cohesiveness_crosscheck(g, half, Profile.ones(4))
 
     @pytest.mark.parametrize("family", [ring, complete])
     def test_no_size_limit(self, family):
